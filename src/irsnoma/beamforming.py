@@ -24,7 +24,6 @@ class NullSpaceError(ValueError):
 @dataclass(frozen=True)
 class BeamformerSet:
     vectors: np.ndarray                 # (I, M), each row unit norm
-    null_bases: tuple[np.ndarray, ...]  # Q_i, (M, r_i) orthonormal columns
 
 
 def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
@@ -39,7 +38,6 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
     if m <= num_clusters - 1:
         raise NullSpaceError(0, f"need M > I - 1, got M={m}, I={num_clusters}")
     vectors = np.zeros((num_clusters, m), dtype=complex)
-    bases = []
     for i in range(num_clusters):
         others = np.delete(strong_channels, i, axis=0)   # (I-1, M), rows u_{j,K}
         if others.size:
@@ -56,5 +54,4 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
         if norm < 1e-30:
             raise NullSpaceError(i, "strongest-user channel lies in the span of the others")
         vectors[i] = beam / norm
-        bases.append(basis)
-    return BeamformerSet(vectors=vectors, null_bases=tuple(bases))
+    return BeamformerSet(vectors=vectors)

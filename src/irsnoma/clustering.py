@@ -21,7 +21,6 @@ class ClusterPlan:
 
     members: np.ndarray        # (I, K) int
     leftover: np.ndarray       # users not served this round
-    threshold_used: np.ndarray  # (I,) gate value in effect when each cluster formed
 
 
 def correlation(u_x: np.ndarray, u_y: np.ndarray) -> float:
@@ -83,15 +82,13 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
     corr = correlation_matrix(effective)
     available = np.ones(v, dtype=bool)
     members = np.zeros((num_clusters, users_per_cluster), dtype=int)
-    gates = np.zeros(num_clusters)
 
     if users_per_cluster == 1:
         # degenerate: no pairing, serve the strongest users one per beam
         order = np.argsort(-power, kind="stable")[:num_clusters]
         members[:, 0] = np.sort(order)
         leftover = np.setdiff1d(np.arange(v), members[:, 0])
-        return ClusterPlan(members=members, leftover=leftover,
-                           threshold_used=gates)
+        return ClusterPlan(members=members, leftover=leftover)
 
     for i in range(num_clusters):
         pool = np.flatnonzero(available)
@@ -128,10 +125,8 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
 
         order = np.argsort(power[cluster], kind="stable")
         members[i] = np.asarray(cluster)[order]
-        gates[i] = gate
 
-    return ClusterPlan(members=members, leftover=np.flatnonzero(available),
-                       threshold_used=gates)
+    return ClusterPlan(members=members, leftover=np.flatnonzero(available))
 
 
 def random_plan(effective: np.ndarray, num_clusters: int, users_per_cluster: int,
@@ -143,5 +138,4 @@ def random_plan(effective: np.ndarray, num_clusters: int, users_per_cluster: int
     members = picked.reshape(num_clusters, users_per_cluster)
     members = np.take_along_axis(members, np.argsort(power[members], axis=1), axis=1)
     leftover = np.setdiff1d(np.arange(v), picked)
-    return ClusterPlan(members=members, leftover=leftover,
-                       threshold_used=np.zeros(num_clusters))
+    return ClusterPlan(members=members, leftover=leftover)

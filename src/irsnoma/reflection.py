@@ -101,7 +101,14 @@ class SurrogatePieces:
 
     def gradient(self) -> np.ndarray:
         """Exact gradient of the minorant at its anchor (Hermitian)."""
-        return self.gradient_at(None)
+        n = self.num_mats.shape[-1]
+        grad = np.einsum("ik,ikab->ab", self.zeta / (LN2 * self.num_anchor),
+                         self.num_mats)
+        grad -= np.einsum("ik,ikab->ab",
+                          self.zeta / (LN2 * self.den_anchor), self.den_mats)
+        grad *= self.bandwidth
+        grad -= self.eta * (np.eye(n) - np.outer(self.kappa, self.kappa.conj()))
+        return 0.5 * (grad + grad.conj().T)
 
     def as_solver_problem(self, constraints) -> "sdp.SdpProblem":
         """Cast the minorant as the solver's concave objective.
@@ -127,33 +134,17 @@ class SurrogatePieces:
         return sdp.SdpProblem(objective=linear, constraints=list(constraints),
                               log_terms=logs)
 
-    def gradient_at(self, b_mat: np.ndarray | None) -> np.ndarray:
-        """Gradient at any point: only the concave log terms move with B."""
-        n = self.num_mats.shape[-1]
-        if b_mat is None:
-            num = self.num_anchor
-        else:
-            num = np.einsum("ikab,ba->ik", self.num_mats, b_mat).real
-            num = np.maximum(num, 1e-300)
-        grad = np.einsum("ik,ikab->ab", self.zeta / (LN2 * num), self.num_mats)
-        grad -= np.einsum("ik,ikab->ab",
-                          self.zeta / (LN2 * self.den_anchor), self.den_mats)
-        grad *= self.bandwidth
-        grad -= self.eta * (np.eye(n) - np.outer(self.kappa, self.kappa.conj()))
-        return 0.5 * (grad + grad.conj().T)
-
 
 def dc_linearize(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
-                 stage1: Stage1Result, config: SystemConfig, eta: float,
-                 refresh_bound: bool = True) -> SurrogatePieces:
+                 stage1: Stage1Result, config: SystemConfig,
+                 eta: float) -> SurrogatePieces:
     """Build the concave minorant anchored at the current lifted iterate.
 
-    With ``refresh_bound`` the logarithmic bound coefficients are
-    re-tightened at the anchor SINRs (the bound is global for any
-    expansion point, so the minorant property is preserved and the
-    surrogate is tight at the anchor); otherwise the Stage-1 coefficients
-    are kept. Raises ValueError when a log argument is nonpositive at the
-    anchor, which signals an infeasible anchor.
+    The logarithmic bound coefficients are re-tightened at the anchor SINRs
+    (the bound is global for any expansion point, so the minorant property
+    is preserved and the surrogate is tight at the anchor). Raises
+    ValueError when a log argument is nonpositive at the anchor, which
+    signals an infeasible anchor.
     """
     p = config.cluster_power_w
     num_mats = p * stage1.beta[:, :, None, None] * own
@@ -161,10 +152,7 @@ def dc_linearize(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
     den_anchor = np.einsum("ikab,ba->ik", den, anchor).real + config.noise_power_w
     if np.any(num_anchor <= 0.0) or np.any(den_anchor <= 0.0):
         raise ValueError("infeasible anchor: nonpositive log argument")
-    if refresh_bound:
-        zeta, omega = sca_coefficients(num_anchor / den_anchor)
-    else:
-        zeta, omega = stage1.zeta, stage1.omega
+    zeta, omega = sca_coefficients(num_anchor / den_anchor)
     eigvals, eigvecs = np.linalg.eigh(anchor)
     kappa = eigvecs[:, -1]
     spectral = float(eigvals[-1])
@@ -244,6 +232,26 @@ def evaluate_reflection(channels: ChannelSet, plan: ClusterPlan,
     return energy_efficiency(gamma, beta, config), gamma, gains
 
 
+def floor_constraints(own: np.ndarray, den: np.ndarray, beta: np.ndarray,
+                      config: SystemConfig) -> list[tuple[np.ndarray, float]]:
+    """Lifted SINR floors Re tr(A B) >= c, one per user.
+
+    gamma >= gamma_min is P beta tr(B own) - gamma_min tr(B den) >=
+    gamma_min sigma^2; each pair is normalized to unit Frobenius scale for
+    solver conditioning. A has rank <= I: the own-beam lift plus the I - 1
+    other beams' leakage lifts.
+    """
+    p = config.cluster_power_w
+    constraints = []
+    for i in range(own.shape[0]):
+        for k in range(own.shape[1]):
+            a_mat = p * beta[i, k] * own[i, k] - config.min_sinr * den[i, k]
+            scale = max(float(np.linalg.norm(a_mat)), 1e-300)
+            constraints.append((a_mat / scale,
+                                config.min_sinr * config.noise_power_w / scale))
+    return constraints
+
+
 def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
                 beta: np.ndarray, config: SystemConfig) -> float:
     p = config.cluster_power_w
@@ -279,20 +287,12 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
 
     lifts = lift_user_matrices(channels, plan, beamformers)
     own, den = sinr_trace_matrices(lifts, stage1.beta, config)
-    p = config.cluster_power_w
-    # constraints normalized to unit Frobenius scale for solver conditioning
-    constraints = []
-    for i in range(own.shape[0]):
-        for k in range(own.shape[1]):
-            a_mat = p * stage1.beta[i, k] * own[i, k] - config.min_sinr * den[i, k]
-            scale = max(float(np.linalg.norm(a_mat)), 1e-300)
-            constraints.append((a_mat / scale,
-                                config.min_sinr * config.noise_power_w / scale))
+    constraints = floor_constraints(own, den, stage1.beta, config)
 
     anchor = np.outer(b0, b0.conj())
     probe = sdp.SdpProblem(objective=np.zeros((n, n), dtype=complex),
                            constraints=list(constraints))
-    anchor_slacks, _ = sdp._slacks(probe, anchor)
+    anchor_slacks, _ = sdp.slacks(probe, anchor)
     if anchor_slacks.size and anchor_slacks.min() <= 0.0:
         # starting reflection violates the SINR floor; move to the
         # max-min-slack interior point before any surrogate ascent
@@ -462,7 +462,7 @@ def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
     for cand, check in candidates:
         lift = np.outer(cand, cand.conj())
         if check:
-            slacks, _ = sdp._slacks(probe, lift)
+            slacks, _ = sdp.slacks(probe, lift)
             if slacks.size and slacks.min() < -1e-6:
                 continue
         val = _true_penalized(own, den, lift, beta, config, eta)

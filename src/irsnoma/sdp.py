@@ -11,19 +11,26 @@ Method: primal path-following on the log-barrier
 
 with exact Newton steps. The Newton system is the positive map
 B^-1 (.) B^-1 plus a low-rank sum over constraint normals, so it is solved
-through the inverse map B (.) B and a small dense correction system, which
-keeps a step at O(few matrix products). The barrier parameter grows
-tenfold per centering round until the gap estimate nu / t clears the
-requested tolerance.
+through the inverse map B (.) B and a small dense correction system. Each
+constraint and log-term matrix A = U D U^H is kept as its eigenpairs above
+a 1e-13 relative cutoff, so a step forms B A B as (B U) D (B U)^H and reads
+every trace against the stacked matrices in one product. A Newton step
+thus costs O(N^2 rank) per matrix, plus one eigendecomposition per matrix
+per problem and a few O(N^3) products on B itself around one Cholesky
+factor. The barrier parameter grows tenfold per centering round until the
+gap estimate nu / t clears the requested tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 _HERM_TOL = 1e-9
+_RANK_TOL = 1e-13
 
 
 def frob(x: np.ndarray, y: np.ndarray) -> float:
@@ -41,6 +48,32 @@ def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def _real_rows(mats: np.ndarray) -> np.ndarray:
+    """(k, 2 N^2) float view of a contiguous complex (k, N, N) stack."""
+    k, n, _ = mats.shape
+    return mats.reshape(k, n * n).view(np.float64)
+
+
+def low_rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each Hermitian matrix in a (m, N, N) stack.
+
+    Keeps the pairs with |lambda| > 1e-13 max|lambda| of their own matrix,
+    so that mats[s] = vecs[s] @ diag(vals[s]) @ vecs[s]^H up to rounding.
+    Matrices of lower rank are padded to the common rank R with zero
+    eigenvalues; an all-zero matrix keeps none. Returns vecs (m, N, R) and
+    vals (m, R).
+    """
+    vals, vecs = np.linalg.eigh(mats)
+    peak = np.abs(vals).max(axis=-1, initial=0.0)
+    keep = np.abs(vals) > _RANK_TOL * peak[:, None]
+    rank = int(keep.sum(axis=-1).max(initial=0))
+    # kept pairs first, in eigh's order, then cut to the common rank
+    order = np.argsort(~keep, axis=-1, kind="stable")[:, :rank]
+    vals = np.where(np.take_along_axis(keep, order, axis=-1),
+                    np.take_along_axis(vals, order, axis=-1), 0.0)
+    return np.take_along_axis(vecs, order[:, None, :], axis=-1), vals
+
+
 @dataclass
 class SdpProblem:
     """maximize Re tr(C B) + sum_l w_l ln(Re tr(M_l B))
@@ -49,6 +82,10 @@ class SdpProblem:
     ``log_terms`` is empty for the plain linear-objective problem class;
     weighted concave logs of positive traces share the Newton structure of
     the constraint barriers, so they come at no extra solver machinery.
+    The matrices are validated and stacked once, at construction, and
+    factored once, on first use; the ``constraints`` and ``log_terms``
+    lists hold views into that stack, so a problem is not edited after it
+    is built.
     """
 
     objective: np.ndarray
@@ -67,7 +104,6 @@ class SdpProblem:
             if mat.shape[0] != n:
                 raise ValueError(f"constraint {idx} has mismatched dimension")
             checked.append((mat, float(bound)))
-        self.constraints = checked
         logs = []
         for idx, (mat, weight) in enumerate(self.log_terms):
             mat = _check_hermitian(mat, f"log term {idx}")
@@ -76,13 +112,45 @@ class SdpProblem:
             if weight <= 0.0:
                 raise ValueError(f"log term {idx} needs a positive weight")
             logs.append((mat, float(weight)))
-        self.log_terms = logs
         if self.diag_bound <= 0.0:
             raise ValueError("diag_bound must be positive")
+        # constraint matrices, then log-term matrices, as one (m, N, N) stack
+        count = len(checked)
+        stack = np.array([mat for mat, _ in checked + logs],
+                         dtype=complex).reshape(-1, n, n)
+        self.constraints = [(stack[s], c) for s, (_, c) in enumerate(checked)]
+        self.log_terms = [(stack[count + s], w) for s, (_, w) in enumerate(logs)]
+        self._stack = stack
+        self._rows = _real_rows(stack)
+        self._bounds = np.array([c for _, c in checked])
+        self._weights = np.array([w for _, w in logs])
 
     @property
     def dim(self) -> int:
         return self.objective.shape[0]
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvectors (N, m R) and eigenvalues (m, R) of the stack.
+
+        Computed on the first Newton step, so a problem used only for
+        slack checks never pays for it. The vectors of all matrices sit
+        side by side, so one product B @ U gives B U_s for every matrix.
+        """
+        vecs, vals = low_rank_factors(self._stack)
+        return vecs.transpose(1, 0, 2).reshape(self.dim, -1), vals
+
+    def _traces(self, x: np.ndarray) -> np.ndarray:
+        """Re tr(S X) for every stacked matrix S, constraints first.
+
+        ``x`` is one (N, N) matrix, giving shape (m,), or a (k, N, N)
+        stack, giving (m, k). For Hermitian S, Re tr(S X) is
+        sum_ij Re S_ij Re X_ij + Im S_ij Im X_ij, one real product.
+        """
+        x = np.ascontiguousarray(x, dtype=complex)
+        if x.ndim == 2:
+            return self._rows @ x.reshape(-1).view(np.float64)
+        return self._rows @ _real_rows(x).T
 
     def value(self, b: np.ndarray) -> float:
         """Objective value (linear plus weighted logs) at a feasible point."""
@@ -104,25 +172,28 @@ class SdpSolution:
     gap_estimate: float
 
 
-def _slacks(problem: SdpProblem, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lin = np.array([frob(a, b) - c for a, c in problem.constraints])
+def _slacks_and_traces(problem: SdpProblem,
+                       b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    traces = problem._traces(b)
+    count = len(problem.constraints)
     diag = problem.diag_bound - np.real(np.diag(b))
+    return traces[:count] - problem._bounds, diag, traces[count:]
+
+
+def slacks(problem: SdpProblem, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint slacks Re tr(A_m B) - c_m and diagonal slacks d - B_nn."""
+    lin, diag, _ = _slacks_and_traces(problem, b)
     return lin, diag
-
-
-def _log_traces(problem: SdpProblem, b: np.ndarray) -> np.ndarray:
-    return np.array([frob(m, b) for m, _ in problem.log_terms])
 
 
 def strictly_feasible(problem: SdpProblem, b: np.ndarray, margin: float = 1e-12) -> bool:
     """True when ``b`` sits strictly inside every constraint of ``problem``."""
-    lin, diag = _slacks(problem, b)
+    lin, diag, traces = _slacks_and_traces(problem, b)
     scale = 1.0 + max((abs(c) for _, c in problem.constraints), default=0.0)
     if lin.size and lin.min() <= margin * scale:
         return False
     if diag.min() <= margin * problem.diag_bound:
         return False
-    traces = _log_traces(problem, b)
     if traces.size and traces.min() <= 0.0:
         return False
     try:
@@ -132,25 +203,105 @@ def strictly_feasible(problem: SdpProblem, b: np.ndarray, margin: float = 1e-12)
     return True
 
 
-def _barrier_value(problem: SdpProblem, b: np.ndarray, t: float) -> float:
-    lin, diag = _slacks(problem, b)
+class BarrierPoint(NamedTuple):
+    """An iterate inside the barrier's domain and what a step from it reuses."""
+
+    matrix: np.ndarray
+    value: float             # phi_t
+    lin: np.ndarray          # constraint slacks
+    diag: np.ndarray         # diagonal slacks
+    traces: np.ndarray       # log-term traces
+    chol: np.ndarray         # lower Cholesky factor of ``matrix``
+
+
+def barrier_point(problem: SdpProblem, b: np.ndarray, t: float) -> BarrierPoint | None:
+    """phi_t and its pieces at ``b``; None outside the barrier's domain."""
+    lin, diag, traces = _slacks_and_traces(problem, b)
     if (lin.size and lin.min() <= 0.0) or diag.min() <= 0.0:
-        return np.inf
-    traces = _log_traces(problem, b)
+        return None
     if traces.size and traces.min() <= 0.0:
-        return np.inf
+        return None
     try:
         chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        return np.inf
+        return None
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     value = -t * frob(problem.objective, b) - logdet
-    for trace, (_, weight) in zip(traces, problem.log_terms):
+    for trace, weight in zip(traces, problem._weights):
         value -= t * weight * float(np.log(trace))
     if lin.size:
         value -= float(np.sum(np.log(lin)))
     value -= float(np.sum(np.log(diag)))
-    return value
+    return BarrierPoint(b, value, lin, diag, traces, chol)
+
+
+def newton_direction(problem: SdpProblem, point: BarrierPoint,
+                     t: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Newton direction of phi_t at ``point``, its squared decrement, and L^-1.
+
+    The direction D solves the Newton system
+
+        B^-1 D B^-1 + sum_s w_s Re tr(S_s D) S_s + Diag(w_d * diag D) = -grad phi_t
+
+    over the stacked matrices S_s (w_s = 1 / slack_s^2 for a constraint,
+    t w_l / trace_l^2 for a log term, w_d = 1 / (d - B_nn)^2), through the
+    inverse map B (.) B and a dense (m + N)-square correction system. The
+    inverse Cholesky factor L^-1 gives B^-1 = L^-H L^-1 and is returned for
+    the step bound.
+    """
+    b = point.matrix
+    n = problem.dim
+    m = problem._stack.shape[0]
+    linv = np.linalg.inv(point.chol)
+    # every stacked matrix enters the barrier as -scale_s log(slack_s)
+    slack = np.concatenate([point.lin, point.traces])
+    scale = np.concatenate([np.ones(point.lin.size), t * problem._weights])
+    resid = t * problem.objective + linv.conj().T @ linv
+    resid += (scale / slack @ problem._rows).view(complex).reshape(n, n)
+    resid[np.diag_indices(n)] -= 1.0 / point.diag
+    q = b @ resid @ b
+    # B S_s B = (B U_s) D_s (B U_s)^H, stacked (m, N, N)
+    vecs, vals = problem._factors
+    bu = (b @ vecs).reshape(n, m, vals.shape[1]).transpose(1, 0, 2)
+    proj = (bu * vals[:, None, :]) @ bu.conj().transpose(0, 2, 1)
+
+    r = m + n
+    w = np.concatenate([scale / slack**2, 1.0 / point.diag**2])
+    gram = np.empty((r, r))
+    inner = problem._traces(proj)
+    gram[:m, :m] = 0.5 * (inner + inner.T)
+    gram[:m, m:] = np.real(np.diagonal(proj, axis1=1, axis2=2))
+    gram[m:, :m] = gram[:m, m:].T
+    gram[m:, m:] = np.abs(b) ** 2
+    rhs = np.concatenate([problem._traces(q), np.real(np.diag(q))])
+
+    sqrt_w = np.sqrt(w)
+    core = np.eye(r) + sqrt_w[:, None] * gram * sqrt_w[None, :]
+    wy = w * np.linalg.solve(core, sqrt_w * rhs) / sqrt_w
+    delta = q - (wy[:m] @ _real_rows(proj)).view(complex).reshape(n, n)
+    delta -= (b * wy[m:][None, :]) @ b
+    delta = 0.5 * (delta + delta.conj().T)
+    return delta, frob(resid, delta), linv
+
+
+def _max_step(problem: SdpProblem, point: BarrierPoint, delta: np.ndarray,
+              linv: np.ndarray) -> float:
+    """Largest step along ``delta`` keeping every barrier term defined."""
+    s_max = 1.0
+    slack = np.concatenate([point.lin, point.traces])
+    change = problem._traces(delta)
+    falling = change < 0.0
+    if np.any(falling):
+        s_max = min(s_max, float(np.min(slack[falling] / -change[falling])))
+    d_diag = np.real(np.diag(delta))
+    rising = d_diag > 0.0
+    if np.any(rising):
+        s_max = min(s_max, float(np.min(point.diag[rising] / d_diag[rising])))
+    white = linv @ delta @ linv.conj().T
+    lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (white + white.conj().T))))
+    if lam_min < 0.0:
+        s_max = min(s_max, 1.0 / -lam_min)
+    return s_max
 
 
 def _center(problem: SdpProblem, b: np.ndarray, t: float, newton_budget: int,
@@ -159,97 +310,30 @@ def _center(problem: SdpProblem, b: np.ndarray, t: float, newton_budget: int,
 
     Stops when the Newton decrement satisfies lambda^2 / 2 <= ctol; a loose
     ctol keeps the iterate inside the quadratic-convergence basin of the
-    next barrier round at a fraction of the cost of exact centering.
+    next barrier round at a fraction of the cost of exact centering. The
+    accepted line-search point carries its barrier value, slacks and
+    Cholesky factor into the next step.
     """
-    n = problem.dim
-    mats = [a for a, _ in problem.constraints]
-    log_mats = [mat for mat, _ in problem.log_terms]
-    log_weights = np.array([weight for _, weight in problem.log_terms])
+    point = barrier_point(problem, b, t)
     steps = 0
-    while steps < newton_budget:
-        lin, diag = _slacks(problem, b)
-        traces = _log_traces(problem, b)
-        binv = np.linalg.inv(b)
-        binv = 0.5 * (binv + binv.conj().T)
-        grad = -t * problem.objective - binv
-        for a, s in zip(mats, lin):
-            grad -= a / s
-        for mat, weight, trace in zip(log_mats, log_weights, traces):
-            grad -= (t * weight / trace) * mat
-        grad[np.diag_indices(n)] += 1.0 / diag
-
-        resid = -grad
-        q = b @ resid @ b
-        proj = [b @ a @ b for a in mats] + [b @ mat @ b for mat in log_mats]
-
-        m = len(mats) + len(log_mats)
-        vmats = mats + log_mats
-        r = m + n
-        w = np.concatenate([
-            1.0 / lin**2,
-            t * log_weights / traces**2 if traces.size else np.empty(0),
-            1.0 / diag**2,
-        ])
-        gram = np.zeros((r, r))
-        for s_i in range(m):
-            for r_i in range(s_i, m):
-                gram[s_i, r_i] = gram[r_i, s_i] = frob(vmats[s_i], proj[r_i])
-            gram[s_i, m:] = gram[m:, s_i] = np.real(np.diag(proj[s_i]))
-        gram[m:, m:] = np.abs(b) ** 2
-        rhs = np.empty(r)
-        rhs[:m] = [frob(a, q) for a in vmats]
-        rhs[m:] = np.real(np.diag(q))
-
-        sqrt_w = np.sqrt(w)
-        core = np.eye(r) + sqrt_w[:, None] * gram * sqrt_w[None, :]
-        y = np.linalg.solve(core, sqrt_w * rhs) / sqrt_w
-
-        delta = q.copy()
-        for w_i, y_i, p_i in zip(w[:m], y[:m], proj):
-            delta -= w_i * y_i * p_i
-        delta -= (b * (w[m:] * y[m:])[None, :]) @ b
-        delta = 0.5 * (delta + delta.conj().T)
-
-        decrement = frob(resid, delta)
+    while point is not None and steps < newton_budget:
+        delta, decrement, linv = newton_direction(problem, point, t)
         if not np.isfinite(decrement) or decrement <= 2.0 * ctol:
             break
-
-        # largest step keeping every barrier term defined
-        s_max = 1.0
-        for a, s in zip(mats, lin):
-            d = frob(a, delta)
-            if d < 0.0:
-                s_max = min(s_max, s / -d)
-        for mat, trace in zip(log_mats, traces):
-            d = frob(mat, delta)
-            if d < 0.0:
-                s_max = min(s_max, trace / -d)
-        d_diag = np.real(np.diag(delta))
-        pos = d_diag > 0.0
-        if np.any(pos):
-            s_max = min(s_max, float(np.min(diag[pos] / d_diag[pos])))
-        chol = np.linalg.cholesky(b)
-        half = np.linalg.solve(chol, delta)
-        white = np.linalg.solve(chol, half.conj().T).conj().T
-        lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (white + white.conj().T))))
-        if lam_min < 0.0:
-            s_max = min(s_max, 1.0 / -lam_min)
-        step = min(1.0, 0.99 * s_max)
-
-        phi0 = _barrier_value(problem, b, t)
-        accepted = False
+        step = min(1.0, 0.99 * _max_step(problem, point, delta, linv))
+        accepted = None
         for _ in range(40):
-            cand = b + step * delta
-            cand = 0.5 * (cand + cand.conj().T)
-            if _barrier_value(problem, cand, t) <= phi0 - 0.25 * step * decrement:
-                accepted = True
+            cand = point.matrix + step * delta
+            cand = barrier_point(problem, 0.5 * (cand + cand.conj().T), t)
+            if cand is not None and cand.value <= point.value - 0.25 * step * decrement:
+                accepted = cand
                 break
             step *= 0.5
         steps += 1
-        if not accepted:
+        if accepted is None:
             break
-        b = cand
-    return b, steps
+        point = accepted
+    return (b if point is None else point.matrix), steps
 
 
 def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
@@ -309,7 +393,7 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
         return None
     n = problem.dim
     d = problem.diag_bound
-    lin0, _ = _slacks(problem, start)
+    lin0, _ = slacks(problem, start)
     offset = max(0.0, -float(lin0.min())) + 1.0
     scale = 2.0 * offset / d          # slack level = scale * last diagonal entry
     aug_cons = []

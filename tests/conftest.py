@@ -29,7 +29,7 @@ def build_scenario(seed, config=None, zero_forcing=True, random_beams=False):
         f = (rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas))
              + 1j * rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas)))
         f /= np.linalg.norm(f, axis=1, keepdims=True)
-        beams = BeamformerSet(vectors=f, null_bases=tuple())
+        beams = BeamformerSet(vectors=f)
     else:
         beams = build_zf_beamformers(effective[plan.members[:, -1]])
     gains = link_gains(effective, plan.members, beams.vectors)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import build_scenario
 from irsnoma import sdp
+from irsnoma.power_allocation import allocate_power
+from irsnoma.reflection import floor_constraints, lift_user_matrices, sinr_trace_matrices
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -164,3 +167,121 @@ class TestSolutionQuality:
         solution = sdp.solve(problem, tolerance=1e-5)
         assert solution.status == "optimal"
         assert sdp.frob(a, solution.matrix) >= bound - 1e-5 * (1 + abs(bound))
+
+
+def _random_vectors(rng, n, count):
+    return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
+def _low_rank(rng, n, signs):
+    """Hermitian sum_j s_j v_j v_j^H; rank len(signs), indefinite on mixed signs."""
+    vecs = _random_vectors(rng, n, len(signs))
+    return sum(s * np.outer(v, v.conj()) for s, v in zip(signs, vecs))
+
+
+def _interior_problem(rng, n, mats, log_mats=()):
+    """Constraints Re tr(A B) >= Re tr(A B0) - 0.5 around B0 = I/2."""
+    constraints = [(a, sdp.frob(a, 0.5 * np.eye(n)) - 0.5) for a in mats]
+    logs = [(mat, float(w)) for mat, w in zip(log_mats, rng.uniform(0.5, 2.0, len(log_mats)))]
+    return sdp.SdpProblem(objective=_random_hermitian(rng, n),
+                          constraints=constraints, log_terms=logs)
+
+
+def _phase_one_lift(problem, offset=3.0):
+    """Phase-one problem: one extra diagonal coordinate tightens every constraint."""
+    n = problem.dim
+    scale = 2.0 * offset / problem.diag_bound
+    aug_cons = []
+    for a, c in problem.constraints:
+        a_aug = np.zeros((n + 1, n + 1), dtype=complex)
+        a_aug[:n, :n] = a
+        a_aug[n, n] = -scale
+        aug_cons.append((a_aug, c - offset))
+    c_aug = np.zeros((n + 1, n + 1), dtype=complex)
+    c_aug[n, n] = 1.0
+    return sdp.SdpProblem(objective=c_aug, constraints=aug_cons,
+                          diag_bound=problem.diag_bound)
+
+
+def _newton_problems():
+    rng = np.random.default_rng(7)
+    n = 10
+    full = random_problem(rng, n, num_constraints=6)
+    mixed = _interior_problem(rng, n, [_low_rank(rng, n, [1.0]),
+                                       _low_rank(rng, n, [1.0, -0.5, 2.0, -1.0, 0.3]),
+                                       _low_rank(rng, n, [-1.0])])
+    logs = _interior_problem(rng, n, [_low_rank(rng, n, [1.0, -1.0])],
+                             log_mats=[_low_rank(rng, n, [1.0]) for _ in range(3)])
+    lifted = _phase_one_lift(mixed)
+    return {"full-rank": full, "rank-1-and-5": mixed, "log-terms": logs,
+            "phase-one": lifted}
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("kind", ["full-rank", "rank-1-and-5", "log-terms", "phase-one"])
+    def test_direction_solves_dense_newton_equation(self, kind):
+        problem = _newton_problems()[kind]
+        n = problem.dim
+        rng = np.random.default_rng(11)
+        b = 0.5 * np.eye(n) + 0.02 * _random_hermitian(rng, n)
+        if kind == "phase-one":
+            b[-1, :] = b[:, -1] = 0.0
+            b[-1, -1] = 0.05
+        assert sdp.strictly_feasible(problem, b)
+        t = 7.3
+        point = sdp.barrier_point(problem, b, t)
+        delta, decrement, _ = sdp.newton_direction(problem, point, t)
+
+        # dense oracle: gradient and Hessian of phi_t written out term by term
+        binv = np.linalg.inv(b)
+        terms = [(a, 1.0, sdp.frob(a, b) - c) for a, c in problem.constraints]
+        terms += [(m, t * w, sdp.frob(m, b)) for m, w in problem.log_terms]
+        diag = problem.diag_bound - np.real(np.diag(b))
+        grad = -t * problem.objective - binv + np.diag(1.0 / diag)
+        hess = binv @ delta @ binv + np.diag(np.real(np.diag(delta)) / diag**2)
+        for mat, weight, slack in terms:
+            grad -= weight / slack * mat
+            hess += weight / slack**2 * sdp.frob(mat, delta) * mat
+        assert np.linalg.norm(hess + grad) <= 1e-9 * np.linalg.norm(grad)
+        assert decrement == pytest.approx(-sdp.frob(grad, delta), rel=1e-9)
+
+
+class TestLowRankFactors:
+    def _rebuild(self, vecs, vals):
+        return np.einsum("snr,sr,smr->snm", vecs, vals, vecs.conj())
+
+    def test_factors_rebuild_each_kind_of_matrix(self):
+        rng = np.random.default_rng(5)
+        n = 12
+        mats = np.array([
+            _random_hermitian(rng, n),                    # full rank
+            _low_rank(rng, n, [1.0, 2.0, 0.5]),           # rank-deficient PSD
+            _low_rank(rng, n, [1.0, -2.0, 0.5, -0.1]),    # indefinite
+            np.zeros((n, n), dtype=complex),              # all zero
+        ])
+        with np.errstate(all="raise"):
+            vecs, vals = sdp.low_rank_factors(mats)
+        ranks = np.count_nonzero(vals, axis=1)
+        assert ranks.tolist() == [n, 3, 4, 0]
+        rebuilt = self._rebuild(vecs, vals)
+        for mat, again in zip(mats, rebuilt):
+            assert np.linalg.norm(again - mat) <= 1e-12 * np.linalg.norm(mat)
+        assert np.any(vals[2] < 0.0)
+
+    def test_reflection_floor_constraints_are_low_rank(self):
+        cfg, _, channels, plan, beams, gains = build_scenario(0)
+        stage1 = allocate_power(gains, cfg)
+        lifts = lift_user_matrices(channels, plan, beams)
+        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+        constraints = floor_constraints(own, den, stage1.beta, cfg)
+        n = cfg.num_irs_elements
+        problem = sdp.SdpProblem(objective=np.zeros((n, n)), constraints=constraints)
+        lifted = _phase_one_lift(problem)
+        for stack, cap in (([a for a, _ in problem.constraints], cfg.num_clusters),
+                           ([a for a, _ in lifted.constraints], cfg.num_clusters + 1)):
+            mats = np.array(stack)
+            vecs, vals = sdp.low_rank_factors(mats)
+            assert np.count_nonzero(vals, axis=1).max() <= cap
+            rebuilt = self._rebuild(vecs, vals)
+            for mat, again in zip(mats, rebuilt):
+                assert np.linalg.norm(again - mat) <= 1e-12 * np.linalg.norm(mat)
