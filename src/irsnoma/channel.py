@@ -164,11 +164,9 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
 def inter_cluster_interference(gains: LinkGains, beta: np.ndarray,
                                config: SystemConfig) -> np.ndarray:
     """Power leaked into each user from all other beams, in Watts."""
-    num_clusters = gains.own_beam.shape[0]
     beam_power = config.cluster_power_w * beta.sum(axis=1)      # (I,)
     totals = np.einsum("ikj,j->ik", gains.cross_beam, beam_power)
-    own = np.stack([gains.cross_beam[i, :, i] for i in range(num_clusters)])
-    return totals - own * beam_power[:, None]
+    return totals - gains.own_beam * beam_power[:, None]
 
 
 def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +178,7 @@ def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.n
     """
     p = config.cluster_power_w
     psi = inter_cluster_interference(gains, beta, config)
-    tail = np.flip(np.cumsum(np.flip(beta, axis=1), axis=1), axis=1) - beta
+    tail = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
     num = p * beta * gains.own_beam
     den = p * tail * gains.own_beam + psi + config.noise_power_w
     return num / den, psi

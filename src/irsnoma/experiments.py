@@ -6,7 +6,8 @@ orthogonal time-sharing benchmark, random clustering, random power
 coefficients, and the pipeline without the reflection stage. Per-trial
 seeds derive from the experiment seed and the scenario coordinates, so
 identical invocations produce byte-identical CSV outputs regardless of
-worker count.
+worker count, provided the BLAS thread count is fixed too (a different
+count changes the rounding of the SDP solver's matrix products).
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkGains, cluster_rates_and_power, energy_efficiency, sinr
+from .channel import (LinkGains, cluster_rates_and_power, energy_efficiency,
+                      inter_cluster_interference, sinr)
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -90,15 +91,21 @@ class Slacks:
 
 
 def _tails(beta: np.ndarray) -> np.ndarray:
-    return np.flip(np.cumsum(np.flip(beta, axis=1), axis=1), axis=1) - beta
+    return np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
 
 
 def constraint_slacks(gains: LinkGains, beta: np.ndarray,
                       config: SystemConfig) -> Slacks:
+    return _slacks(gains, beta, inter_cluster_interference(gains, beta, config),
+                   config)
+
+
+def _slacks(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
+            config: SystemConfig) -> Slacks:
+    """Slacks at ``beta`` given the interference ``psi`` that ``sinr`` saw."""
     p = config.cluster_power_w
     g = gains.own_beam
     tail = _tails(beta)
-    _, psi = sinr(gains, beta, config)
     den = p * tail * g + psi + config.noise_power_w
     qos = p * beta * g - config.min_sinr * den
     sic = p * g[:, 1:] * (beta[:, :-1] - tail[:, :-1]) - config.sic_power_gap_w
@@ -119,47 +126,49 @@ def subgradient_update(duals: DualVariables, slacks: Slacks,
 
 @dataclass
 class PacContext:
-    """Single-cluster inputs for the closed-form power coefficient."""
+    """Closed-form inputs; leading axes (none for one cluster) index clusters."""
 
-    beam_gain: np.ndarray   # (K,) |u_k f|^2, sorted weakest-first
-    psi: np.ndarray         # (K,) inter-cluster interference, Watts
-    beta: np.ndarray        # (K,) working coefficients (entries < k updated)
-    zeta: np.ndarray        # (K,) bound slopes at the current anchor
-    rho: float              # cluster efficiency parameter
-    power_dual: float       # alpha_i
-    qos_dual: np.ndarray    # (K,)
-    sic_dual: np.ndarray    # (K-1,)
+    beam_gain: np.ndarray           # (..., K) |u_k f|^2, sorted weakest-first
+    psi: np.ndarray                 # (..., K) inter-cluster interference, Watts
+    beta: np.ndarray                # (..., K) working coefficients (entries < k updated)
+    zeta: np.ndarray                # (..., K) bound slopes at the current anchor
+    rho: float | np.ndarray         # (...) cluster efficiency parameter
+    power_dual: float | np.ndarray  # (...) alpha_i
+    qos_dual: np.ndarray            # (..., K)
+    sic_dual: np.ndarray            # (..., K-1)
     min_sinr: float
     cluster_power: float
     noise_power: float
     bandwidth: float
 
 
-def closed_form_pac(k: int, ctx: PacContext) -> float:
+def closed_form_pac(k: int, ctx: PacContext) -> float | np.ndarray:
     """Stationary power coefficient of user k given everything else.
 
-    Solves dL/dbeta_k = 0 of the dual Lagrangian. The terms from weaker
-    users z < k enter through their SINR denominators evaluated at the
-    working coefficients, so callers must process k in ascending order.
-    Raises DualInfeasibleError when the stationary denominator is
-    nonpositive (duals inconsistent with rho); the caller should shrink
-    its dual steps and retry.
+    Solves dL/dbeta_k = 0 of the dual Lagrangian, for every cluster of the
+    context at once: a float for a 1-D context, an array of the leading
+    shape otherwise. The terms from weaker users z < k enter through their
+    SINR denominators evaluated at the working coefficients, so callers
+    must process k in ascending order. Raises DualInfeasibleError when the
+    stationary denominator of any cluster is nonpositive (duals
+    inconsistent with rho); the caller should shrink its dual steps and
+    retry.
     """
     p = ctx.cluster_power
     g = ctx.beam_gain
-    users = g.shape[0]
-    gamma_term = ctx.qos_dual[k] * p * g[k]
-    sic_term = ctx.sic_dual[k] * p * g[k + 1] if k < users - 1 else 0.0
+    users = g.shape[-1]
+    gamma_term = ctx.qos_dual[..., k] * p * g[..., k]
+    sic_term = ctx.sic_dual[..., k] * p * g[..., k + 1] if k < users - 1 else 0.0
     denom = LN2 * ((ctx.rho + ctx.power_dual) * p - gamma_term - sic_term)
     for z in range(k):
-        tail = float(ctx.beta[z + 1:].sum())
-        d_z = p * g[z] * tail + ctx.psi[z] + ctx.noise_power
-        denom += ctx.bandwidth * ctx.zeta[z] * p * g[z] / d_z
-        denom += LN2 * (ctx.qos_dual[z] * ctx.min_sinr * p * g[z]
-                        + ctx.sic_dual[z] * p * g[z + 1])
-    if denom <= 0.0:
+        tail = ctx.beta[..., z + 1:].sum(axis=-1)
+        d_z = p * g[..., z] * tail + ctx.psi[..., z] + ctx.noise_power
+        denom += ctx.bandwidth * ctx.zeta[..., z] * p * g[..., z] / d_z
+        denom += LN2 * (ctx.qos_dual[..., z] * ctx.min_sinr * p * g[..., z]
+                        + ctx.sic_dual[..., z] * p * g[..., z + 1])
+    if np.any(denom <= 0.0):
         raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
-    return ctx.bandwidth * ctx.zeta[k] / denom
+    return ctx.bandwidth * ctx.zeta[..., k] / denom
 
 
 def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
@@ -167,16 +176,14 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
            config: SystemConfig) -> np.ndarray:
     """One full coefficient update, ascending within each cluster."""
     out = beta.copy()
-    for i in range(beta.shape[0]):
-        ctx = PacContext(
-            beam_gain=gains.own_beam[i], psi=psi[i], beta=out[i], zeta=zeta[i],
-            rho=float(rho[i]), power_dual=float(duals.power[i]),
-            qos_dual=duals.qos[i], sic_dual=duals.sic[i],
-            min_sinr=config.min_sinr, cluster_power=config.cluster_power_w,
-            noise_power=config.noise_power_w, bandwidth=config.bandwidth_hz,
-        )
-        for k in range(beta.shape[1]):
-            out[i, k] = closed_form_pac(k, ctx)
+    ctx = PacContext(
+        beam_gain=gains.own_beam, psi=psi, beta=out, zeta=zeta, rho=rho,
+        power_dual=duals.power, qos_dual=duals.qos, sic_dual=duals.sic,
+        min_sinr=config.min_sinr, cluster_power=config.cluster_power_w,
+        noise_power=config.noise_power_w, bandwidth=config.bandwidth_hz,
+    )
+    for k in range(beta.shape[1]):
+        out[:, k] = closed_form_pac(k, ctx)
     cap = config.max_power_w / config.cluster_power_w
     return np.clip(out, 0.0, cap)
 
@@ -235,14 +242,9 @@ def qos_power_repair(gains: LinkGains, beta0: np.ndarray, config: SystemConfig,
     return beta
 
 
-def _dual_objective(gains: LinkGains, beta: np.ndarray, zeta: np.ndarray,
-                    omega: np.ndarray, rho: np.ndarray, duals: DualVariables,
-                    config: SystemConfig) -> float:
+def _lagrangian(rbar: np.ndarray, powers: np.ndarray, rho: np.ndarray,
+               duals: DualVariables, slacks: Slacks) -> float:
     """Lagrangian of the parametric problem at fixed multipliers."""
-    gamma, _ = sinr(gains, beta, config)
-    rbar = surrogate_rates(gamma, zeta, omega, config.bandwidth_hz)
-    _, powers = cluster_rates_and_power(gamma, beta, config)
-    slacks = constraint_slacks(gains, beta, config)
     return float(np.sum(rbar - rho * powers)
                  + np.sum(duals.power * slacks.power)
                  + np.sum(duals.qos * slacks.qos)
@@ -328,6 +330,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
 
     wander = warm.copy()
     gamma_w, psi_w = sinr(gains, wander, config)
+    slacks = _slacks(gains, wander, psi_w, config)
     ee_w = energy_efficiency(gamma_w, wander, config)
     viol_w = family_violations(gains, wander, gamma_w, config)
 
@@ -342,6 +345,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     converged = False
     trace: list[TracePoint] = []
     last_improvement = 0
+    p = config.cluster_power_w
+    g_sic = p * gains.own_beam[:, 1:]
+    sic_norm = g_sic + config.sic_power_gap_w
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
@@ -353,25 +359,19 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(),
                                 ee=run_ee, max_violation=float(inc_viol.max())))
 
-        slacks = constraint_slacks(gains, wander, config)
-        stepped = False
+        rho_scale = max(float(np.mean(rho)), 1e-12)
+        den = p * _tails(wander) * gains.own_beam + psi_w + config.noise_power_w
+        qos_scale = p * gains.own_beam * config.min_sinr * den
+        # SIC-gap violations are tiny against their own scale near the
+        # boundary, so the step saturates to a sign-normalized move of
+        # the dual's effective magnitude Upsilon * P * g
+        sic_scale = g_sic * (np.abs(slacks.sic) + 1e-2 * sic_norm)
         c_try = c
         for _ in range(max_retries):
             base = c_try / np.sqrt(iteration)
-            rho_scale = max(float(np.mean(rho)), 1e-12)
             step_power = np.full(num_clusters, base * rho_scale / config.max_power_w)
-            den = (config.cluster_power_w * _tails(wander) * gains.own_beam
-                   + psi_w + config.noise_power_w)
-            step_qos = base * rho_scale / (config.cluster_power_w * gains.own_beam
-                                           * config.min_sinr * den)
-            # SIC-gap violations are tiny against their own scale near the
-            # boundary, so the step saturates to a sign-normalized move of
-            # the dual's effective magnitude Upsilon * P * g
-            sic_norm = (config.cluster_power_w * gains.own_beam[:, 1:]
-                        + config.sic_power_gap_w)
-            step_sic = 5.0 * base * rho_scale / (
-                config.cluster_power_w * gains.own_beam[:, 1:]
-                * (np.abs(slacks.sic) + 1e-2 * sic_norm))
+            step_qos = base * rho_scale / qos_scale
+            step_sic = 5.0 * base * rho_scale / sic_scale
             duals_try = subgradient_update(duals, slacks, step_power,
                                            step_qos, step_sic)
             try:
@@ -380,14 +380,15 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
             except DualInfeasibleError:
                 c_try *= 0.5
                 continue
-            stepped = True
             break
-        if not stepped:
+        else:
             break
         duals, c = duals_try, c_try
-        prev_wander = wander
+        # previous point's Lagrangian, from the values computed there above
+        lag_old = _lagrangian(rbar, powers, rho, duals, slacks)
         wander = wander_try
         gamma_w, psi_w = sinr(gains, wander, config)
+        slacks = _slacks(gains, wander, psi_w, config)
         ee_w = energy_efficiency(gamma_w, wander, config)
         viol_w = family_violations(gains, wander, gamma_w, config)
 
@@ -408,9 +409,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         # Lagrangian at the current multipliers. It vanishes at a stationary
         # split, but also whenever the dual step is small, so on its own it
         # does not certify a primal-feasible stop
-        lag_new = _dual_objective(gains, wander, zeta, omega, rho, duals, config)
-        lag_old = _dual_objective(gains, prev_wander, zeta, omega, rho, duals,
-                                  config)
+        _, powers = cluster_rates_and_power(gamma_w, wander, config)
+        lag_new = _lagrangian(surrogate_rates(gamma_w, zeta, omega, bw), powers,
+                              rho, duals, slacks)
         scale = max(float(np.sum(rho)
                           * (config.cluster_power_w + config.circuit_power_w)),
                     1e-300)

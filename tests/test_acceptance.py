@@ -219,6 +219,7 @@ def test_criterion_5_dc_gradient_and_majorization():
                    f"majorization violations {violations}/1000")
 
 
+@pytest.mark.slow
 def test_criterion_6_conic_solver():
     rng = np.random.default_rng(6)
     worst = 0.0
@@ -260,6 +261,7 @@ def floor_attainable_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_7_rank_one_penalty_drive(floor_attainable_runs):
     runs = floor_attainable_runs
     assert len(runs) == 100
@@ -272,6 +274,7 @@ def test_criterion_7_rank_one_penalty_drive(floor_attainable_runs):
                    f"unit modulus {modulus_ok}/{len(runs)}")
 
 
+@pytest.mark.slow
 def test_criterion_8_alternating_monotonicity(trend_records,
                                               floor_attainable_runs):
     records, _ = trend_records
@@ -288,6 +291,7 @@ def test_criterion_8_alternating_monotonicity(trend_records,
                            f"/{total} runs")
 
 
+@pytest.mark.slow
 def test_criterion_9_trend_reproduction(trend_records):
     records, elapsed = trend_records
 
@@ -320,6 +324,7 @@ def _iterations_to_settle(trace_ees, rel=1e-4):
     return len(trace_ees)
 
 
+@pytest.mark.slow
 def test_criterion_10_convergence_counts(trend_records):
     records, _ = trend_records
     stage1_medians = {}

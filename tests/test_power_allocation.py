@@ -1,8 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from irsnoma import power_allocation
 from irsnoma.channel import LinkGains, energy_efficiency, sinr
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import (DualInfeasibleError, DualVariables,
@@ -12,7 +16,7 @@ from irsnoma.power_allocation import (DualInfeasibleError, DualVariables,
                                       sca_coefficients, subgradient_update,
                                       surrogate_rates)
 
-from conftest import build_scenario
+from conftest import attainable_floor_scenario, build_scenario
 
 LN2 = np.log(2.0)
 
@@ -139,6 +143,59 @@ class TestClosedForm:
         slope = (up - down) / (2 * h)
         scale = abs(_lagrangian(np.array([beta0, beta1]), ctx, cfg)) / beta1
         assert abs(slope) / scale < 1e-4
+
+
+def _scalar_sweep(g, psi, beta, zeta, rho, duals, cfg):
+    """Reference sweep: one 1-D context per cluster, users weakest-first."""
+    out = beta.copy()
+    for i in range(beta.shape[0]):
+        ctx = PacContext(
+            beam_gain=g[i], psi=psi[i], beta=out[i], zeta=zeta[i],
+            rho=float(rho[i]), power_dual=float(duals.power[i]),
+            qos_dual=duals.qos[i], sic_dual=duals.sic[i],
+            min_sinr=cfg.min_sinr, cluster_power=cfg.cluster_power_w,
+            noise_power=cfg.noise_power_w, bandwidth=cfg.bandwidth_hz)
+        for k in range(beta.shape[1]):
+            value = closed_form_pac(k, ctx)
+            assert isinstance(value, float)
+            out[i, k] = value
+    return np.clip(out, 0.0, cfg.max_power_w / cfg.cluster_power_w)
+
+
+class TestBatchedSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(clusters=st.integers(1, 5), users=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1), dual_scale=st.floats(0.0, 1.5))
+    @example(clusters=5, users=2, seed=0, dual_scale=1.5)
+    def test_matches_per_cluster_loop(self, clusters, users, seed, dual_scale):
+        rng = np.random.default_rng(seed)
+        shape = (clusters, users)
+        cfg = dataclasses.replace(SystemConfig(),
+                                  min_sinr=10 ** rng.uniform(-2, 0.5))
+        p = cfg.cluster_power_w
+        g = np.sort(10 ** rng.uniform(-11, -7, shape), axis=1)
+        psi = 10 ** rng.uniform(-15, -9, shape)
+        beta = rng.uniform(0.0, 1.0, shape) / users
+        zeta = rng.uniform(0.01, 1.0, shape)
+        rho = 10 ** rng.uniform(-1, 2, clusters)
+        # multipliers near rho / (P g) put the denominators near zero
+        duals = DualVariables(
+            power=rng.uniform(0.0, 1.0, clusters) * rho,
+            qos=dual_scale * rng.uniform(0.0, 1.0, shape) * rho[:, None] / (p * g),
+            sic=(dual_scale * rng.uniform(0.0, 1.0, (clusters, users - 1))
+                 * rho[:, None] / (p * g[:, 1:])))
+        cross = np.zeros((clusters, users, clusters))
+        cross[np.arange(clusters), :, np.arange(clusters)] = g
+        gains = LinkGains(own_beam=g, cross_beam=cross, channel_power=g)
+        try:
+            expected = _scalar_sweep(g, psi, beta, zeta, rho, duals, cfg)
+        except DualInfeasibleError:
+            with pytest.raises(DualInfeasibleError):
+                power_allocation._sweep(gains, beta, psi, zeta, rho, duals, cfg)
+            return
+        batched = power_allocation._sweep(gains, beta, psi, zeta, rho, duals,
+                                          cfg)
+        assert np.array_equal(batched, expected)
 
 
 class TestSubgradient:
@@ -277,3 +334,45 @@ class TestAllocatePower:
         if not result.feasible:
             ratios = result.beta[:, 0] / result.beta[:, 1]
             assert np.all(ratios >= cfg.min_sinr)
+
+
+# (kind, N) at the reference floor, (kind, random_beams) at an attainable one
+_SOURCES = (("reference", 8), ("reference", 16),
+            ("attainable", False), ("attainable", True))
+
+
+def _stage1_draw(source, seed):
+    kind, option = source
+    if kind == "reference":
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=option)
+        cfg, *_, gains = build_scenario(seed, config=base)
+    else:
+        cfg, *_, gains = attainable_floor_scenario(seed, random_beams=option)
+    return cfg, gains
+
+
+class TestStage1Properties:
+    @settings(max_examples=40, deadline=None)
+    @given(source=st.sampled_from(_SOURCES), seed=st.integers(0, 10**6),
+           max_iterations=st.integers(1, 100),
+           max_retries=st.sampled_from([0, 1, 8]))
+    def test_invariants(self, source, seed, max_iterations, max_retries):
+        cfg, gains = _stage1_draw(source, seed)
+        sweep = power_allocation._sweep
+        sweeps_taken = 0
+
+        def counted_sweep(*args):
+            nonlocal sweeps_taken
+            out = sweep(*args)
+            sweeps_taken += 1
+            return out
+
+        with mock.patch.object(power_allocation, "_sweep", counted_sweep):
+            result = allocate_power(gains, cfg, max_iterations=max_iterations,
+                                    max_retries=max_retries)
+        ees = np.array([tp.ee for tp in result.trace])
+        assert np.all(np.diff(ees) >= 0.0)
+        gamma, _ = sinr(gains, result.beta, cfg)
+        assert result.ee == energy_efficiency(gamma, result.beta, cfg)
+        assert result.iterations <= max_iterations
+        assert (result.residual == np.inf) == (sweeps_taken == 0)
