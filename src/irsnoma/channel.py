@@ -169,6 +169,11 @@ def inter_cluster_interference(gains: LinkGains, beta: np.ndarray,
     return totals - gains.own_beam * beam_power[:, None]
 
 
+def stronger_tail(beta: np.ndarray) -> np.ndarray:
+    """Per user, the summed coefficients of the stronger users l > k, (I, K)."""
+    return np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
+
+
 def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Post-SIC SINR of every user and the interference term it saw.
 
@@ -178,9 +183,8 @@ def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.n
     """
     p = config.cluster_power_w
     psi = inter_cluster_interference(gains, beta, config)
-    tail = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
     num = p * beta * gains.own_beam
-    den = p * tail * gains.own_beam + psi + config.noise_power_w
+    den = p * stronger_tail(beta) * gains.own_beam + psi + config.noise_power_w
     return num / den, psi
 
 

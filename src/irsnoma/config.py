@@ -8,7 +8,7 @@ config file or through the helpers below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 def db_to_linear(value_db: float) -> float:
@@ -133,14 +133,3 @@ def load_config(path: str) -> SystemConfig:
     """Load a SystemConfig from a flat key-value file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def with_scenario(config: SystemConfig, *, num_irs_elements: int | None = None,
-                  num_bs_antennas: int | None = None) -> SystemConfig:
-    """Return a copy of ``config`` with grid dimensions swapped in."""
-    updates = {}
-    if num_irs_elements is not None:
-        updates["num_irs_elements"] = num_irs_elements
-    if num_bs_antennas is not None:
-        updates["num_bs_antennas"] = num_bs_antennas
-    return replace(config, **updates) if updates else config

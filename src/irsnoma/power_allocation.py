@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (LinkGains, cluster_rates_and_power, energy_efficiency,
-                      inter_cluster_interference, sinr)
+from .channel import (LinkGains, cluster_rates_and_power,
+                      inter_cluster_interference, sinr, stronger_tail)
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -90,10 +90,6 @@ class Slacks:
     sic: np.ndarray     # (I, K-1) decode-gap left side - P_g
 
 
-def _tails(beta: np.ndarray) -> np.ndarray:
-    return np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
-
-
 def constraint_slacks(gains: LinkGains, beta: np.ndarray,
                       config: SystemConfig) -> Slacks:
     return _slacks(gains, beta, inter_cluster_interference(gains, beta, config),
@@ -105,7 +101,7 @@ def _slacks(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     """Slacks at ``beta`` given the interference ``psi`` that ``sinr`` saw."""
     p = config.cluster_power_w
     g = gains.own_beam
-    tail = _tails(beta)
+    tail = stronger_tail(beta)
     den = p * tail * g + psi + config.noise_power_w
     qos = p * beta * g - config.min_sinr * den
     sic = p * g[:, 1:] * (beta[:, :-1] - tail[:, :-1]) - config.sic_power_gap_w
@@ -188,16 +184,43 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     return np.clip(out, 0.0, cap)
 
 
-def family_violations(gains: LinkGains, beta: np.ndarray, gamma: np.ndarray,
-                      config: SystemConfig) -> np.ndarray:
-    """(power, qos, sic) excesses in the units of their reporting tolerances."""
-    p = config.cluster_power_w
-    e_pow = max(0.0, float(np.max(p * beta.sum(axis=1) / config.max_power_w - 1.0)))
-    e_qos = max(0.0, float(np.max(1.0 - gamma / config.min_sinr, initial=0.0)))
-    lhs = p * gains.own_beam[:, 1:] * (beta[:, :-1] - _tails(beta)[:, :-1])
-    e_sic = max(0.0, float(np.max((config.sic_power_gap_w - lhs) /
-                                  config.sic_power_gap_w, initial=0.0)))
-    return np.array([e_pow, e_qos, e_sic])
+@dataclass
+class _Point:
+    """Everything the Stage-1 loop reads at one split, computed once."""
+
+    beta: np.ndarray
+    gamma: np.ndarray        # (I, K) SINRs
+    psi: np.ndarray          # (I, K) inter-cluster interference they saw
+    slacks: Slacks
+    violations: np.ndarray   # (power, qos, sic) excesses in tolerance units
+    ee: float
+    powers: np.ndarray       # (I,) consumed power per cluster
+    zeta: np.ndarray         # bound coefficients tightened at gamma
+    omega: np.ndarray
+    rbar: np.ndarray         # (I,) surrogate rates, tight at gamma
+    rho: np.ndarray          # (I,) rbar / powers
+
+    @property
+    def feasible(self) -> bool:
+        return bool(np.all(self.violations <= _CAPS))
+
+
+def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Point:
+    gamma, psi = sinr(gains, beta, config)
+    slacks = _slacks(gains, beta, psi, config)
+    radiated = config.cluster_power_w * beta.sum(axis=1)
+    violations = np.array([
+        max(0.0, float(np.max(radiated / config.max_power_w - 1.0))),
+        max(0.0, float(np.max(1.0 - gamma / config.min_sinr, initial=0.0))),
+        max(0.0, float(np.max(-slacks.sic / config.sic_power_gap_w, initial=0.0))),
+    ])
+    rates, powers = cluster_rates_and_power(gamma, beta, config)
+    zeta, omega = sca_coefficients(gamma)
+    rbar = surrogate_rates(gamma, zeta, omega, config.bandwidth_hz)
+    return _Point(beta=beta, gamma=gamma, psi=psi, slacks=slacks,
+                  violations=violations, ee=float(np.sum(rates / powers)),
+                  powers=powers, zeta=zeta, omega=omega, rbar=rbar,
+                  rho=rbar / powers)
 
 
 def initial_coefficients(gains: LinkGains, config: SystemConfig) -> np.ndarray:
@@ -208,25 +231,26 @@ def initial_coefficients(gains: LinkGains, config: SystemConfig) -> np.ndarray:
     return weights * budget
 
 
-def qos_power_repair(gains: LinkGains, beta0: np.ndarray, config: SystemConfig,
-                     rounds: int = 40, margin: float = 1.05) -> np.ndarray | None:
+def qos_power_repair(gains: LinkGains, beta0: np.ndarray,
+                     config: SystemConfig) -> np.ndarray | None:
     """Drive the coefficients to the SINR floor by target-tracking updates.
 
     Classic fixed-point power control: every user below the floor gets
-    beta_k <- target_k * denominator_k / (P g_k) with targets slightly
-    above the floor, users already above keep their own SINR. Converges
-    exactly when the floor is jointly attainable at this reflection;
-    returns None on divergence or budget overflow (unattainable draw).
+    beta_k <- target_k * denominator_k / (P g_k) with targets 5% above the
+    floor, users already above keep their own SINR; at most 40 rounds.
+    Converges exactly when the floor is jointly attainable at this
+    reflection; returns None on divergence or budget overflow
+    (unattainable draw).
     """
     p = config.cluster_power_w
     g = gains.own_beam
     budget = min(config.cluster_power_w, config.max_power_w) / config.cluster_power_w
     gamma, _ = sinr(gains, beta0, config)
-    target = np.maximum(gamma, config.min_sinr * margin)
+    target = np.maximum(gamma, config.min_sinr * 1.05)
     beta = beta0.copy()
-    for _ in range(rounds):
+    for _ in range(40):
         gamma, psi = sinr(gains, beta, config)
-        den = p * _tails(beta) * g + psi + config.noise_power_w
+        den = p * stronger_tail(beta) * g + psi + config.noise_power_w
         beta_new = np.clip(target * den / (p * g), 0.0, None)
         if not np.all(np.isfinite(beta_new)) or beta_new.sum() > 10.0 * budget * beta.shape[0]:
             return None
@@ -236,8 +260,7 @@ def qos_power_repair(gains: LinkGains, beta0: np.ndarray, config: SystemConfig,
         beta = beta_new
     if np.any(beta.sum(axis=1) > budget * (1.0 + 1e-9)):
         return None
-    gamma, _ = sinr(gains, beta, config)
-    if family_violations(gains, beta, gamma, config).max() > _CAPS.max():
+    if _evaluate(gains, beta, config).violations.max() > _CAPS.max():
         return None
     return beta
 
@@ -292,8 +315,7 @@ class Stage1Result:
 
 def allocate_power(gains: LinkGains, config: SystemConfig, *,
                    max_iterations: int = 100, tolerance: float = 1e-4,
-                   step_scale: float = 1e-2, max_retries: int = 8,
-                   stall_limit: int = 25,
+                   max_retries: int = 8, stall_limit: int = 25,
                    beta0: np.ndarray | None = None) -> Stage1Result:
     """Run the Stage-1 loop and return the best floor-respecting split.
 
@@ -316,31 +338,18 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     ``residual`` is ``inf`` when no sweep was taken.
     """
     num_clusters, users = gains.own_beam.shape
-    bw = config.bandwidth_hz
     warm = initial_coefficients(gains, config) if beta0 is None else beta0.copy()
     repaired = qos_power_repair(gains, warm, config)
     if repaired is not None:
         warm = repaired
 
-    def cluster_efficiencies(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        zeta, omega = sca_coefficients(gamma)
-        rbar = surrogate_rates(gamma, zeta, omega, bw)
-        _, powers = cluster_rates_and_power(gamma, beta, config)
-        return rbar / powers
-
-    wander = warm.copy()
-    gamma_w, psi_w = sinr(gains, wander, config)
-    slacks = _slacks(gains, wander, psi_w, config)
-    ee_w = energy_efficiency(gamma_w, wander, config)
-    viol_w = family_violations(gains, wander, gamma_w, config)
-
-    inc_beta, inc_ee, inc_viol = wander.copy(), ee_w, viol_w.copy()
-    inc_feasible = bool(np.all(inc_viol <= _CAPS))
-    run_rho = cluster_efficiencies(inc_beta, gamma_w)   # running max per cluster
-    run_ee = inc_ee                                     # running max overall
+    point = _evaluate(gains, warm, config)   # the dual iterate
+    inc = point                              # the incumbent
+    run_rho = point.rho                      # running max per cluster
+    run_ee = point.ee                        # running max overall
 
     duals = DualVariables.zeros(num_clusters, users)
-    c = step_scale
+    c = 1e-2
     residual = np.inf
     converged = False
     trace: list[TracePoint] = []
@@ -351,32 +360,28 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        zeta, omega = sca_coefficients(gamma_w)
-        rbar = surrogate_rates(gamma_w, zeta, omega, bw)
-        _, powers = cluster_rates_and_power(gamma_w, wander, config)
-        rho = rbar / powers
-
         trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(),
-                                ee=run_ee, max_violation=float(inc_viol.max())))
+                                ee=run_ee, max_violation=float(inc.violations.max())))
 
-        rho_scale = max(float(np.mean(rho)), 1e-12)
-        den = p * _tails(wander) * gains.own_beam + psi_w + config.noise_power_w
+        rho_scale = max(float(np.mean(point.rho)), 1e-12)
+        den = (p * stronger_tail(point.beta) * gains.own_beam + point.psi
+               + config.noise_power_w)
         qos_scale = p * gains.own_beam * config.min_sinr * den
         # SIC-gap violations are tiny against their own scale near the
         # boundary, so the step saturates to a sign-normalized move of
         # the dual's effective magnitude Upsilon * P * g
-        sic_scale = g_sic * (np.abs(slacks.sic) + 1e-2 * sic_norm)
+        sic_scale = g_sic * (np.abs(point.slacks.sic) + 1e-2 * sic_norm)
         c_try = c
         for _ in range(max_retries):
             base = c_try / np.sqrt(iteration)
             step_power = np.full(num_clusters, base * rho_scale / config.max_power_w)
             step_qos = base * rho_scale / qos_scale
             step_sic = 5.0 * base * rho_scale / sic_scale
-            duals_try = subgradient_update(duals, slacks, step_power,
+            duals_try = subgradient_update(duals, point.slacks, step_power,
                                            step_qos, step_sic)
             try:
-                wander_try = _sweep(gains, wander, psi_w, zeta, rho, duals_try,
-                                    config)
+                beta_try = _sweep(gains, point.beta, point.psi, point.zeta,
+                                  point.rho, duals_try, config)
             except DualInfeasibleError:
                 c_try *= 0.5
                 continue
@@ -384,58 +389,43 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         else:
             break
         duals, c = duals_try, c_try
-        # previous point's Lagrangian, from the values computed there above
-        lag_old = _lagrangian(rbar, powers, rho, duals, slacks)
-        wander = wander_try
-        gamma_w, psi_w = sinr(gains, wander, config)
-        slacks = _slacks(gains, wander, psi_w, config)
-        ee_w = energy_efficiency(gamma_w, wander, config)
-        viol_w = family_violations(gains, wander, gamma_w, config)
+        # previous point's Lagrangian, from the values computed there
+        lag_old = _lagrangian(point.rbar, point.powers, point.rho, duals,
+                              point.slacks)
+        prev, point = point, _evaluate(gains, beta_try, config)
 
-        cand_feasible = bool(np.all(viol_w <= _CAPS))
-        improved = False
-        if cand_feasible and (not inc_feasible or ee_w > inc_ee):
-            improved = True
-        elif not cand_feasible and not inc_feasible and ee_w > inc_ee:
-            improved = True
-        if improved:
-            inc_beta, inc_ee, inc_viol = wander.copy(), ee_w, viol_w.copy()
-            inc_feasible = cand_feasible
+        # floor-respecting points beat violating ones, then efficiency decides
+        if (point.feasible, point.ee) > (inc.feasible, inc.ee):
+            inc = point
             last_improvement = iteration
-            run_rho = np.maximum(run_rho, cluster_efficiencies(inc_beta, gamma_w))
-            run_ee = max(run_ee, inc_ee)
+            run_rho = np.maximum(run_rho, point.rho)
+            run_ee = max(run_ee, point.ee)
 
         # parametric residual: how much the closed-form sweep changed the
         # Lagrangian at the current multipliers. It vanishes at a stationary
         # split, but also whenever the dual step is small, so on its own it
         # does not certify a primal-feasible stop
-        _, powers = cluster_rates_and_power(gamma_w, wander, config)
-        lag_new = _lagrangian(surrogate_rates(gamma_w, zeta, omega, bw), powers,
-                              rho, duals, slacks)
-        scale = max(float(np.sum(rho)
-                          * (config.cluster_power_w + config.circuit_power_w)),
+        lag_new = _lagrangian(
+            surrogate_rates(point.gamma, prev.zeta, prev.omega, config.bandwidth_hz),
+            point.powers, prev.rho, duals, point.slacks)
+        scale = max(float(np.sum(prev.rho
+                                 * (config.cluster_power_w + config.circuit_power_w))),
                     1e-300)
         residual = abs(lag_new - lag_old) / scale
         if (residual <= tolerance and iteration - last_improvement >= 3
-                and (cand_feasible or not inc_feasible)):
+                and (point.feasible or not inc.feasible)):
             converged = True
             break
         if iteration - last_improvement >= stall_limit:
             converged = True
             break
 
-    feasible = bool(np.all(inc_viol <= np.array([1e-6, 1e-3, 1e-6])))
-    beta = inc_beta
-    if not feasible:
-        beta = shape_for_decode_order(inc_beta, config)
-    gamma, _ = sinr(gains, beta, config)
-    ee = energy_efficiency(gamma, beta, config)
-    zeta, omega = sca_coefficients(gamma)
-    rbar = surrogate_rates(gamma, zeta, omega, bw)
-    _, powers = cluster_rates_and_power(gamma, beta, config)
-    rho = rbar / powers
+    feasible = bool(np.all(inc.violations <= np.array([1e-6, 1e-3, 1e-6])))
+    final = inc if feasible else _evaluate(
+        gains, shape_for_decode_order(inc.beta, config), config)
     trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(),
-                            ee=run_ee, max_violation=float(inc_viol.max())))
-    return Stage1Result(beta=beta, rho=rho, zeta=zeta, omega=omega, duals=duals,
-                        iterations=iteration, converged=converged,
-                        feasible=feasible, residual=residual, ee=ee, trace=trace)
+                            ee=run_ee, max_violation=float(inc.violations.max())))
+    return Stage1Result(beta=final.beta, rho=final.rho, zeta=final.zeta,
+                        omega=final.omega, duals=duals, iterations=iteration,
+                        converged=converged, feasible=feasible,
+                        residual=residual, ee=final.ee, trace=trace)

@@ -27,12 +27,20 @@ import numpy as np
 
 from . import sdp
 from .beamforming import BeamformerSet
-from .channel import ChannelSet, LinkGains, energy_efficiency, link_gains, sinr
+from .channel import (ChannelSet, effective_channel, energy_efficiency,
+                      link_gains, sinr, stronger_tail)
 from .clustering import ClusterPlan
 from .config import SystemConfig
 from .power_allocation import LN2, Stage1Result, sca_coefficients
 
 _ASCENT_TOL = 1e-12
+_PENALTY_TOL = 1e-3   # rank-one when tr(B) - ||B||_2 <= _PENALTY_TOL * tr(B)
+_ETA_CAP = 1e6        # top of the penalty-weight ladder
+
+
+def _traces(mats: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    """Re tr(B M) for every (i, k) matrix of an (I, K, N, N) stack."""
+    return np.einsum("ikab,ba->ik", mats, b_mat).real
 
 
 def lift_user_matrices(channels: ChannelSet, plan: ClusterPlan,
@@ -58,9 +66,8 @@ def sinr_trace_matrices(lifts: np.ndarray, beta: np.ndarray,
     num_clusters, users = beta.shape
     p = config.cluster_power_w
     own = np.stack([lifts[i, :, i] for i in range(num_clusters)])
-    tail = np.flip(np.cumsum(np.flip(beta, axis=1), axis=1), axis=1) - beta
     beam_power = p * beta.sum(axis=1)
-    den = p * tail[:, :, None, None] * own
+    den = p * stronger_tail(beta)[:, :, None, None] * own
     for i in range(num_clusters):
         for j in range(num_clusters):
             if j != i:
@@ -87,8 +94,8 @@ class SurrogatePieces:
 
     def value(self, b_mat: np.ndarray) -> float:
         """Minorant value at B: concave logs minus affine terms."""
-        num = np.einsum("ikab,ba->ik", self.num_mats, b_mat).real
-        den = np.einsum("ikab,ba->ik", self.den_mats, b_mat).real + self.noise_power
+        num = _traces(self.num_mats, b_mat)
+        den = _traces(self.den_mats, b_mat) + self.noise_power
         if np.any(num <= 0.0):
             return -np.inf
         f1 = np.log2(num)
@@ -148,8 +155,8 @@ def dc_linearize(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
     """
     p = config.cluster_power_w
     num_mats = p * stage1.beta[:, :, None, None] * own
-    num_anchor = np.einsum("ikab,ba->ik", num_mats, anchor).real
-    den_anchor = np.einsum("ikab,ba->ik", den, anchor).real + config.noise_power_w
+    num_anchor = _traces(num_mats, anchor)
+    den_anchor = _traces(den, anchor) + config.noise_power_w
     if np.any(num_anchor <= 0.0) or np.any(den_anchor <= 0.0):
         raise ValueError("infeasible anchor: nonpositive log argument")
     zeta, omega = sca_coefficients(num_anchor / den_anchor)
@@ -212,7 +219,7 @@ class ReflectionResult:
     lifted: np.ndarray
     ee: float
     ee_initial: float
-    gamma: np.ndarray
+    psi: np.ndarray     # (I, K) inter-cluster interference at the reflection, W
     fallback: bool
     converged: bool
     iterations: int
@@ -223,13 +230,13 @@ class ReflectionResult:
 def evaluate_reflection(channels: ChannelSet, plan: ClusterPlan,
                         beamformers: BeamformerSet, beta: np.ndarray,
                         reflection: np.ndarray,
-                        config: SystemConfig) -> tuple[float, np.ndarray, LinkGains]:
-    """True vector-domain efficiency and SINRs at a given reflection."""
-    effective = np.einsum("n,vnm->vm", reflection.conj(), channels.cascaded)
+                        config: SystemConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """True vector-domain efficiency, SINRs and interference at a reflection."""
+    effective = effective_channel(channels.cascaded, reflection)
     gains = link_gains(effective, plan.members, beamformers.vectors,
                        check_order=False)
-    gamma, _ = sinr(gains, beta, config)
-    return energy_efficiency(gamma, beta, config), gamma, gains
+    gamma, psi = sinr(gains, beta, config)
+    return energy_efficiency(gamma, beta, config), gamma, psi
 
 
 def floor_constraints(own: np.ndarray, den: np.ndarray, beta: np.ndarray,
@@ -252,37 +259,44 @@ def floor_constraints(own: np.ndarray, den: np.ndarray, beta: np.ndarray,
     return constraints
 
 
+def _sinr_terms(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
+                beta: np.ndarray,
+                config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted SINR numerators and denominators (noise included) at B."""
+    num = config.cluster_power_w * beta * _traces(own, b_mat)
+    return num, _traces(den, b_mat) + config.noise_power_w
+
+
 def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
                 beta: np.ndarray, config: SystemConfig) -> float:
-    p = config.cluster_power_w
-    num = p * beta * np.einsum("ikab,ba->ik", own, b_mat).real
-    dval = np.einsum("ikab,ba->ik", den, b_mat).real + config.noise_power_w
+    num, dval = _sinr_terms(own, den, b_mat, beta, config)
     rates = config.bandwidth_hz * np.log2(1.0 + num / dval).sum(axis=1)
-    powers = p * beta.sum(axis=1) + config.circuit_power_w
+    powers = config.cluster_power_w * beta.sum(axis=1) + config.circuit_power_w
     return float(np.sum(rates / powers))
 
 
 def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                         beamformers: BeamformerSet, stage1: Stage1Result,
-                        config: SystemConfig, rng: np.random.Generator, *,
-                        max_iterations: int = 20, tolerance: float = 1e-4,
-                        penalty_tol: float = 1e-3, eta0: float | None = None,
-                        eta_cap: float = 1e6, num_randomizations: int = 50,
-                        sdp_tolerance: float = 1e-6,
-                        recovery_threshold: float = 0.5) -> ReflectionResult:
+                        config: SystemConfig,
+                        rng: np.random.Generator) -> ReflectionResult:
     """Run the Stage-2 loop and extract a unit-modulus reflection vector.
 
-    ``eta0=None`` sets the initial penalty weight from the rate-gradient
-    scale at the first anchor (a fixed large weight freezes the rank-one
-    start). When the starting reflection violates the SINR floor, the loop
-    only runs if the repaired anchor retains at least
-    ``recovery_threshold`` of the starting efficiency; otherwise the
+    At most 20 iterations, each one exact surrogate solve to a 1e-6 gap.
+    The penalty weight starts at 2% of the rate-gradient norm at the first
+    anchor, clipped to [1e-2, 1e2] (a fixed large weight freezes the
+    rank-one start), and climbs tenfold up to 1e6 while the anchor is not
+    rank-one to within 1e-3 of its trace. When the starting reflection
+    violates the SINR floor, the loop only runs if the repaired anchor
+    retains at least half of the starting efficiency; otherwise the
     guaranteed fallback (return the starting vector) applies directly.
+    The vector is recovered from the leading eigenvector's phases and 50
+    Gaussian draws. ``psi`` of the result is the interference every user
+    sees at the returned reflection with the Stage-1 split.
     """
     n = config.num_irs_elements
     b0 = np.ones(n, dtype=complex)
-    ee0, gamma0, _ = evaluate_reflection(channels, plan, beamformers,
-                                         stage1.beta, b0, config)
+    ee0, gamma0, psi0 = evaluate_reflection(channels, plan, beamformers,
+                                            stage1.beta, b0, config)
     viol0 = float(np.max(1.0 - gamma0 / config.min_sinr, initial=0.0))
 
     lifts = lift_user_matrices(channels, plan, beamformers)
@@ -298,39 +312,38 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
         # max-min-slack interior point before any surrogate ascent
         repaired = sdp._phase_one(probe, 0.5 * np.eye(n, dtype=complex))
         hopeless = repaired is None or (
-            _relaxed_ee(own, den, repaired, stage1.beta, config)
-            < recovery_threshold * ee0)
+            _relaxed_ee(own, den, repaired, stage1.beta, config) < 0.5 * ee0)
         if hopeless:
             # the floor is unattainable, or only at a fraction of the
             # starting efficiency the ascent cannot recover; keep b0
             return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
-                                    ee_initial=ee0, gamma=gamma0, fallback=True,
+                                    ee_initial=ee0, psi=psi0, fallback=True,
                                     converged=False, iterations=0,
                                     exact_penalty=0.0, trace=[])
         anchor = repaired
 
-    eta = eta0 if eta0 is not None else 0.0
+    eta = 0.0
     trace: list[Stage2TracePoint] = []
     warm = None
     prev_ee = None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, 21):
         try:
             pieces = dc_linearize(anchor, own, den, stage1, config, eta)
         except ValueError:
             break
-        if iterations == 1 and eta0 is None:
-            # start the penalty at a few percent of the rate-gradient scale
+        if iterations == 1:
+            # start the penalty at a few percent of the rate-gradient scale;
+            # no other piece of the minorant depends on the weight
             rate_scale = float(np.linalg.norm(pieces.gradient()))
-            eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
-            pieces = dc_linearize(anchor, own, den, stage1, config, eta)
+            eta = pieces.eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
         # one exact solve maximizes this iteration's concave surrogate: the
         # log numerators ride along as weighted log terms, everything else
         # (linearized denominators, penalty) is the linear part
         problem = pieces.as_solver_problem(constraints)
         start = _feasible_start(problem, anchor, warm)
-        solution = sdp.solve(problem, tolerance=sdp_tolerance, initial=start)
+        solution = sdp.solve(problem, tolerance=1e-6, initial=start)
         if solution.status == "infeasible":
             break
         phi_start = pieces.value(anchor)
@@ -345,22 +358,21 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
         trace.append(Stage2TracePoint(iteration=iterations, ee=ee_rel,
                                       exact_penalty=pen, eta=eta))
         ee_stalled = stalled or (prev_ee is not None and abs(ee_rel - prev_ee)
-                                 <= tolerance * max(1.0, abs(prev_ee)))
+                                 <= 1e-4 * max(1.0, abs(prev_ee)))
         # penalty weight grows only once the surrogate ascent has stalled at
         # the current weight; escalating mid-climb would drown the rate term
         if ee_stalled:
-            if pen > penalty_tol * float(np.real(np.trace(anchor))):
+            if pen > _PENALTY_TOL * float(np.real(np.trace(anchor))):
                 # climb the weight ladder in place: once eta * penalty
                 # outweighs the rate gap, any feasible unit-modulus lift
                 # (the starting vector at worst) wins the injection
                 injected = None
                 while injected is None:
                     injected = _inject_rank_one(anchor, own, den, stage1.beta,
-                                                config, eta, probe, rng,
-                                                fallback=b0)
-                    if injected is not None or eta >= eta_cap:
+                                                config, eta, probe, rng, b0)
+                    if injected is not None or eta >= _ETA_CAP:
                         break
-                    eta = min(eta * 10.0, eta_cap)
+                    eta = min(eta * 10.0, _ETA_CAP)
                 if injected is None:
                     converged = stalled
                     if converged:
@@ -369,7 +381,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                     # raise the weight alongside the rounding, otherwise the
                     # next surrogate maximization spreads the spectrum again
                     anchor = injected
-                    eta = min(eta * 10.0, eta_cap)
+                    eta = min(eta * 10.0, _ETA_CAP)
                     warm = None
                     prev_ee = None
                     continue
@@ -381,41 +393,32 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     # terminal rounding: if the iteration budget ran out mid-climb with a
     # spread spectrum, one injection at the penalty cap bounds the final
     # rank-one defect whenever any feasible unit-modulus lift exists
-    if exact_rank_penalty(anchor) > penalty_tol * float(np.real(np.trace(anchor))):
+    if exact_rank_penalty(anchor) > _PENALTY_TOL * float(np.real(np.trace(anchor))):
         rounded = _inject_rank_one(anchor, own, den, stage1.beta, config,
-                                   eta_cap, probe, rng, fallback=b0)
+                                   _ETA_CAP, probe, rng, b0)
         if rounded is not None:
             anchor = rounded
 
     # recover a unit-modulus vector: leading-eigenvector phases, then
     # Gaussian randomization as backup; QoS-clean candidates outrank
     # no-worse-than-start ones, and efficiency may never drop below ee0
-    eigvals, eigvecs = np.linalg.eigh(anchor)
-    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
-    candidates = [np.exp(1j * np.angle(lead))]
-    if num_randomizations > 0:
-        candidates.extend(gaussian_randomization(anchor, num_randomizations, rng))
-    tiers = [(-np.inf, None, None), (-np.inf, None, None)]  # (ee, b, gamma)
-    for cand in candidates:
-        ee_c, gamma_c, _ = evaluate_reflection(channels, plan, beamformers,
-                                               stage1.beta, cand, config)
+    tiers = [(-np.inf, None, None), (-np.inf, None, None)]  # (ee, b, psi)
+    for cand in _rounding_candidates(anchor, 50, rng):
+        ee_c, gamma_c, psi_c = evaluate_reflection(channels, plan, beamformers,
+                                                   stage1.beta, cand, config)
         viol_c = float(np.max(1.0 - gamma_c / config.min_sinr, initial=0.0))
         if ee_c < ee0 * (1.0 - 1e-12):
             continue
         if viol_c <= 1e-9 and ee_c > tiers[0][0]:
-            tiers[0] = (ee_c, cand, gamma_c)
+            tiers[0] = (ee_c, cand, psi_c)
         if viol_c <= max(viol0, 1e-9) and ee_c > tiers[1][0]:
-            tiers[1] = (ee_c, cand, gamma_c)
-    best_ee, best_b, best_gamma = tiers[0] if tiers[0][1] is not None else tiers[1]
-
-    if best_b is None or best_ee < ee0:
-        return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
-                                ee_initial=ee0, gamma=gamma0, fallback=True,
-                                converged=converged, iterations=iterations,
-                                exact_penalty=exact_rank_penalty(anchor),
-                                trace=trace)
+            tiers[1] = (ee_c, cand, psi_c)
+    best_ee, best_b, best_psi = tiers[0] if tiers[0][1] is not None else tiers[1]
+    fallback = best_b is None or best_ee < ee0
+    if fallback:
+        best_ee, best_b, best_psi = ee0, b0, psi0
     return ReflectionResult(reflection=best_b, lifted=anchor, ee=best_ee,
-                            ee_initial=ee0, gamma=best_gamma, fallback=False,
+                            ee_initial=ee0, psi=best_psi, fallback=fallback,
                             converged=converged, iterations=iterations,
                             exact_penalty=exact_rank_penalty(anchor), trace=trace)
 
@@ -424,19 +427,26 @@ def _true_penalized(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
                     beta: np.ndarray, config: SystemConfig,
                     eta: float) -> float:
     """True log-rate sum minus eta times the exact rank-one defect."""
-    p = config.cluster_power_w
-    num = p * beta * np.einsum("ikab,ba->ik", own, b_mat).real
-    dval = np.einsum("ikab,ba->ik", den, b_mat).real + config.noise_power_w
+    num, dval = _sinr_terms(own, den, b_mat, beta, config)
     if np.any(num < 0.0) or np.any(dval <= 0.0):
         return -np.inf
     rate = config.bandwidth_hz * float(np.log2(1.0 + num / dval).sum())
     return rate - eta * exact_rank_penalty(b_mat)
 
 
+def _rounding_candidates(b_mat: np.ndarray, count: int,
+                         rng: np.random.Generator) -> list[np.ndarray]:
+    """Leading-eigenvector phases, then ``count`` Gaussian-draw phases."""
+    eigvals, eigvecs = np.linalg.eigh(b_mat)
+    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
+    return [np.exp(1j * np.angle(lead)),
+            *gaussian_randomization(b_mat, count, rng)]
+
+
 def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
                      beta: np.ndarray, config: SystemConfig, eta: float,
                      probe: sdp.SdpProblem, rng: np.random.Generator,
-                     fallback: np.ndarray | None = None) -> np.ndarray | None:
+                     fallback: np.ndarray) -> np.ndarray | None:
     """Round the anchor to a feasible unit-modulus lift when that helps.
 
     The spectral-norm penalty cannot always travel to a rank-one point
@@ -448,15 +458,10 @@ def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
     unit-modulus lift is zero; whichever feasible candidate improves it
     becomes the new anchor.
     """
-    eigvals, eigvecs = np.linalg.eigh(anchor)
-    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
-    candidates = [(np.exp(1j * np.angle(lead)), True)]
-    candidates.extend((cand, True)
-                      for cand in gaussian_randomization(anchor, 10, rng))
-    if fallback is not None:
-        # the guaranteed-fallback vector skips the slack check: ending the
-        # loop on its lift is consistent with the extraction fallback
-        candidates.append((fallback, False))
+    candidates = [(cand, True) for cand in _rounding_candidates(anchor, 10, rng)]
+    # the guaranteed-fallback vector skips the slack check: ending the
+    # loop on its lift is consistent with the extraction fallback
+    candidates.append((fallback, False))
     val0 = _true_penalized(own, den, anchor, beta, config, eta)
     best, best_val = None, val0
     for cand, check in candidates:

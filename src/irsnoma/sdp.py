@@ -169,7 +169,6 @@ class SdpSolution:
     status: str              # "optimal" | "max_iters" | "infeasible"
     objective: float
     newton_steps: int
-    gap_estimate: float
 
 
 def _slacks_and_traces(problem: SdpProblem,
@@ -357,7 +356,7 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
     if b is None:
         return SdpSolution(matrix=0.5 * problem.diag_bound * np.eye(n, dtype=complex),
                            status="infeasible", objective=np.nan,
-                           newton_steps=0, gap_estimate=np.inf)
+                           newton_steps=0)
 
     nu = float(2 * n + len(problem.constraints))
     obj0 = problem.value(b)
@@ -378,7 +377,7 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
         t *= 10.0
     return SdpSolution(matrix=b, status=status,
                        objective=problem.value(b),
-                       newton_steps=total_steps, gap_estimate=nu / t)
+                       newton_steps=total_steps)
 
 
 def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:

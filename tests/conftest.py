@@ -2,12 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from irsnoma.beamforming import BeamformerSet, build_zf_beamformers
 from irsnoma.channel import (draw_user_geometry, effective_channel, link_gains,
                              sinr, synthesize_channels)
 from irsnoma.clustering import form_clusters
 from irsnoma.config import SystemConfig
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

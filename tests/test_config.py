@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from irsnoma.config import (SystemConfig, db_to_linear, dbm_to_watt,
-                            load_config, parse_config_text, with_scenario)
+                            load_config, parse_config_text)
 
 
 def test_unit_conversions():
@@ -66,9 +66,3 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(str(path))
     assert cfg.num_bs_antennas == 10
     assert cfg.bandwidth_hz == 2.0
-
-
-def test_with_scenario_swaps_grid_dims():
-    cfg = with_scenario(SystemConfig(), num_irs_elements=64, num_bs_antennas=10)
-    assert cfg.num_irs_elements == 64
-    assert cfg.num_bs_antennas == 10

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsnoma import power_allocation
-from irsnoma.channel import LinkGains, energy_efficiency, sinr
+from irsnoma.channel import (LinkGains, cluster_rates_and_power,
+                             energy_efficiency, sinr)
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import (DualInfeasibleError, DualVariables,
                                       PacContext, allocate_power,
@@ -374,5 +375,10 @@ class TestStage1Properties:
         assert np.all(np.diff(ees) >= 0.0)
         gamma, _ = sinr(gains, result.beta, cfg)
         assert result.ee == energy_efficiency(gamma, result.beta, cfg)
+        zeta, omega = sca_coefficients(gamma)
+        _, powers = cluster_rates_and_power(gamma, result.beta, cfg)
+        rho = surrogate_rates(gamma, zeta, omega, cfg.bandwidth_hz) / powers
+        assert all(np.array_equal(got, want) for got, want in (
+            (result.rho, rho), (result.zeta, zeta), (result.omega, omega)))
         assert result.iterations <= max_iterations
         assert (result.residual == np.inf) == (sweeps_taken == 0)

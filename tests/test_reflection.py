@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsnoma.channel import sinr
+from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.config import SystemConfig
 from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (dc_linearize, evaluate_reflection,
@@ -61,6 +63,25 @@ class TestLifting:
                * np.einsum("ikab,ba->ik", own, b_mat).real)
         dval = np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
         gamma_vec, _ = sinr(gains, beta, cfg)
+        np.testing.assert_allclose(num / dval, gamma_vec, rtol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.sampled_from([4, 8, 16]),
+           draw_seed=st.integers(0, 10**6))
+    def test_trace_sinr_matches_vector_sinr_at_any_reflection(self, seed, n,
+                                                              draw_seed):
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+        cfg, _, channels, plan, beams, _ = build_scenario(seed, config=base)
+        rng = np.random.default_rng(draw_seed)
+        b = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        beta = rng.uniform(0.01, 1.0, (cfg.num_clusters, cfg.users_per_cluster))
+        lifts = lift_user_matrices(channels, plan, beams)
+        own, den = sinr_trace_matrices(lifts, beta, cfg)
+        b_mat = np.outer(b, b.conj())
+        num = (cfg.cluster_power_w * beta
+               * np.einsum("ikab,ba->ik", own, b_mat).real)
+        dval = np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
+        _, gamma_vec, _ = evaluate_reflection(channels, plan, beams, beta, b, cfg)
         np.testing.assert_allclose(num / dval, gamma_vec, rtol=1e-9)
 
 
@@ -208,3 +229,32 @@ class TestOptimizeReflection:
             by_eta.setdefault(point.eta, []).append(point.ee)
         for values in by_eta.values():
             assert np.all(np.diff(values) >= -1e-6 * max(1.0, abs(values[0])))
+
+
+# (kind, N): at the reference floor Stage 2 falls back to the starting
+# vector; at an attainable floor with random beams it runs its loop
+_STAGE2_SOURCES = (("reference", 8), ("reference", 16),
+                   ("attainable", 8), ("attainable", 16))
+
+
+class TestStage2Properties:
+    @settings(max_examples=10, deadline=None)
+    @given(source=st.sampled_from(_STAGE2_SOURCES), seed=st.integers(0, 10**6))
+    def test_result_invariants(self, source, seed):
+        kind, n = source
+        if kind == "reference":
+            base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+            cfg, rng, channels, plan, beams, gains = build_scenario(seed,
+                                                                    config=base)
+        else:
+            cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+                seed, num_irs_elements=n, random_beams=True)
+        stage1 = allocate_power(gains, cfg)
+        result = optimize_reflection(channels, plan, beams, stage1, cfg, rng)
+        effective = effective_channel(channels.cascaded, result.reflection)
+        gains_at = link_gains(effective, plan.members, beams.vectors,
+                              check_order=False)
+        _, psi = sinr(gains_at, stage1.beta, cfg)
+        assert np.array_equal(result.psi, psi)
+        assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
+        assert result.ee >= result.ee_initial * (1 - 1e-12)
