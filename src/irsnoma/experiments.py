@@ -135,11 +135,10 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     record.feasible = stage1.feasible
     record.stage1_ee_trace = [tp.ee for tp in stage1.trace]
     record.stage1_iterations = stage1.iterations
-    _, psi1 = sinr(gains, stage1.beta, cfg)
 
     if "stage1-only" in methods:
         record.ee["stage1-only"] = stage1.ee
-        record.ici["stage1-only"] = _far_user_ici(psi1)
+        record.ici["stage1-only"] = _far_user_ici(stage1.psi)
 
     if "proposed" in methods:
         t0 = time.perf_counter()

@@ -304,6 +304,7 @@ class Stage1Result:
     rho: np.ndarray
     zeta: np.ndarray
     omega: np.ndarray
+    psi: np.ndarray          # (I, K) inter-cluster interference at beta, W
     duals: DualVariables
     iterations: int
     converged: bool
@@ -426,6 +427,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(),
                             ee=run_ee, max_violation=float(inc.violations.max())))
     return Stage1Result(beta=final.beta, rho=final.rho, zeta=final.zeta,
-                        omega=final.omega, duals=duals, iterations=iteration,
-                        converged=converged, feasible=feasible,
-                        residual=residual, ee=final.ee, trace=trace)
+                        omega=final.omega, psi=final.psi, duals=duals,
+                        iterations=iteration, converged=converged,
+                        feasible=feasible, residual=residual, ee=final.ee,
+                        trace=trace)

@@ -8,15 +8,17 @@ current iterate yields a concave minorant, and the nonconvex rank-one
 requirement is replaced by the penalty tr(B) - ||B||_2, itself minorized
 through the spectral-norm subgradient at the iterate.
 
-Each iteration maximizes the minorant's linearization over the feasible
-spectrahedron with the dense barrier solver, then line-searches the true
-minorant along the segment, so the penalized surrogate ascends
-monotonically for a fixed penalty weight. The penalty weight grows
-tenfold whenever the iterate is insufficiently rank-one. A unit-modulus
-vector is finally recovered from the leading eigenvector's phases, with
-Gaussian randomization as backup; if no candidate beats the starting
-vector, the starting vector is returned, so the achieved efficiency never
-drops below its Stage-1 value.
+The ascent starts from the all-ones reflection b0 and needs it to meet
+the SINR floor; when b0 breaks the floor, the stage returns b0 at once.
+Otherwise each iteration maximizes the minorant exactly over the
+floor-respecting spectrahedron with the dense barrier solver and keeps
+the solution only if it raises the minorant, so the penalized surrogate
+ascends monotonically for a fixed penalty weight. The penalty weight
+grows tenfold whenever the ascent stalls at an iterate that is not yet
+rank-one. A unit-modulus vector is finally recovered from the leading
+eigenvector's phases, with Gaussian randomization as backup; if no
+floor-respecting candidate beats b0, b0 is returned, so the achieved
+efficiency never drops below its Stage-1 value.
 """
 
 from __future__ import annotations
@@ -285,42 +287,33 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     The penalty weight starts at 2% of the rate-gradient norm at the first
     anchor, clipped to [1e-2, 1e2] (a fixed large weight freezes the
     rank-one start), and climbs tenfold up to 1e6 while the anchor is not
-    rank-one to within 1e-3 of its trace. When the starting reflection
-    violates the SINR floor, the loop only runs if the repaired anchor
-    retains at least half of the starting efficiency; otherwise the
-    guaranteed fallback (return the starting vector) applies directly.
-    The vector is recovered from the leading eigenvector's phases and 50
-    Gaussian draws. ``psi`` of the result is the interference every user
-    sees at the returned reflection with the Stage-1 split.
+    rank-one to within 1e-3 of its trace. The loop starts from the lift of
+    the all-ones vector b0; when b0 breaks the SINR floor for any user,
+    the guaranteed fallback applies at once: b0 is returned with
+    ``fallback=True``, ``iterations=0`` and ``lifted = b0 b0^H``. The
+    vector is recovered from the leading eigenvector's phases and 50
+    Gaussian draws; only candidates that meet the floor and keep at least
+    the starting efficiency count. ``psi`` of the result is the
+    interference every user sees at the returned reflection with the
+    Stage-1 split.
     """
     n = config.num_irs_elements
     b0 = np.ones(n, dtype=complex)
     ee0, gamma0, psi0 = evaluate_reflection(channels, plan, beamformers,
                                             stage1.beta, b0, config)
-    viol0 = float(np.max(1.0 - gamma0 / config.min_sinr, initial=0.0))
+    anchor = np.outer(b0, b0.conj())
+    if np.any(gamma0 <= config.min_sinr):
+        # the surrogate ascent needs a floor-respecting start; keep b0
+        return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
+                                ee_initial=ee0, psi=psi0, fallback=True,
+                                converged=False, iterations=0,
+                                exact_penalty=0.0, trace=[])
 
     lifts = lift_user_matrices(channels, plan, beamformers)
     own, den = sinr_trace_matrices(lifts, stage1.beta, config)
     constraints = floor_constraints(own, den, stage1.beta, config)
-
-    anchor = np.outer(b0, b0.conj())
     probe = sdp.SdpProblem(objective=np.zeros((n, n), dtype=complex),
                            constraints=list(constraints))
-    anchor_slacks, _ = sdp.slacks(probe, anchor)
-    if anchor_slacks.size and anchor_slacks.min() <= 0.0:
-        # starting reflection violates the SINR floor; move to the
-        # max-min-slack interior point before any surrogate ascent
-        repaired = sdp._phase_one(probe, 0.5 * np.eye(n, dtype=complex))
-        hopeless = repaired is None or (
-            _relaxed_ee(own, den, repaired, stage1.beta, config) < 0.5 * ee0)
-        if hopeless:
-            # the floor is unattainable, or only at a fraction of the
-            # starting efficiency the ascent cannot recover; keep b0
-            return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
-                                    ee_initial=ee0, psi=psi0, fallback=True,
-                                    converged=False, iterations=0,
-                                    exact_penalty=0.0, trace=[])
-        anchor = repaired
 
     eta = 0.0
     trace: list[Stage2TracePoint] = []
@@ -400,20 +393,15 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
             anchor = rounded
 
     # recover a unit-modulus vector: leading-eigenvector phases, then
-    # Gaussian randomization as backup; QoS-clean candidates outrank
-    # no-worse-than-start ones, and efficiency may never drop below ee0
-    tiers = [(-np.inf, None, None), (-np.inf, None, None)]  # (ee, b, psi)
+    # Gaussian randomization as backup; only QoS-clean candidates count,
+    # and efficiency may never drop below ee0
+    best_ee, best_b, best_psi = -np.inf, None, None
     for cand in _rounding_candidates(anchor, 50, rng):
         ee_c, gamma_c, psi_c = evaluate_reflection(channels, plan, beamformers,
                                                    stage1.beta, cand, config)
         viol_c = float(np.max(1.0 - gamma_c / config.min_sinr, initial=0.0))
-        if ee_c < ee0 * (1.0 - 1e-12):
-            continue
-        if viol_c <= 1e-9 and ee_c > tiers[0][0]:
-            tiers[0] = (ee_c, cand, psi_c)
-        if viol_c <= max(viol0, 1e-9) and ee_c > tiers[1][0]:
-            tiers[1] = (ee_c, cand, psi_c)
-    best_ee, best_b, best_psi = tiers[0] if tiers[0][1] is not None else tiers[1]
+        if viol_c <= 1e-9 and ee_c >= ee0 * (1.0 - 1e-12) and ee_c > best_ee:
+            best_ee, best_b, best_psi = ee_c, cand, psi_c
     fallback = best_b is None or best_ee < ee0
     if fallback:
         best_ee, best_b, best_psi = ee0, b0, psi0
@@ -446,7 +434,7 @@ def _rounding_candidates(b_mat: np.ndarray, count: int,
 def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
                      beta: np.ndarray, config: SystemConfig, eta: float,
                      probe: sdp.SdpProblem, rng: np.random.Generator,
-                     fallback: np.ndarray) -> np.ndarray | None:
+                     start: np.ndarray) -> np.ndarray | None:
     """Round the anchor to a feasible unit-modulus lift when that helps.
 
     The spectral-norm penalty cannot always travel to a rank-one point
@@ -458,18 +446,14 @@ def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
     unit-modulus lift is zero; whichever feasible candidate improves it
     becomes the new anchor.
     """
-    candidates = [(cand, True) for cand in _rounding_candidates(anchor, 10, rng)]
-    # the guaranteed-fallback vector skips the slack check: ending the
-    # loop on its lift is consistent with the extraction fallback
-    candidates.append((fallback, False))
+    candidates = [*_rounding_candidates(anchor, 10, rng), start]
     val0 = _true_penalized(own, den, anchor, beta, config, eta)
     best, best_val = None, val0
-    for cand, check in candidates:
+    for cand in candidates:
         lift = np.outer(cand, cand.conj())
-        if check:
-            slacks, _ = sdp.slacks(probe, lift)
-            if slacks.size and slacks.min() < -1e-6:
-                continue
+        slacks, _ = sdp.slacks(probe, lift)
+        if slacks.min() < -1e-6:
+            continue
         val = _true_penalized(own, den, lift, beta, config, eta)
         if val > best_val + _ASCENT_TOL * (1.0 + abs(val0)):
             best, best_val = lift, val

@@ -373,8 +373,9 @@ class TestStage1Properties:
                                     max_retries=max_retries)
         ees = np.array([tp.ee for tp in result.trace])
         assert np.all(np.diff(ees) >= 0.0)
-        gamma, _ = sinr(gains, result.beta, cfg)
+        gamma, psi = sinr(gains, result.beta, cfg)
         assert result.ee == energy_efficiency(gamma, result.beta, cfg)
+        assert np.array_equal(result.psi, psi)
         zeta, omega = sca_coefficients(gamma)
         _, powers = cluster_rates_and_power(gamma, result.beta, cfg)
         rho = surrogate_rates(gamma, zeta, omega, cfg.bandwidth_hz) / powers

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsnoma import sdp
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.config import SystemConfig
 from irsnoma.power_allocation import allocate_power
@@ -219,6 +221,31 @@ class TestOptimizeReflection:
         result = optimize_reflection(channels, plan, beams, stage1, cfg, rng)
         assert result.ee == pytest.approx(stage1.ee, rel=1e-9)
 
+    def test_floor_breaking_start_returned_without_solving(self):
+        # at the reference floor b0 breaks the SINR floor on every draw;
+        # Stage 2 must return it before any solver work
+        def no_solver(*args, **kwargs):
+            raise AssertionError("solver called on a floor-breaking start")
+
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=16)
+        for seed in range(4):
+            cfg, rng, channels, plan, beams, gains = build_scenario(seed,
+                                                                    config=base)
+            stage1 = allocate_power(gains, cfg)
+            with mock.patch.object(sdp, "solve", no_solver), \
+                    mock.patch.object(sdp, "_phase_one", no_solver):
+                result = optimize_reflection(channels, plan, beams, stage1,
+                                             cfg, rng)
+            b0 = np.ones(cfg.num_irs_elements, dtype=complex)
+            assert result.fallback and result.iterations == 0
+            assert np.array_equal(result.reflection, b0)
+            assert np.array_equal(result.lifted, np.outer(b0, b0.conj()))
+            assert result.ee == result.ee_initial
+            gains0 = link_gains(effective_channel(channels.cascaded, b0),
+                                plan.members, beams.vectors, check_order=False)
+            _, psi0 = sinr(gains0, stage1.beta, cfg)
+            assert np.array_equal(result.psi, psi0)
+
     def test_surrogate_trace_monotone_for_fixed_eta(self):
         cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
             3, random_beams=True)
@@ -231,8 +258,10 @@ class TestOptimizeReflection:
             assert np.all(np.diff(values) >= -1e-6 * max(1.0, abs(values[0])))
 
 
-# (kind, N): at the reference floor Stage 2 falls back to the starting
-# vector; at an attainable floor with random beams it runs its loop
+# (kind, N): at the reference floor the starting vector breaks the SINR
+# floor, so Stage 2 returns it at once without solving; at an attainable
+# floor with random beams it runs its loop wherever the starting vector
+# meets the floor
 _STAGE2_SOURCES = (("reference", 8), ("reference", 16),
                    ("attainable", 8), ("attainable", 16))
 
