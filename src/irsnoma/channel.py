@@ -11,6 +11,7 @@ the squared gains ``|u f|^2`` of the beamformers ``f``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +37,18 @@ class ChannelSet:
     cascaded: np.ndarray   # (V, N, M), row n = conj(h_n) * H[n, :]
 
 
-def array_response(angle_rad: float, num_elements: int,
+def array_response(angle_rad: float | np.ndarray, num_elements: int,
                    spacing_ratio: float = 0.5) -> np.ndarray:
-    """ULA response: element e carries phase exp(-j 2 pi e (d/lambda) sin(angle))."""
+    """ULA response: element e carries phase exp(-j 2 pi e (d/lambda) sin(angle)).
+
+    A scalar angle gives an (N,) vector, an array of angles one row per
+    angle, (..., N).
+    """
     if num_elements < 1:
         raise ValueError("num_elements must be at least 1")
     idx = np.arange(num_elements)
-    return np.exp(-2j * np.pi * idx * spacing_ratio * np.sin(angle_rad))
+    return np.exp(-2j * np.pi * idx * spacing_ratio
+                  * np.sin(np.asarray(angle_rad))[..., None])
 
 
 def path_gain(ref_loss: float, distance_m: float, ref_distance_m: float,
@@ -99,9 +105,7 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     )
 
     eps = config.rician_irs_user
-    los_irs_user = np.stack(
-        [array_response(a, n, sr) for a in geometry.irs_user_aod_rad]
-    )
+    los_irs_user = array_response(geometry.irs_user_aod_rad, n, sr)
     gain_irs_user = path_gain(
         config.ref_pathloss, geometry.irs_user_distance_m,
         config.ref_distance_m, config.pathloss_exp_irs_user,
@@ -153,7 +157,8 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
     u = effective[members]                       # (I, K, M)
     proj = np.einsum("ikm,jm->ikj", u, beamformers)
     cross = np.abs(proj) ** 2
-    own = np.stack([cross[i, :, i] for i in range(cross.shape[0])])
+    beams = np.arange(cross.shape[0])
+    own = cross[beams, :, beams]
     power = np.sum(np.abs(u) ** 2, axis=-1)
     if __debug__ and check_order:
         if np.any(np.diff(power, axis=1) < -1e-12 * np.max(power)):
@@ -161,31 +166,41 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
     return LinkGains(own_beam=own, cross_beam=cross, channel_power=power)
 
 
-def inter_cluster_interference(gains: LinkGains, beta: np.ndarray,
-                               config: SystemConfig) -> np.ndarray:
-    """Power leaked into each user from all other beams, in Watts."""
-    beam_power = config.cluster_power_w * beta.sum(axis=1)      # (I,)
-    totals = np.einsum("ikj,j->ik", gains.cross_beam, beam_power)
-    return totals - gains.own_beam * beam_power[:, None]
-
-
 def stronger_tail(beta: np.ndarray) -> np.ndarray:
     """Per user, the summed coefficients of the stronger users l > k, (I, K)."""
-    return np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
+    return beta[:, ::-1].cumsum(axis=1)[:, ::-1] - beta
 
 
-def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Post-SIC SINR of every user and the interference term it saw.
+class SinrParts(NamedTuple):
+    """The SINRs at one split and the terms they are built from."""
+
+    gamma: np.ndarray      # (I, K) post-SIC SINRs
+    psi: np.ndarray        # (I, K) power leaked in from all other beams, W
+    tail: np.ndarray       # (I, K) stronger_tail(beta)
+    den: np.ndarray        # (I, K) SINR denominator P tail g + psi + sigma^2
+    radiated: np.ndarray   # (I,) radiated power per beam P_i * sum(beta), W
+
+
+def sinr_parts(gains: LinkGains, beta: np.ndarray,
+               config: SystemConfig) -> SinrParts:
+    """Post-SIC SINR of every user and the terms it is built from.
 
     User k in a cluster decodes after the weaker ones are cancelled, so the
     remaining in-beam interference stems from the stronger users l > k.
-    Returns ``(gamma, psi)`` with shapes (I, K).
     """
     p = config.cluster_power_w
-    psi = inter_cluster_interference(gains, beta, config)
-    num = p * beta * gains.own_beam
-    den = p * stronger_tail(beta) * gains.own_beam + psi + config.noise_power_w
-    return num / den, psi
+    radiated = p * beta.sum(axis=1)
+    psi = (np.einsum("ikj,j->ik", gains.cross_beam, radiated)
+           - gains.own_beam * radiated[:, None])
+    tail = stronger_tail(beta)
+    den = p * tail * gains.own_beam + psi + config.noise_power_w
+    return SinrParts(p * beta * gains.own_beam / den, psi, tail, den, radiated)
+
+
+def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Post-SIC SINR of every user and the interference term it saw, (I, K)."""
+    parts = sinr_parts(gains, beta, config)
+    return parts.gamma, parts.psi
 
 
 def cluster_rates_and_power(gamma: np.ndarray, beta: np.ndarray,

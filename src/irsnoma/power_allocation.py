@@ -8,7 +8,8 @@ transform turns the ratio into rate - rho * power with rho the achieved
 efficiency, and the KKT conditions of the resulting Lagrangian admit a
 closed-form power coefficient for each user, processed weakest-first.
 Dual variables for the power budget, SINR floor, and decode-power-gap
-constraints follow projected subgradient steps.
+constraints follow projected subgradient steps. Each split the loop visits
+is evaluated once; the dual step, the sweep and the stop test read that.
 
 The dual iterate is free to cross the SINR-floor boundary (that is what
 makes the multipliers move); a separate incumbent keeps the best iterate
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (LinkGains, cluster_rates_and_power,
-                      inter_cluster_interference, sinr, stronger_tail)
+from .channel import LinkGains, SinrParts, sinr_parts
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -49,18 +49,28 @@ def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zeta*log2(gamma) + omega <= log2(1+gamma) for every gamma > 0,
     with equality at gamma = gamma0.
     """
-    gamma0 = np.asarray(gamma0, dtype=float)
-    if np.any(gamma0 <= 0.0):
+    return _bound_terms(np.asarray(gamma0, dtype=float))[:2]
+
+
+def _bound_terms(gamma0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(zeta, omega, log2(gamma0), log2(1 + gamma0)) for ``sca_coefficients``."""
+    if (gamma0 <= 0.0).any():
         raise ValueError("expansion point must be strictly positive")
-    zeta = gamma0 / (1.0 + gamma0)
-    omega = np.log2(1.0 + gamma0) - zeta * np.log2(gamma0)
-    return zeta, omega
+    one_plus = 1.0 + gamma0
+    log_gamma, log_rate = np.log2(gamma0), np.log2(one_plus)
+    zeta = gamma0 / one_plus
+    return zeta, log_rate - zeta * log_gamma, log_gamma, log_rate
 
 
 def surrogate_rates(gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray,
                     bandwidth: float) -> np.ndarray:
     """Per-cluster lower-bound rate sum BW * (zeta*log2(gamma) + omega)."""
-    return bandwidth * (zeta * np.log2(gamma) + omega).sum(axis=1)
+    return _surrogate(np.log2(gamma), zeta, omega, bandwidth)
+
+
+def _surrogate(log_gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray,
+               bandwidth: float) -> np.ndarray:
+    return bandwidth * (zeta * log_gamma + omega).sum(axis=1)
 
 
 @dataclass
@@ -92,25 +102,21 @@ class Slacks:
 
 def constraint_slacks(gains: LinkGains, beta: np.ndarray,
                       config: SystemConfig) -> Slacks:
-    return _slacks(gains, beta, inter_cluster_interference(gains, beta, config),
-                   config)
+    return _slacks(gains, beta, sinr_parts(gains, beta, config), config)
 
 
-def _slacks(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
+def _slacks(gains: LinkGains, beta: np.ndarray, parts: SinrParts,
             config: SystemConfig) -> Slacks:
-    """Slacks at ``beta`` given the interference ``psi`` that ``sinr`` saw."""
+    """Slacks at ``beta`` from its ``sinr_parts``."""
     p = config.cluster_power_w
     g = gains.own_beam
-    tail = stronger_tail(beta)
-    den = p * tail * g + psi + config.noise_power_w
-    qos = p * beta * g - config.min_sinr * den
-    sic = p * g[:, 1:] * (beta[:, :-1] - tail[:, :-1]) - config.sic_power_gap_w
-    power = config.max_power_w - p * beta.sum(axis=1)
-    return Slacks(power=power, qos=qos, sic=sic)
+    qos = p * beta * g - config.min_sinr * parts.den
+    sic = p * g[:, 1:] * (beta[:, :-1] - parts.tail[:, :-1]) - config.sic_power_gap_w
+    return Slacks(power=config.max_power_w - parts.radiated, qos=qos, sic=sic)
 
 
 def subgradient_update(duals: DualVariables, slacks: Slacks,
-                       step_power: np.ndarray, step_qos: np.ndarray,
+                       step_power: float | np.ndarray, step_qos: np.ndarray,
                        step_sic: np.ndarray) -> DualVariables:
     """Projected subgradient step: dual <- [dual - step * slack]^+."""
     return DualVariables(
@@ -152,17 +158,17 @@ def closed_form_pac(k: int, ctx: PacContext) -> float | np.ndarray:
     """
     p = ctx.cluster_power
     g = ctx.beam_gain
-    users = g.shape[-1]
     gamma_term = ctx.qos_dual[..., k] * p * g[..., k]
-    sic_term = ctx.sic_dual[..., k] * p * g[..., k + 1] if k < users - 1 else 0.0
+    sic_term = ctx.sic_dual[..., k] * p * g[..., k + 1] if k < g.shape[-1] - 1 else 0.0
     denom = LN2 * ((ctx.rho + ctx.power_dual) * p - gamma_term - sic_term)
     for z in range(k):
         tail = ctx.beta[..., z + 1:].sum(axis=-1)
-        d_z = p * g[..., z] * tail + ctx.psi[..., z] + ctx.noise_power
-        denom += ctx.bandwidth * ctx.zeta[..., z] * p * g[..., z] / d_z
-        denom += LN2 * (ctx.qos_dual[..., z] * ctx.min_sinr * p * g[..., z]
+        g_z = g[..., z]
+        d_z = p * g_z * tail + ctx.psi[..., z] + ctx.noise_power
+        denom += ctx.bandwidth * ctx.zeta[..., z] * p * g_z / d_z
+        denom += LN2 * (ctx.qos_dual[..., z] * ctx.min_sinr * p * g_z
                         + ctx.sic_dual[..., z] * p * g[..., z + 1])
-    if np.any(denom <= 0.0):
+    if (denom <= 0.0).any():
         raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
     return ctx.bandwidth * ctx.zeta[..., k] / denom
 
@@ -180,8 +186,7 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     )
     for k in range(beta.shape[1]):
         out[:, k] = closed_form_pac(k, ctx)
-    cap = config.max_power_w / config.cluster_power_w
-    return np.clip(out, 0.0, cap)
+    return out.clip(0.0, config.max_power_w / config.cluster_power_w)
 
 
 @dataclass
@@ -190,9 +195,12 @@ class _Point:
 
     beta: np.ndarray
     gamma: np.ndarray        # (I, K) SINRs
+    log_gamma: np.ndarray    # (I, K) log2(gamma)
     psi: np.ndarray          # (I, K) inter-cluster interference they saw
+    den: np.ndarray          # (I, K) SINR denominators
     slacks: Slacks
     violations: np.ndarray   # (power, qos, sic) excesses in tolerance units
+    feasible: bool           # every violation within _CAPS
     ee: float
     powers: np.ndarray       # (I,) consumed power per cluster
     zeta: np.ndarray         # bound coefficients tightened at gamma
@@ -200,27 +208,25 @@ class _Point:
     rbar: np.ndarray         # (I,) surrogate rates, tight at gamma
     rho: np.ndarray          # (I,) rbar / powers
 
-    @property
-    def feasible(self) -> bool:
-        return bool(np.all(self.violations <= _CAPS))
-
 
 def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Point:
-    gamma, psi = sinr(gains, beta, config)
-    slacks = _slacks(gains, beta, psi, config)
-    radiated = config.cluster_power_w * beta.sum(axis=1)
+    parts = sinr_parts(gains, beta, config)
+    gamma, radiated = parts.gamma, parts.radiated
+    slacks = _slacks(gains, beta, parts, config)
     violations = np.array([
-        max(0.0, float(np.max(radiated / config.max_power_w - 1.0))),
-        max(0.0, float(np.max(1.0 - gamma / config.min_sinr, initial=0.0))),
-        max(0.0, float(np.max(-slacks.sic / config.sic_power_gap_w, initial=0.0))),
+        max(0.0, float((radiated / config.max_power_w - 1.0).max())),
+        max(0.0, float((1.0 - gamma / config.min_sinr).max(initial=0.0))),
+        max(0.0, float((-slacks.sic / config.sic_power_gap_w).max(initial=0.0))),
     ])
-    rates, powers = cluster_rates_and_power(gamma, beta, config)
-    zeta, omega = sca_coefficients(gamma)
-    rbar = surrogate_rates(gamma, zeta, omega, config.bandwidth_hz)
-    return _Point(beta=beta, gamma=gamma, psi=psi, slacks=slacks,
-                  violations=violations, ee=float(np.sum(rates / powers)),
-                  powers=powers, zeta=zeta, omega=omega, rbar=rbar,
-                  rho=rbar / powers)
+    zeta, omega, log_gamma, log_rate = _bound_terms(gamma)
+    rates = config.bandwidth_hz * log_rate.sum(axis=1)  # as cluster_rates_and_power
+    powers = radiated + config.circuit_power_w
+    rbar = _surrogate(log_gamma, zeta, omega, config.bandwidth_hz)
+    return _Point(beta=beta, gamma=gamma, log_gamma=log_gamma, psi=parts.psi,
+                  den=parts.den, slacks=slacks, violations=violations,
+                  feasible=bool((violations <= _CAPS).all()),
+                  ee=float((rates / powers).sum()), powers=powers, zeta=zeta,
+                  omega=omega, rbar=rbar, rho=rbar / powers)
 
 
 def initial_coefficients(gains: LinkGains, config: SystemConfig) -> np.ndarray:
@@ -232,46 +238,44 @@ def initial_coefficients(gains: LinkGains, config: SystemConfig) -> np.ndarray:
 
 
 def qos_power_repair(gains: LinkGains, beta0: np.ndarray,
-                     config: SystemConfig) -> np.ndarray | None:
+                     config: SystemConfig) -> _Point | None:
     """Drive the coefficients to the SINR floor by target-tracking updates.
 
     Classic fixed-point power control: every user below the floor gets
     beta_k <- target_k * denominator_k / (P g_k) with targets 5% above the
     floor, users already above keep their own SINR; at most 40 rounds.
     Converges exactly when the floor is jointly attainable at this
-    reflection; returns None on divergence or budget overflow
-    (unattainable draw).
+    reflection; returns the evaluated repaired split, or None on
+    divergence or budget overflow (unattainable draw).
     """
-    p = config.cluster_power_w
-    g = gains.own_beam
+    pg = config.cluster_power_w * gains.own_beam
     budget = min(config.cluster_power_w, config.max_power_w) / config.cluster_power_w
-    gamma, _ = sinr(gains, beta0, config)
-    target = np.maximum(gamma, config.min_sinr * 1.05)
+    parts = sinr_parts(gains, beta0, config)
+    target = np.maximum(parts.gamma, config.min_sinr * 1.05)
+    den = parts.den
     beta = beta0.copy()
     for _ in range(40):
-        gamma, psi = sinr(gains, beta, config)
-        den = p * stronger_tail(beta) * g + psi + config.noise_power_w
-        beta_new = np.clip(target * den / (p * g), 0.0, None)
-        if not np.all(np.isfinite(beta_new)) or beta_new.sum() > 10.0 * budget * beta.shape[0]:
+        beta_new = (target * den / pg).clip(0.0, None)
+        if not np.isfinite(beta_new).all() or beta_new.sum() > 10.0 * budget * beta.shape[0]:
             return None
-        if float(np.abs(beta_new - beta).max()) <= 1e-12 * max(1.0, float(beta.max())):
-            beta = beta_new
-            break
+        done = float(np.abs(beta_new - beta).max()) <= 1e-12 * max(1.0, float(beta.max()))
         beta = beta_new
-    if np.any(beta.sum(axis=1) > budget * (1.0 + 1e-9)):
+        if done:
+            break
+        den = sinr_parts(gains, beta, config).den
+    if (beta.sum(axis=1) > budget * (1.0 + 1e-9)).any():
         return None
-    if _evaluate(gains, beta, config).violations.max() > _CAPS.max():
-        return None
-    return beta
+    point = _evaluate(gains, beta, config)
+    return None if point.violations.max() > _CAPS.max() else point
 
 
 def _lagrangian(rbar: np.ndarray, powers: np.ndarray, rho: np.ndarray,
                duals: DualVariables, slacks: Slacks) -> float:
     """Lagrangian of the parametric problem at fixed multipliers."""
-    return float(np.sum(rbar - rho * powers)
-                 + np.sum(duals.power * slacks.power)
-                 + np.sum(duals.qos * slacks.qos)
-                 + np.sum(duals.sic * slacks.sic))
+    return float((rbar - rho * powers).sum()
+                 + (duals.power * slacks.power).sum()
+                 + (duals.qos * slacks.qos).sum()
+                 + (duals.sic * slacks.sic).sum())
 
 
 def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -304,6 +308,7 @@ class Stage1Result:
     rho: np.ndarray
     zeta: np.ndarray
     omega: np.ndarray
+    gamma: np.ndarray        # (I, K) SINRs at beta
     psi: np.ndarray          # (I, K) inter-cluster interference at beta, W
     duals: DualVariables
     iterations: int
@@ -340,11 +345,8 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     """
     num_clusters, users = gains.own_beam.shape
     warm = initial_coefficients(gains, config) if beta0 is None else beta0.copy()
-    repaired = qos_power_repair(gains, warm, config)
-    if repaired is not None:
-        warm = repaired
-
-    point = _evaluate(gains, warm, config)   # the dual iterate
+    # the dual iterate: the repaired warm start, or the warm start itself
+    point = qos_power_repair(gains, warm, config) or _evaluate(gains, warm, config)
     inc = point                              # the incumbent
     run_rho = point.rho                      # running max per cluster
     run_ee = point.ee                        # running max overall
@@ -357,29 +359,27 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     last_improvement = 0
     p = config.cluster_power_w
     g_sic = p * gains.own_beam[:, 1:]
-    sic_norm = g_sic + config.sic_power_gap_w
+    sic_floor = 1e-2 * (g_sic + config.sic_power_gap_w)
+    qos_base = p * gains.own_beam * config.min_sinr
+    full_power = config.cluster_power_w + config.circuit_power_w
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(),
                                 ee=run_ee, max_violation=float(inc.violations.max())))
 
-        rho_scale = max(float(np.mean(point.rho)), 1e-12)
-        den = (p * stronger_tail(point.beta) * gains.own_beam + point.psi
-               + config.noise_power_w)
-        qos_scale = p * gains.own_beam * config.min_sinr * den
+        rho_scale = max(float(point.rho.mean()), 1e-12)
+        qos_scale = qos_base * point.den
         # SIC-gap violations are tiny against their own scale near the
         # boundary, so the step saturates to a sign-normalized move of
         # the dual's effective magnitude Upsilon * P * g
-        sic_scale = g_sic * (np.abs(point.slacks.sic) + 1e-2 * sic_norm)
+        sic_scale = g_sic * (np.abs(point.slacks.sic) + sic_floor)
         c_try = c
         for _ in range(max_retries):
             base = c_try / np.sqrt(iteration)
-            step_power = np.full(num_clusters, base * rho_scale / config.max_power_w)
-            step_qos = base * rho_scale / qos_scale
-            step_sic = 5.0 * base * rho_scale / sic_scale
-            duals_try = subgradient_update(duals, point.slacks, step_power,
-                                           step_qos, step_sic)
+            duals_try = subgradient_update(
+                duals, point.slacks, base * rho_scale / config.max_power_w,
+                base * rho_scale / qos_scale, 5.0 * base * rho_scale / sic_scale)
             try:
                 beta_try = _sweep(gains, point.beta, point.psi, point.zeta,
                                   point.rho, duals_try, config)
@@ -407,11 +407,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         # split, but also whenever the dual step is small, so on its own it
         # does not certify a primal-feasible stop
         lag_new = _lagrangian(
-            surrogate_rates(point.gamma, prev.zeta, prev.omega, config.bandwidth_hz),
+            _surrogate(point.log_gamma, prev.zeta, prev.omega, config.bandwidth_hz),
             point.powers, prev.rho, duals, point.slacks)
-        scale = max(float(np.sum(prev.rho
-                                 * (config.cluster_power_w + config.circuit_power_w))),
-                    1e-300)
+        scale = max(float((prev.rho * full_power).sum()), 1e-300)
         residual = abs(lag_new - lag_old) / scale
         if (residual <= tolerance and iteration - last_improvement >= 3
                 and (point.feasible or not inc.feasible)):
@@ -427,7 +425,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(),
                             ee=run_ee, max_violation=float(inc.violations.max())))
     return Stage1Result(beta=final.beta, rho=final.rho, zeta=final.zeta,
-                        omega=final.omega, psi=final.psi, duals=duals,
-                        iterations=iteration, converged=converged,
+                        omega=final.omega, gamma=final.gamma, psi=final.psi,
+                        duals=duals, iterations=iteration, converged=converged,
                         feasible=feasible, residual=residual, ee=final.ee,
                         trace=trace)

@@ -296,11 +296,14 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     the starting efficiency count. ``psi`` of the result is the
     interference every user sees at the returned reflection with the
     Stage-1 split.
+
+    ``stage1`` must be solved at the all-ones reflection b0 with these
+    beams and this plan: its ``ee``, ``gamma`` and ``psi`` are taken as
+    the values at b0 (``evaluate_reflection`` at b0 gives them bitwise).
     """
     n = config.num_irs_elements
     b0 = np.ones(n, dtype=complex)
-    ee0, gamma0, psi0 = evaluate_reflection(channels, plan, beamformers,
-                                            stage1.beta, b0, config)
+    ee0, gamma0, psi0 = stage1.ee, stage1.gamma, stage1.psi
     anchor = np.outer(b0, b0.conj())
     if np.any(gamma0 <= config.min_sinr):
         # the surrogate ascent needs a floor-respecting start; keep b0

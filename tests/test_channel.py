@@ -31,6 +31,13 @@ class TestArrayResponse:
         with pytest.raises(ValueError):
             array_response(0.0, 0)
 
+    def test_angle_array_stacks_single_responses(self):
+        angles = np.random.default_rng(1).uniform(-np.pi / 3, np.pi / 3, 30)
+        stacked = array_response(angles, 16, 0.5)
+        assert stacked.shape == (30, 16)
+        assert np.array_equal(stacked, np.stack(
+            [array_response(float(a), 16, 0.5) for a in angles]))
+
 
 class TestPathGain:
     def test_reference_value(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from irsnoma import power_allocation
 from irsnoma.channel import (LinkGains, cluster_rates_and_power,
-                             energy_efficiency, sinr)
+                             energy_efficiency, sinr, stronger_tail)
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import (DualInfeasibleError, DualVariables,
                                       PacContext, allocate_power,
@@ -227,7 +227,7 @@ class TestSubgradient:
         beta = initial_coefficients(gains, cfg)
         repaired = qos_power_repair(gains, beta, cfg)
         if repaired is not None:
-            beta = repaired
+            beta = repaired.beta
         slacks = constraint_slacks(gains, beta, cfg)
         feasible = (slacks.power.min() > 0 and slacks.sic.min() > 0
                     and slacks.qos.min() > 0)
@@ -327,6 +327,28 @@ class TestAllocatePower:
             wins += result.ee >= energy_efficiency(gamma_u, uniform, cfg)
         assert wins / total >= 0.95
 
+    def test_repaired_split_evaluated_once(self):
+        # the repair hands its evaluated point to the loop as the first
+        # dual iterate, so no split is evaluated twice in a row
+        for seed, random_beams in ((0, False), (1, False), (4, True)):
+            cfg, *_, gains = attainable_floor_scenario(seed,
+                                                       random_beams=random_beams)
+            assert qos_power_repair(gains, initial_coefficients(gains, cfg),
+                                    cfg) is not None
+            evaluate = power_allocation._evaluate
+            betas = []
+
+            def counted_evaluate(gains, beta, config):
+                betas.append(beta.copy())
+                return evaluate(gains, beta, config)
+
+            with mock.patch.object(power_allocation, "_evaluate",
+                                   counted_evaluate):
+                allocate_power(gains, cfg)
+            assert len(betas) >= 2
+            assert not any(np.array_equal(a, b)
+                           for a, b in zip(betas, betas[1:]))
+
     def test_decode_order_shaping_on_unattainable_floor(self):
         # reference floor is interference-unattainable at the start: the
         # returned split must still respect the decode-order power ratio
@@ -383,3 +405,45 @@ class TestStage1Properties:
             (result.rho, rho), (result.zeta, zeta), (result.omega, omega)))
         assert result.iterations <= max_iterations
         assert (result.residual == np.inf) == (sweeps_taken == 0)
+
+
+class TestFusedPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(source=st.sampled_from(_SOURCES), seed=st.integers(0, 10**6),
+           scale=st.floats(0.05, 3.0), power=st.floats(0.1, 10.0),
+           circuit=st.floats(0.1, 10.0), bandwidth=st.floats(0.5, 2e7))
+    def test_matches_public_path(self, source, seed, scale, power, circuit,
+                                 bandwidth):
+        # the loop's one-pass evaluation must give, bit for bit, what the
+        # public functions compute at the same split; the defaults' unit
+        # powers and bandwidth would hide a reordered product
+        cfg, gains = _stage1_draw(source, seed)
+        cfg = dataclasses.replace(cfg, cluster_power_w=power,
+                                  circuit_power_w=circuit,
+                                  bandwidth_hz=bandwidth)
+        rng = np.random.default_rng(seed)
+        beta = scale * rng.uniform(1e-3, 1.0, gains.own_beam.shape)
+        point = power_allocation._evaluate(gains, beta, cfg)
+
+        gamma, psi = sinr(gains, beta, cfg)
+        den = (cfg.cluster_power_w * stronger_tail(beta) * gains.own_beam
+               + psi + cfg.noise_power_w)
+        slacks = constraint_slacks(gains, beta, cfg)
+        zeta, omega = sca_coefficients(gamma)
+        rbar = surrogate_rates(gamma, zeta, omega, cfg.bandwidth_hz)
+        _, powers = cluster_rates_and_power(gamma, beta, cfg)
+        radiated = cfg.cluster_power_w * beta.sum(axis=1)
+        violations = np.array([
+            max(0.0, float(np.max(radiated / cfg.max_power_w - 1.0))),
+            max(0.0, float(np.max(1.0 - gamma / cfg.min_sinr, initial=0.0))),
+            max(0.0, float(np.max(-slacks.sic / cfg.sic_power_gap_w,
+                                  initial=0.0)))])
+        assert all(np.array_equal(got, want) for got, want in (
+            (point.beta, beta), (point.gamma, gamma), (point.psi, psi),
+            (point.log_gamma, np.log2(gamma)), (point.den, den),
+            (point.slacks.power, slacks.power), (point.slacks.qos, slacks.qos),
+            (point.slacks.sic, slacks.sic), (point.violations, violations),
+            (point.zeta, zeta), (point.omega, omega), (point.rbar, rbar),
+            (point.powers, powers), (point.rho, rbar / powers)))
+        assert point.ee == energy_efficiency(gamma, beta, cfg)
+        assert point.feasible == bool(np.all(violations <= power_allocation._CAPS))

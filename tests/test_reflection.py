@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsnoma import sdp
+from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
+from irsnoma.clustering import random_plan
 from irsnoma.config import SystemConfig
 from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (dc_linearize, evaluate_reflection,
@@ -245,6 +247,30 @@ class TestOptimizeReflection:
                                 plan.members, beams.vectors, check_order=False)
             _, psi0 = sinr(gains0, stage1.beta, cfg)
             assert np.array_equal(result.psi, psi0)
+
+    def test_stage1_values_are_those_at_start(self):
+        # Stage 2 takes ee, gamma and psi at b0 from Stage 1 instead of
+        # recomputing them; they must be the b0 values bitwise
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=16)
+        draws = [build_scenario(seed, config=base) for seed in range(3)]
+        draws += [attainable_floor_scenario(seed, random_beams=rb)
+                  for seed in range(3) for rb in (False, True)]
+        b0 = np.ones(16, dtype=complex)
+        for cfg, rng, channels, plan, beams, gains in draws:
+            effective = effective_channel(channels.cascaded, b0)
+            # the random-clustering baseline's plan and beams, as run_trial
+            plan_r = random_plan(effective, cfg.num_clusters,
+                                 cfg.users_per_cluster, rng)
+            beams_r = build_zf_beamformers(effective[plan_r.members[:, -1]])
+            gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
+            for plan_, beams_, gains_ in ((plan, beams, gains),
+                                          (plan_r, beams_r, gains_r)):
+                stage1 = allocate_power(gains_, cfg)
+                ee0, gamma0, psi0 = evaluate_reflection(
+                    channels, plan_, beams_, stage1.beta, b0, cfg)
+                assert stage1.ee == ee0
+                assert np.array_equal(stage1.gamma, gamma0)
+                assert np.array_equal(stage1.psi, psi0)
 
     def test_surrogate_trace_monotone_for_fixed_eta(self):
         cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
