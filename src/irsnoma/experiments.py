@@ -30,6 +30,8 @@ from .reflection import optimize_reflection
 
 METHODS = ("proposed", "conventional", "random-clustering", "random-pac",
            "stage1-only")
+# baselines that never run Stage 1: its infeasibility drops none of their trials
+_WITHOUT_STAGE1 = ("conventional", "random-pac")
 
 
 @dataclass
@@ -200,13 +202,14 @@ def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
                   value_of, header: str) -> list[str]:
     rows = [header]
     for method in [m for m in METHODS if m in spec.methods]:
+        gated = method not in _WITHOUT_STAGE1
         for n in spec.n_grid:
             for m_ant in spec.m_grid:
-                vals = [value_of(r, method) for r in records
-                        if r.n == n and r.m == m_ant and r.feasible
+                cell = [r for r in records if r.n == n and r.m == m_ant]
+                vals = [value_of(r, method) for r in cell
+                        if (r.feasible or not gated)
                         and value_of(r, method) is not None]
-                bad = sum(1 for r in records
-                          if r.n == n and r.m == m_ant and not r.feasible)
+                bad = sum(1 for r in cell if gated and not r.feasible)
                 if vals:
                     arr = np.asarray(vals)
                     rows.append(f"{method},{n},{m_ant},{_fmt(arr.mean())},"

@@ -13,9 +13,11 @@ the SINR floor; when b0 breaks the floor, the stage returns b0 at once.
 Otherwise each iteration maximizes the minorant exactly over the
 floor-respecting spectrahedron with the dense barrier solver and keeps
 the solution only if it raises the minorant, so the penalized surrogate
-ascends monotonically for a fixed penalty weight. The penalty weight
-grows tenfold whenever the ascent stalls at an iterate that is not yet
-rank-one. A unit-modulus vector is finally recovered from the leading
+ascends monotonically for a fixed penalty weight. Rank one is reached
+through the penalty alone: its weight grows tenfold, from a cold start,
+whenever the ascent stalls at an iterate that is not yet rank-one, and
+the loop stops once the iterate is rank-one or the ascent stalls at the
+top weight. A unit-modulus vector is finally recovered from the leading
 eigenvector's phases, with Gaussian randomization as backup; if no
 floor-respecting candidate beats b0, b0 is returned, so the achieved
 efficiency never drops below its Stage-1 value.
@@ -104,9 +106,16 @@ class SurrogatePieces:
         f2bar = np.log2(self.den_anchor) + (den - self.den_anchor) / (
             LN2 * self.den_anchor)
         rate = self.bandwidth * float(np.sum(self.zeta * (f1 - f2bar) + self.omega))
-        penalty = float(np.real(np.trace(b_mat))) - self.anchor_offset - float(
+        return rate + self.constant - self.eta * self.penalty(b_mat)
+
+    def penalty(self, b_mat: np.ndarray) -> float:
+        """Minorized penalty tr(B) - [||B_t||_2 + Re tr(kk^H (B - B_t))].
+
+        The bracket lower-bounds the spectral norm, so this value upper
+        bounds the exact penalty tr(B) - ||B||_2 and is tight at B_t.
+        """
+        return float(np.real(np.trace(b_mat))) - self.anchor_offset - float(
             np.real(np.vdot(self.kappa, b_mat @ self.kappa)))
-        return rate + self.constant - self.eta * penalty
 
     def gradient(self) -> np.ndarray:
         """Exact gradient of the minorant at its anchor (Hermitian)."""
@@ -183,19 +192,6 @@ def exact_rank_penalty(b_mat: np.ndarray) -> float:
     return float(np.real(np.trace(b_mat)) - eigvals[-1])
 
 
-def rank_one_penalty(b_mat: np.ndarray, anchor: np.ndarray) -> float:
-    """Minorized penalty tr(B) - [||B_t||_2 + Re tr(kk^H (B - B_t))].
-
-    Since the bracket lower-bounds the spectral norm, this value upper
-    bounds the exact penalty and stays >= -1e-9 on PSD inputs.
-    """
-    eigvals, eigvecs = np.linalg.eigh(anchor)
-    kappa = eigvecs[:, -1]
-    bound = float(eigvals[-1]) + float(np.real(
-        np.vdot(kappa, (b_mat - anchor) @ kappa)))
-    return float(np.real(np.trace(b_mat))) - bound
-
-
 def gaussian_randomization(b_mat: np.ndarray, count: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Unit-modulus candidates from phases of CN(0, B) draws, (count, N)."""
@@ -261,17 +257,11 @@ def floor_constraints(own: np.ndarray, den: np.ndarray, beta: np.ndarray,
     return constraints
 
 
-def _sinr_terms(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
-                beta: np.ndarray,
-                config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Lifted SINR numerators and denominators (noise included) at B."""
-    num = config.cluster_power_w * beta * _traces(own, b_mat)
-    return num, _traces(den, b_mat) + config.noise_power_w
-
-
 def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
                 beta: np.ndarray, config: SystemConfig) -> float:
-    num, dval = _sinr_terms(own, den, b_mat, beta, config)
+    """Efficiency of the lifted SINRs at B with the Stage-1 split."""
+    num = config.cluster_power_w * beta * _traces(own, b_mat)
+    dval = _traces(den, b_mat) + config.noise_power_w
     rates = config.bandwidth_hz * np.log2(1.0 + num / dval).sum(axis=1)
     powers = config.cluster_power_w * beta.sum(axis=1) + config.circuit_power_w
     return float(np.sum(rates / powers))
@@ -286,8 +276,10 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     At most 20 iterations, each one exact surrogate solve to a 1e-6 gap.
     The penalty weight starts at 2% of the rate-gradient norm at the first
     anchor, clipped to [1e-2, 1e2] (a fixed large weight freezes the
-    rank-one start), and climbs tenfold up to 1e6 while the anchor is not
-    rank-one to within 1e-3 of its trace. The loop starts from the lift of
+    rank-one start). Whenever the ascent stalls and the anchor is not
+    rank-one to within 1e-3 of its trace, the weight climbs tenfold, up
+    to 1e6, and the next solve starts cold; at 1e6 a stalled surrogate
+    ends the loop with ``converged=True``. The loop starts from the lift of
     the all-ones vector b0; when b0 breaks the SINR floor for any user,
     the guaranteed fallback applies at once: b0 is returned with
     ``fallback=True``, ``iterations=0`` and ``lifted = b0 b0^H``. The
@@ -315,8 +307,6 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     lifts = lift_user_matrices(channels, plan, beamformers)
     own, den = sinr_trace_matrices(lifts, stage1.beta, config)
     constraints = floor_constraints(own, den, stage1.beta, config)
-    probe = sdp.SdpProblem(objective=np.zeros((n, n), dtype=complex),
-                           constraints=list(constraints))
 
     eta = 0.0
     trace: list[Stage2TracePoint] = []
@@ -358,48 +348,30 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
         # penalty weight grows only once the surrogate ascent has stalled at
         # the current weight; escalating mid-climb would drown the rate term
         if ee_stalled:
-            if pen > _PENALTY_TOL * float(np.real(np.trace(anchor))):
-                # climb the weight ladder in place: once eta * penalty
-                # outweighs the rate gap, any feasible unit-modulus lift
-                # (the starting vector at worst) wins the injection
-                injected = None
-                while injected is None:
-                    injected = _inject_rank_one(anchor, own, den, stage1.beta,
-                                                config, eta, probe, rng, b0)
-                    if injected is not None or eta >= _ETA_CAP:
-                        break
-                    eta = min(eta * 10.0, _ETA_CAP)
-                if injected is None:
-                    converged = stalled
-                    if converged:
-                        break
-                else:
-                    # raise the weight alongside the rounding, otherwise the
-                    # next surrogate maximization spreads the spectrum again
-                    anchor = injected
-                    eta = min(eta * 10.0, _ETA_CAP)
-                    warm = None
-                    prev_ee = None
-                    continue
-            else:
+            if pen <= _PENALTY_TOL * float(np.real(np.trace(anchor))):
+                converged = True
+                break
+            if eta < _ETA_CAP:
+                # climb the weight ladder from a cold start; the warm start
+                # and the efficiency history belong to the old weight
+                eta = min(eta * 10.0, _ETA_CAP)
+                warm = None
+                prev_ee = None
+                continue
+            if stalled:
                 converged = True
                 break
         prev_ee = ee_rel
 
-    # terminal rounding: if the iteration budget ran out mid-climb with a
-    # spread spectrum, one injection at the penalty cap bounds the final
-    # rank-one defect whenever any feasible unit-modulus lift exists
-    if exact_rank_penalty(anchor) > _PENALTY_TOL * float(np.real(np.trace(anchor))):
-        rounded = _inject_rank_one(anchor, own, den, stage1.beta, config,
-                                   _ETA_CAP, probe, rng, b0)
-        if rounded is not None:
-            anchor = rounded
-
     # recover a unit-modulus vector: leading-eigenvector phases, then
     # Gaussian randomization as backup; only QoS-clean candidates count,
     # and efficiency may never drop below ee0
+    eigvals, eigvecs = np.linalg.eigh(anchor)
+    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
+    candidates = [np.exp(1j * np.angle(lead)),
+                  *gaussian_randomization(anchor, 50, rng)]
     best_ee, best_b, best_psi = -np.inf, None, None
-    for cand in _rounding_candidates(anchor, 50, rng):
+    for cand in candidates:
         ee_c, gamma_c, psi_c = evaluate_reflection(channels, plan, beamformers,
                                                    stage1.beta, cand, config)
         viol_c = float(np.max(1.0 - gamma_c / config.min_sinr, initial=0.0))
@@ -412,55 +384,6 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                             ee_initial=ee0, psi=best_psi, fallback=fallback,
                             converged=converged, iterations=iterations,
                             exact_penalty=exact_rank_penalty(anchor), trace=trace)
-
-
-def _true_penalized(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
-                    beta: np.ndarray, config: SystemConfig,
-                    eta: float) -> float:
-    """True log-rate sum minus eta times the exact rank-one defect."""
-    num, dval = _sinr_terms(own, den, b_mat, beta, config)
-    if np.any(num < 0.0) or np.any(dval <= 0.0):
-        return -np.inf
-    rate = config.bandwidth_hz * float(np.log2(1.0 + num / dval).sum())
-    return rate - eta * exact_rank_penalty(b_mat)
-
-
-def _rounding_candidates(b_mat: np.ndarray, count: int,
-                         rng: np.random.Generator) -> list[np.ndarray]:
-    """Leading-eigenvector phases, then ``count`` Gaussian-draw phases."""
-    eigvals, eigvecs = np.linalg.eigh(b_mat)
-    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
-    return [np.exp(1j * np.angle(lead)),
-            *gaussian_randomization(b_mat, count, rng)]
-
-
-def _inject_rank_one(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
-                     beta: np.ndarray, config: SystemConfig, eta: float,
-                     probe: sdp.SdpProblem, rng: np.random.Generator,
-                     start: np.ndarray) -> np.ndarray | None:
-    """Round the anchor to a feasible unit-modulus lift when that helps.
-
-    The spectral-norm penalty cannot always travel to a rank-one point
-    along feasible directions (the floor constraints wall off the leading
-    eigenvector's ray). Rounding candidates (leading-eigenvector phases,
-    a few Gaussian draws, and the known starting vector) are exact
-    rank-one lifts. Rounding re-anchors the surrogate, so candidates are
-    judged on the true penalized objective, where the exact defect of a
-    unit-modulus lift is zero; whichever feasible candidate improves it
-    becomes the new anchor.
-    """
-    candidates = [*_rounding_candidates(anchor, 10, rng), start]
-    val0 = _true_penalized(own, den, anchor, beta, config, eta)
-    best, best_val = None, val0
-    for cand in candidates:
-        lift = np.outer(cand, cand.conj())
-        slacks, _ = sdp.slacks(probe, lift)
-        if slacks.min() < -1e-6:
-            continue
-        val = _true_penalized(own, den, lift, beta, config, eta)
-        if val > best_val + _ASCENT_TOL * (1.0 + abs(val0)):
-            best, best_val = lift, val
-    return best
 
 
 def _feasible_start(problem: sdp.SdpProblem, anchor: np.ndarray,

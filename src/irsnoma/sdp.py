@@ -1,13 +1,14 @@
 """Dense barrier solver for small Hermitian semidefinite programs.
 
 Problem class: maximize Re tr(C B) over Hermitian B >= 0 subject to linear
-inequalities Re tr(A_m B) >= c_m and the elementwise bound diag(B) <= d.
-The diagonal bound makes the feasible set compact (|B_ij|^2 <= B_ii B_jj),
+inequalities Re tr(A_m B) >= c_m and the elementwise bound diag(B) <= 1,
+the unit-modulus relaxation |b_n|^2 <= 1 of a lifted B = b b^H. The
+diagonal bound makes the feasible set compact (|B_ij|^2 <= B_ii B_jj),
 so the problem is never unbounded.
 
 Method: primal path-following on the log-barrier
 
-    phi_t(B) = -t Re tr(C B) - log det B - sum_m log(slack_m) - sum_n log(d - B_nn)
+    phi_t(B) = -t Re tr(C B) - log det B - sum_m log(slack_m) - sum_n log(1 - B_nn)
 
 with exact Newton steps. The Newton system is the positive map
 B^-1 (.) B^-1 plus a low-rank sum over constraint normals, so it is solved
@@ -31,6 +32,7 @@ import numpy as np
 
 _HERM_TOL = 1e-9
 _RANK_TOL = 1e-13
+DIAG_BOUND = 1.0   # diag(B) <= 1: the unit-modulus relaxation |b_n|^2 <= 1
 
 
 def frob(x: np.ndarray, y: np.ndarray) -> float:
@@ -77,7 +79,7 @@ def low_rank_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class SdpProblem:
     """maximize Re tr(C B) + sum_l w_l ln(Re tr(M_l B))
-    subject to Re tr(A_m B) >= c_m, diag(B) <= d, B >= 0.
+    subject to Re tr(A_m B) >= c_m, diag(B) <= DIAG_BOUND, B >= 0.
 
     ``log_terms`` is empty for the plain linear-objective problem class;
     weighted concave logs of positive traces share the Newton structure of
@@ -90,7 +92,6 @@ class SdpProblem:
 
     objective: np.ndarray
     constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    diag_bound: float = 1.0
     log_terms: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -112,8 +113,6 @@ class SdpProblem:
             if weight <= 0.0:
                 raise ValueError(f"log term {idx} needs a positive weight")
             logs.append((mat, float(weight)))
-        if self.diag_bound <= 0.0:
-            raise ValueError("diag_bound must be positive")
         # constraint matrices, then log-term matrices, as one (m, N, N) stack
         count = len(checked)
         stack = np.array([mat for mat, _ in checked + logs],
@@ -133,8 +132,8 @@ class SdpProblem:
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvectors (N, m R) and eigenvalues (m, R) of the stack.
 
-        Computed on the first Newton step, so a problem used only for
-        slack checks never pays for it. The vectors of all matrices sit
+        Computed on the first Newton step, so a problem that never takes
+        one never pays for it. The vectors of all matrices sit
         side by side, so one product B @ U gives B U_s for every matrix.
         """
         vecs, vals = low_rank_factors(self._stack)
@@ -175,12 +174,12 @@ def _slacks_and_traces(problem: SdpProblem,
                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     traces = problem._traces(b)
     count = len(problem.constraints)
-    diag = problem.diag_bound - np.real(np.diag(b))
+    diag = DIAG_BOUND - np.real(np.diag(b))
     return traces[:count] - problem._bounds, diag, traces[count:]
 
 
 def slacks(problem: SdpProblem, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint slacks Re tr(A_m B) - c_m and diagonal slacks d - B_nn."""
+    """Constraint slacks Re tr(A_m B) - c_m and diagonal slacks 1 - B_nn."""
     lin, diag, _ = _slacks_and_traces(problem, b)
     return lin, diag
 
@@ -191,7 +190,7 @@ def strictly_feasible(problem: SdpProblem, b: np.ndarray, margin: float = 1e-12)
     scale = 1.0 + max((abs(c) for _, c in problem.constraints), default=0.0)
     if lin.size and lin.min() <= margin * scale:
         return False
-    if diag.min() <= margin * problem.diag_bound:
+    if diag.min() <= margin * DIAG_BOUND:
         return False
     if traces.size and traces.min() <= 0.0:
         return False
@@ -243,7 +242,7 @@ def newton_direction(problem: SdpProblem, point: BarrierPoint,
         B^-1 D B^-1 + sum_s w_s Re tr(S_s D) S_s + Diag(w_d * diag D) = -grad phi_t
 
     over the stacked matrices S_s (w_s = 1 / slack_s^2 for a constraint,
-    t w_l / trace_l^2 for a log term, w_d = 1 / (d - B_nn)^2), through the
+    t w_l / trace_l^2 for a log term, w_d = 1 / (1 - B_nn)^2), through the
     inverse map B (.) B and a dense (m + N)-square correction system. The
     inverse Cholesky factor L^-1 gives B^-1 = L^-H L^-1 and is returned for
     the step bound.
@@ -340,7 +339,7 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
     """Path-following solve; returns the best iterate with a status flag.
 
     ``initial`` may carry a warm start; it is used only when strictly
-    feasible. Without one, d/2 * I is tried, then a few feasibility-repair
+    feasible. Without one, I / 2 is tried, then a few feasibility-repair
     rounds; if no interior point is found the status is "infeasible".
     """
     n = problem.dim
@@ -348,13 +347,13 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
     if initial is not None and strictly_feasible(problem, initial):
         b = np.asarray(initial, dtype=complex).copy()
     if b is None:
-        cand = 0.5 * problem.diag_bound * np.eye(n, dtype=complex)
+        cand = 0.5 * DIAG_BOUND * np.eye(n, dtype=complex)
         if strictly_feasible(problem, cand):
             b = cand
         else:
             b = _phase_one(problem, cand)
     if b is None:
-        return SdpSolution(matrix=0.5 * problem.diag_bound * np.eye(n, dtype=complex),
+        return SdpSolution(matrix=0.5 * DIAG_BOUND * np.eye(n, dtype=complex),
                            status="infeasible", objective=np.nan,
                            newton_steps=0)
 
@@ -391,10 +390,9 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
     if not problem.constraints:
         return None
     n = problem.dim
-    d = problem.diag_bound
     lin0, _ = slacks(problem, start)
     offset = max(0.0, -float(lin0.min())) + 1.0
-    scale = 2.0 * offset / d          # slack level = scale * last diagonal entry
+    scale = 2.0 * offset / DIAG_BOUND  # slack level = scale * last diagonal entry
     aug_cons = []
     for a, c in problem.constraints:
         a_aug = np.zeros((n + 1, n + 1), dtype=complex)
@@ -403,15 +401,15 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
         aug_cons.append((a_aug, c - offset))
     c_aug = np.zeros((n + 1, n + 1), dtype=complex)
     c_aug[n, n] = 1.0
-    aug = SdpProblem(objective=c_aug, constraints=aug_cons, diag_bound=d)
+    aug = SdpProblem(objective=c_aug, constraints=aug_cons)
     b_aug0 = np.zeros((n + 1, n + 1), dtype=complex)
     b_aug0[:n, :n] = start
-    b_aug0[n, n] = 1e-3 * d
+    b_aug0[n, n] = 1e-3 * DIAG_BOUND
     solution = solve(aug, tolerance=1e-4, max_iters=400, initial=b_aug0)
     block = solution.matrix[:n, :n].copy()
     block = 0.5 * (block + block.conj().T)
     # pull off the boundary as far as feasibility allows
-    interior = 0.5 * d * np.eye(n, dtype=complex)
+    interior = 0.5 * DIAG_BOUND * np.eye(n, dtype=complex)
     for tau in (0.3, 0.1, 0.03, 0.01, 0.0):
         blend = (1.0 - tau) * block + tau * interior
         if strictly_feasible(problem, blend):

@@ -139,7 +139,17 @@ class TestEmitResults:
         record.ee["conventional"] = 1.0
         paths = emit_results([record], spec, small_config())
         rows = open(paths["summary.csv"]).read().splitlines()
-        assert rows[1] == "conventional,8,6,NA,NA,0,1"
+        assert rows[1] == "conventional,8,6,1,0,1,0"
+
+    def test_stage1_method_on_infeasible_trial_is_na(self, tmp_path):
+        spec = small_spec(tmp_path, methods=["stage1-only"], trials=1)
+        record = TrialRecord(n=8, m=6, trial=0, feasible=False)
+        record.ee["stage1-only"] = 1.0
+        record.ici["stage1-only"] = 1.0
+        paths = emit_results([record], spec, small_config())
+        for name in ("summary.csv", "ici.csv"):
+            rows = open(paths[name]).read().splitlines()
+            assert rows[1] == "stage1-only,8,6,NA,NA,0,1", name
 
     def test_manifest_and_plot_script_written(self, tmp_path):
         cfg = small_config()

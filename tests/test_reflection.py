@@ -15,7 +15,7 @@ from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (dc_linearize, evaluate_reflection,
                                 exact_rank_penalty, gaussian_randomization,
                                 lift_user_matrices, optimize_reflection,
-                                rank_one_penalty, sinr_trace_matrices)
+                                sinr_trace_matrices)
 
 from conftest import attainable_floor_scenario, build_scenario
 
@@ -155,18 +155,29 @@ class TestRankOnePenalty:
     def test_identity_penalty(self):
         assert exact_rank_penalty(np.eye(4, dtype=complex)) == pytest.approx(3.0)
 
+    @staticmethod
+    def _linearizer(seed):
+        """Dimension and a minorant builder for one drawn scenario."""
+        cfg, _, channels, plan, beams, gains = build_scenario(seed)
+        stage1 = allocate_power(gains, cfg)
+        lifts = lift_user_matrices(channels, plan, beams)
+        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+        return cfg.num_irs_elements, lambda anchor: dc_linearize(
+            anchor, own, den, stage1, cfg, 0.0)
+
     def test_surrogate_dominates_exact(self):
+        n, linearize = self._linearizer(1)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            anchor = _random_psd(rng, 5)
-            other = _random_psd(rng, 5)
-            assert (rank_one_penalty(other, anchor)
+            anchor = _random_psd(rng, n)
+            other = _random_psd(rng, n)
+            assert (linearize(anchor).penalty(other)
                     >= exact_rank_penalty(other) - 1e-9)
 
     def test_surrogate_tight_at_anchor(self):
-        rng = np.random.default_rng(2)
-        anchor = _random_psd(rng, 5)
-        assert rank_one_penalty(anchor, anchor) == pytest.approx(
+        n, linearize = self._linearizer(2)
+        anchor = _random_psd(np.random.default_rng(2), n)
+        assert linearize(anchor).penalty(anchor) == pytest.approx(
             exact_rank_penalty(anchor), abs=1e-10)
 
 
@@ -247,6 +258,22 @@ class TestOptimizeReflection:
                                 plan.members, beams.vectors, check_order=False)
             _, psi0 = sinr(gains0, stage1.beta, cfg)
             assert np.array_equal(result.psi, psi0)
+
+    def test_post_loop_fallback_returns_start(self):
+        # this draw iterates, then no extracted candidate beats b0, so the
+        # end-of-loop fallback must hand back b0 with its own values
+        cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+            116, random_beams=True)
+        stage1 = allocate_power(gains, cfg)
+        result = optimize_reflection(channels, plan, beams, stage1, cfg, rng)
+        assert result.iterations > 0 and result.fallback
+        b0 = np.ones(cfg.num_irs_elements, dtype=complex)
+        assert np.array_equal(result.reflection, b0)
+        assert result.ee == result.ee_initial
+        gains0 = link_gains(effective_channel(channels.cascaded, b0),
+                            plan.members, beams.vectors, check_order=False)
+        _, psi0 = sinr(gains0, stage1.beta, cfg)
+        assert np.array_equal(result.psi, psi0)
 
     def test_stage1_values_are_those_at_start(self):
         # Stage 2 takes ee, gamma and psi at b0 from Stage 1 instead of

@@ -190,7 +190,7 @@ def _interior_problem(rng, n, mats, log_mats=()):
 def _phase_one_lift(problem, offset=3.0):
     """Phase-one problem: one extra diagonal coordinate tightens every constraint."""
     n = problem.dim
-    scale = 2.0 * offset / problem.diag_bound
+    scale = 2.0 * offset / sdp.DIAG_BOUND
     aug_cons = []
     for a, c in problem.constraints:
         a_aug = np.zeros((n + 1, n + 1), dtype=complex)
@@ -199,8 +199,7 @@ def _phase_one_lift(problem, offset=3.0):
         aug_cons.append((a_aug, c - offset))
     c_aug = np.zeros((n + 1, n + 1), dtype=complex)
     c_aug[n, n] = 1.0
-    return sdp.SdpProblem(objective=c_aug, constraints=aug_cons,
-                          diag_bound=problem.diag_bound)
+    return sdp.SdpProblem(objective=c_aug, constraints=aug_cons)
 
 
 def _newton_problems():
@@ -236,7 +235,7 @@ class TestNewtonSystem:
         binv = np.linalg.inv(b)
         terms = [(a, 1.0, sdp.frob(a, b) - c) for a, c in problem.constraints]
         terms += [(m, t * w, sdp.frob(m, b)) for m, w in problem.log_terms]
-        diag = problem.diag_bound - np.real(np.diag(b))
+        diag = sdp.DIAG_BOUND - np.real(np.diag(b))
         grad = -t * problem.objective - binv + np.diag(1.0 / diag)
         hess = binv @ delta @ binv + np.diag(np.real(np.diag(delta)) / diag**2)
         for mat, weight, slack in terms:
