@@ -70,7 +70,8 @@ class TrialRecord:
     stage2_iterations: int = 0
     wall_stage1_s: float = 0.0
     wall_stage2_s: float = 0.0
-    feasible: bool = True
+    feasible: bool = True               # Stage 1 on the main plan
+    random_plan_feasible: bool = True   # Stage 1 on random-clustering's plan
 
 
 def _far_user_ici(psi: np.ndarray) -> float:
@@ -162,6 +163,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         beams_r = build_zf_beamformers(effective[plan_r.members[:, -1]])
         gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
         stage1_r = allocate_power(gains_r, cfg)
+        record.random_plan_feasible = stage1_r.feasible
         stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg,
                                        rng_stage2)
         record.ee["random-clustering"] = stage2_r.ee
@@ -198,18 +200,26 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _stage1_feasible(record: TrialRecord, method: str) -> bool:
+    """Whether the Stage-1 run that ``method`` builds on met its constraints."""
+    if method in _WITHOUT_STAGE1:
+        return True
+    if method == "random-clustering":
+        return record.random_plan_feasible
+    return record.feasible
+
+
 def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
                   value_of, header: str) -> list[str]:
     rows = [header]
     for method in [m for m in METHODS if m in spec.methods]:
-        gated = method not in _WITHOUT_STAGE1
         for n in spec.n_grid:
             for m_ant in spec.m_grid:
                 cell = [r for r in records if r.n == n and r.m == m_ant]
                 vals = [value_of(r, method) for r in cell
-                        if (r.feasible or not gated)
+                        if _stage1_feasible(r, method)
                         and value_of(r, method) is not None]
-                bad = sum(1 for r in cell if gated and not r.feasible)
+                bad = sum(1 for r in cell if not _stage1_feasible(r, method))
                 if vals:
                     arr = np.asarray(vals)
                     rows.append(f"{method},{n},{m_ant},{_fmt(arr.mean())},"

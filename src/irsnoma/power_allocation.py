@@ -6,7 +6,11 @@ it tractable: a logarithmic lower bound (zeta * log2(gamma) + omega, tight
 at the expansion point) turns the rate concave in log-space, a parametric
 transform turns the ratio into rate - rho * power with rho the achieved
 efficiency, and the KKT conditions of the resulting Lagrangian admit a
-closed-form power coefficient for each user, processed weakest-first.
+closed-form power coefficient for each user. One sweep updates every
+cluster at once and goes weakest-first within each: a user's closed form
+reads the SINR denominators of the weaker users, which depend on the
+coefficients just updated above them. The terms that depend on no
+coefficient are built once per sweep and shared by every user.
 Dual variables for the power budget, SINR floor, and decode-power-gap
 constraints follow projected subgradient steps. Each split the loop visits
 is evaluated once; the dual step, the sweep and the stop test read that.
@@ -126,66 +130,39 @@ def subgradient_update(duals: DualVariables, slacks: Slacks,
     )
 
 
-@dataclass
-class PacContext:
-    """Closed-form inputs; leading axes (none for one cluster) index clusters."""
-
-    beam_gain: np.ndarray           # (..., K) |u_k f|^2, sorted weakest-first
-    psi: np.ndarray                 # (..., K) inter-cluster interference, Watts
-    beta: np.ndarray                # (..., K) working coefficients (entries < k updated)
-    zeta: np.ndarray                # (..., K) bound slopes at the current anchor
-    rho: float | np.ndarray         # (...) cluster efficiency parameter
-    power_dual: float | np.ndarray  # (...) alpha_i
-    qos_dual: np.ndarray            # (..., K)
-    sic_dual: np.ndarray            # (..., K-1)
-    min_sinr: float
-    cluster_power: float
-    noise_power: float
-    bandwidth: float
-
-
-def closed_form_pac(k: int, ctx: PacContext) -> float | np.ndarray:
-    """Stationary power coefficient of user k given everything else.
-
-    Solves dL/dbeta_k = 0 of the dual Lagrangian, for every cluster of the
-    context at once: a float for a 1-D context, an array of the leading
-    shape otherwise. The terms from weaker users z < k enter through their
-    SINR denominators evaluated at the working coefficients, so callers
-    must process k in ascending order. Raises DualInfeasibleError when the
-    stationary denominator of any cluster is nonpositive (duals
-    inconsistent with rho); the caller should shrink its dual steps and
-    retry.
-    """
-    p = ctx.cluster_power
-    g = ctx.beam_gain
-    gamma_term = ctx.qos_dual[..., k] * p * g[..., k]
-    sic_term = ctx.sic_dual[..., k] * p * g[..., k + 1] if k < g.shape[-1] - 1 else 0.0
-    denom = LN2 * ((ctx.rho + ctx.power_dual) * p - gamma_term - sic_term)
-    for z in range(k):
-        tail = ctx.beta[..., z + 1:].sum(axis=-1)
-        g_z = g[..., z]
-        d_z = p * g_z * tail + ctx.psi[..., z] + ctx.noise_power
-        denom += ctx.bandwidth * ctx.zeta[..., z] * p * g_z / d_z
-        denom += LN2 * (ctx.qos_dual[..., z] * ctx.min_sinr * p * g_z
-                        + ctx.sic_dual[..., z] * p * g[..., z + 1])
-    if (denom <= 0.0).any():
-        raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
-    return ctx.bandwidth * ctx.zeta[..., k] / denom
-
-
 def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
            zeta: np.ndarray, rho: np.ndarray, duals: DualVariables,
            config: SystemConfig) -> np.ndarray:
-    """One full coefficient update, ascending within each cluster."""
+    """One closed-form update of every coefficient, all clusters at once.
+
+    User k's coefficient is BW * zeta_k over the denominator that makes
+    dL/dbeta_k = 0. Each weaker user z < k adds a coefficient-free term and
+    BW zeta_z P g_z / d_z, whose SINR denominator d_z reads the
+    coefficients above z as updated so far in this sweep. So users go in
+    ascending k, the coefficient-free terms are built once per sweep, and
+    only d_z is rebuilt per (k, z). Raises DualInfeasibleError when a
+    denominator is nonpositive (duals inconsistent with rho): the caller
+    should shrink its dual steps and retry. The result is clipped to
+    [0, P_max / P].
+    """
+    p, bw = config.cluster_power_w, config.bandwidth_hz
+    g = gains.own_beam
+    pg = p * g
+    sic_term = np.zeros_like(g)          # the strongest user has no gap
+    sic_term[:, :-1] = duals.sic * p * g[:, 1:]
+    own = LN2 * ((rho + duals.power)[:, None] * p - duals.qos * p * g - sic_term)
+    weak = LN2 * (duals.qos[:, :-1] * config.min_sinr * p * g[:, :-1]
+                  + sic_term[:, :-1])
+    rate_gain = bw * zeta * p * g
     out = beta.copy()
-    ctx = PacContext(
-        beam_gain=gains.own_beam, psi=psi, beta=out, zeta=zeta, rho=rho,
-        power_dual=duals.power, qos_dual=duals.qos, sic_dual=duals.sic,
-        min_sinr=config.min_sinr, cluster_power=config.cluster_power_w,
-        noise_power=config.noise_power_w, bandwidth=config.bandwidth_hz,
-    )
-    for k in range(beta.shape[1]):
-        out[:, k] = closed_form_pac(k, ctx)
+    for k in range(g.shape[1]):
+        denom = own[:, k]
+        for z in range(k):
+            d_z = pg[:, z] * out[:, z + 1:].sum(axis=1) + psi[:, z] + config.noise_power_w
+            denom = denom + rate_gain[:, z] / d_z + weak[:, z]
+        if (denom <= 0.0).any():
+            raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
+        out[:, k] = bw * zeta[:, k] / denom
     return out.clip(0.0, config.max_power_w / config.cluster_power_w)
 
 
@@ -299,7 +276,6 @@ class TracePoint:
     iteration: int
     rho: np.ndarray
     ee: float
-    max_violation: float
 
 
 @dataclass
@@ -310,7 +286,6 @@ class Stage1Result:
     omega: np.ndarray
     gamma: np.ndarray        # (I, K) SINRs at beta
     psi: np.ndarray          # (I, K) inter-cluster interference at beta, W
-    duals: DualVariables
     iterations: int
     converged: bool
     feasible: bool
@@ -321,8 +296,7 @@ class Stage1Result:
 
 def allocate_power(gains: LinkGains, config: SystemConfig, *,
                    max_iterations: int = 100, tolerance: float = 1e-4,
-                   max_retries: int = 8, stall_limit: int = 25,
-                   beta0: np.ndarray | None = None) -> Stage1Result:
+                   max_retries: int = 8, stall_limit: int = 25) -> Stage1Result:
     """Run the Stage-1 loop and return the best floor-respecting split.
 
     Per iteration: re-tighten the rate bound at the dual iterate, set each
@@ -344,7 +318,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     ``residual`` is ``inf`` when no sweep was taken.
     """
     num_clusters, users = gains.own_beam.shape
-    warm = initial_coefficients(gains, config) if beta0 is None else beta0.copy()
+    warm = initial_coefficients(gains, config)
     # the dual iterate: the repaired warm start, or the warm start itself
     point = qos_power_repair(gains, warm, config) or _evaluate(gains, warm, config)
     inc = point                              # the incumbent
@@ -365,8 +339,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(),
-                                ee=run_ee, max_violation=float(inc.violations.max())))
+        trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(), ee=run_ee))
 
         rho_scale = max(float(point.rho.mean()), 1e-12)
         qos_scale = qos_base * point.den
@@ -422,10 +395,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     feasible = bool(np.all(inc.violations <= np.array([1e-6, 1e-3, 1e-6])))
     final = inc if feasible else _evaluate(
         gains, shape_for_decode_order(inc.beta, config), config)
-    trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(),
-                            ee=run_ee, max_violation=float(inc.violations.max())))
+    trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(), ee=run_ee))
     return Stage1Result(beta=final.beta, rho=final.rho, zeta=final.zeta,
                         omega=final.omega, gamma=final.gamma, psi=final.psi,
-                        duals=duals, iterations=iteration, converged=converged,
+                        iterations=iteration, converged=converged,
                         feasible=feasible, residual=residual, ee=final.ee,
                         trace=trace)

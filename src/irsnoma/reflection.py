@@ -192,12 +192,14 @@ def exact_rank_penalty(b_mat: np.ndarray) -> float:
     return float(np.real(np.trace(b_mat)) - eigvals[-1])
 
 
-def gaussian_randomization(b_mat: np.ndarray, count: int,
+def gaussian_randomization(eigvals: np.ndarray, eigvecs: np.ndarray, count: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus candidates from phases of CN(0, B) draws, (count, N)."""
-    eigvals, eigvecs = np.linalg.eigh(b_mat)
+    """Unit-modulus candidates from phases of CN(0, B) draws, (count, N).
+
+    Takes B as its eigendecomposition, ``np.linalg.eigh(B)``.
+    """
     root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[None, :]
-    n = b_mat.shape[0]
+    n = eigvecs.shape[0]
     z = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
     draws = z @ root.conj().T / np.sqrt(2.0)
     return np.exp(1j * np.angle(draws))
@@ -207,7 +209,6 @@ def gaussian_randomization(b_mat: np.ndarray, count: int,
 class Stage2TracePoint:
     iteration: int
     ee: float
-    exact_penalty: float
     eta: float
 
 
@@ -341,8 +342,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
             warm = solution.matrix
         pen = exact_rank_penalty(anchor)
         ee_rel = _relaxed_ee(own, den, anchor, stage1.beta, config)
-        trace.append(Stage2TracePoint(iteration=iterations, ee=ee_rel,
-                                      exact_penalty=pen, eta=eta))
+        trace.append(Stage2TracePoint(iteration=iterations, ee=ee_rel, eta=eta))
         ee_stalled = stalled or (prev_ee is not None and abs(ee_rel - prev_ee)
                                  <= 1e-4 * max(1.0, abs(prev_ee)))
         # penalty weight grows only once the surrogate ascent has stalled at
@@ -369,7 +369,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     eigvals, eigvecs = np.linalg.eigh(anchor)
     lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
     candidates = [np.exp(1j * np.angle(lead)),
-                  *gaussian_randomization(anchor, 50, rng)]
+                  *gaussian_randomization(eigvals, eigvecs, 50, rng)]
     best_ee, best_b, best_psi = -np.inf, None, None
     for cand in candidates:
         ee_c, gamma_c, psi_c = evaluate_reflection(channels, plan, beamformers,

@@ -32,6 +32,7 @@ import numpy as np
 
 _HERM_TOL = 1e-9
 _RANK_TOL = 1e-13
+_STRICT_MARGIN = 1e-12   # relative slack a strictly feasible point keeps
 DIAG_BOUND = 1.0   # diag(B) <= 1: the unit-modulus relaxation |b_n|^2 <= 1
 
 
@@ -184,13 +185,13 @@ def slacks(problem: SdpProblem, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lin, diag
 
 
-def strictly_feasible(problem: SdpProblem, b: np.ndarray, margin: float = 1e-12) -> bool:
+def strictly_feasible(problem: SdpProblem, b: np.ndarray) -> bool:
     """True when ``b`` sits strictly inside every constraint of ``problem``."""
     lin, diag, traces = _slacks_and_traces(problem, b)
     scale = 1.0 + max((abs(c) for _, c in problem.constraints), default=0.0)
-    if lin.size and lin.min() <= margin * scale:
+    if lin.size and lin.min() <= _STRICT_MARGIN * scale:
         return False
-    if diag.min() <= margin * DIAG_BOUND:
+    if diag.min() <= _STRICT_MARGIN * DIAG_BOUND:
         return False
     if traces.size and traces.min() <= 0.0:
         return False

@@ -20,14 +20,13 @@ from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
-from irsnoma.power_allocation import (PacContext, allocate_power,
-                                      closed_form_pac, sca_coefficients,
-                                      surrogate_rates)
+from irsnoma.power_allocation import allocate_power, sca_coefficients
 from irsnoma.reflection import (dc_linearize, lift_user_matrices,
                                 optimize_reflection, sinr_trace_matrices)
 
 from conftest import attainable_floor_scenario, build_scenario
-from test_power_allocation import _lagrangian, _single_cluster_context
+from test_power_allocation import (_closed_form, _lagrangian,
+                                   _single_cluster_context)
 from test_sdp import brute_force_objective, random_problem
 
 ULP = np.finfo(float).eps
@@ -87,7 +86,7 @@ def test_criterion_2_sca_bound_suite():
 
 
 def _grid_stationary_first_user(ctx, cfg):
-    beta0 = closed_form_pac(0, ctx)
+    beta0 = _closed_form(ctx, cfg)[0]
     lo, hi = beta0 * 0.2, beta0 * 5.0
     grid = np.linspace(lo, hi, 100_000)
     values = np.array([_lagrangian(np.array([b, ctx.beta[1]]), ctx, cfg)

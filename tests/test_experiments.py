@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -151,6 +152,23 @@ class TestEmitResults:
             rows = open(paths[name]).read().splitlines()
             assert rows[1] == "stage1-only,8,6,NA,NA,0,1", name
 
+    def test_random_clustering_gated_on_its_own_plan(self, tmp_path):
+        # seed 7, trials 5 and 6: only the random plan's Stage 1 is feasible
+        # on trial 5, only the main plan's on trial 6
+        cfg = small_config()
+        methods = ["random-clustering", "stage1-only"]
+        records = [run_trial(cfg, methods, seed=7, n=8, m=6, trial=t)
+                   for t in (5, 6)]
+        assert [(r.feasible, r.random_plan_feasible) for r in records] == [
+            (False, True), (True, False)]
+        paths = emit_results(records, small_spec(tmp_path, methods=methods), cfg)
+        for name, values in (("summary.csv", "ee"), ("ici.csv", "ici")):
+            rows = open(paths[name]).read().splitlines()
+            clustered = getattr(records[0], values)["random-clustering"]
+            stage1 = getattr(records[1], values)["stage1-only"]
+            assert rows[1] == f"random-clustering,8,6,{clustered:.12g},0,1,1", name
+            assert rows[2] == f"stage1-only,8,6,{stage1:.12g},0,1,1", name
+
     def test_manifest_and_plot_script_written(self, tmp_path):
         cfg = small_config()
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
@@ -182,3 +200,29 @@ class TestCli:
         assert code == 0
         assert (out / "summary.csv").exists()
         assert "trials" in capsys.readouterr().out
+
+
+def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):
+    # the methods that run no SDP, at the reference scenario on a small
+    # grid; their bytes do not depend on the BLAS thread count. At the 3 dB
+    # floor every trial is Stage-1 infeasible, so stage1-only's CSV rows are
+    # NA and convergence_stage1.csv is a header: the per-trial efficiencies
+    # carry Stage 1's values into the digest. A change that moves these
+    # bytes on purpose updates the digests.
+    spec = ExperimentSpec(n_grid=[16, 32], m_grid=[8], num_trials=3,
+                          methods=["stage1-only", "conventional", "random-pac"],
+                          out_dir=str(tmp_path), seed=4243)
+    records = run_experiment(SystemConfig(), spec)
+    paths = emit_results(records, spec, SystemConfig())
+    digests = {name: hashlib.sha256(open(paths[name], "rb").read()).hexdigest()
+               for name in ("summary.csv", "ici.csv", "convergence_stage1.csv")}
+    lines = [f"{r.n},{r.m},{r.trial},{m},{r.ee[m]!r}"
+             for r in records for m in sorted(r.ee)]
+    digests["records"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == {
+        "summary.csv": "c8869aef69d26c39b8fdac1a23e06c1c54a9c688bbedab73931da5bed418120d",
+        "ici.csv": "d8ffe997ea9cd75fefd918de54d8c4c895841d48eb320baad40e2a0f27f7b132",
+        "convergence_stage1.csv":
+            "6ee76bf27592c48094df11b66a17a6a9f47c3a2c96c2d126f98fa3e8503fbd74",
+        "records": "e3f9e5f5d561a015388fa06f4757dea1bf156f358f55f27cfe290cf67d3e68dc",
+    }

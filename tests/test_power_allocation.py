@@ -11,8 +11,7 @@ from irsnoma.channel import (LinkGains, cluster_rates_and_power,
                              energy_efficiency, sinr, stronger_tail)
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import (DualInfeasibleError, DualVariables,
-                                      PacContext, allocate_power,
-                                      closed_form_pac, constraint_slacks,
+                                      allocate_power, constraint_slacks,
                                       initial_coefficients, qos_power_repair,
                                       sca_coefficients, subgradient_update,
                                       surrogate_rates)
@@ -48,6 +47,32 @@ class TestScaBound:
             sca_coefficients(np.array([1.0, 0.0]))
 
 
+@dataclasses.dataclass
+class _Cluster:
+    """One cluster's closed-form inputs, 1-D, with frozen duals."""
+
+    beam_gain: np.ndarray    # (K,) weakest-first
+    psi: np.ndarray          # (K,)
+    beta: np.ndarray         # (K,) working coefficients
+    zeta: np.ndarray         # (K,)
+    rho: float
+    power_dual: float
+    qos_dual: np.ndarray     # (K,)
+    sic_dual: np.ndarray     # (K-1,)
+
+
+def _closed_form(ctx, cfg, beta=None):
+    """Every coefficient after one sweep of the cluster from ``beta``."""
+    beta = ctx.beta if beta is None else beta
+    gains = LinkGains(own_beam=ctx.beam_gain[None, :], cross_beam=None,
+                      channel_power=ctx.beam_gain[None, :])
+    duals = DualVariables(power=np.array([ctx.power_dual]),
+                          qos=ctx.qos_dual[None, :], sic=ctx.sic_dual[None, :])
+    return power_allocation._sweep(gains, beta[None, :], ctx.psi[None, :],
+                                   ctx.zeta[None, :], np.array([ctx.rho]),
+                                   duals, cfg)[0]
+
+
 def _single_cluster_context(seed, duals=None):
     """I = 1, K = 2 context with frozen duals for the closed-form oracle."""
     rng = np.random.default_rng(seed)
@@ -66,28 +91,25 @@ def _single_cluster_context(seed, duals=None):
     zeta, omega = sca_coefficients(gamma)
     rho = float(surrogate_rates(gamma, zeta, omega, cfg.bandwidth_hz)[0]
                 / (cfg.cluster_power_w * beta.sum() + cfg.circuit_power_w))
-    ctx = PacContext(beam_gain=g, psi=psi[0], beta=beta.copy(), zeta=zeta[0],
-                     rho=rho, power_dual=alpha, qos_dual=phi, sic_dual=ups,
-                     min_sinr=cfg.min_sinr, cluster_power=cfg.cluster_power_w,
-                     noise_power=cfg.noise_power_w,
-                     bandwidth=cfg.bandwidth_hz)
+    ctx = _Cluster(beam_gain=g, psi=psi[0], beta=beta.copy(), zeta=zeta[0],
+                   rho=rho, power_dual=alpha, qos_dual=phi, sic_dual=ups)
     return cfg, ctx, gains
 
 
 def _lagrangian(beta, ctx, cfg):
     """Independent evaluation of the dual function being made stationary."""
-    p = ctx.cluster_power
+    p = cfg.cluster_power_w
     g = ctx.beam_gain
-    noise = ctx.noise_power
+    noise = cfg.noise_power_w
     d0 = p * g[0] * beta[1] + ctx.psi[0] + noise
     gamma = np.array([p * beta[0] * g[0] / d0,
                       p * beta[1] * g[1] / (ctx.psi[1] + noise)])
-    rate = ctx.bandwidth * np.sum(ctx.zeta * np.log2(gamma))
+    rate = cfg.bandwidth_hz * np.sum(ctx.zeta * np.log2(gamma))
     power_term = ctx.rho * (p * beta.sum() + cfg.circuit_power_w)
     budget = ctx.power_dual * (cfg.max_power_w - p * beta.sum())
-    qos = (ctx.qos_dual[0] * (p * beta[0] * g[0] - ctx.min_sinr * d0)
+    qos = (ctx.qos_dual[0] * (p * beta[0] * g[0] - cfg.min_sinr * d0)
            + ctx.qos_dual[1] * (p * beta[1] * g[1]
-                                - ctx.min_sinr * (ctx.psi[1] + noise)))
+                                - cfg.min_sinr * (ctx.psi[1] + noise)))
     sic = ctx.sic_dual[0] * (p * beta[0] * g[1] - p * beta[1] * g[1]
                              - cfg.sic_power_gap_w)
     return rate - power_term + budget + qos + sic
@@ -96,11 +118,12 @@ def _lagrangian(beta, ctx, cfg):
 class TestClosedForm:
     def test_first_user_matches_direct_expression(self):
         cfg, ctx, _ = _single_cluster_context(0)
-        expected = (ctx.bandwidth * ctx.zeta[0] / (LN2 * (
-            (ctx.rho + ctx.power_dual) * ctx.cluster_power
-            - ctx.qos_dual[0] * ctx.cluster_power * ctx.beam_gain[0]
-            - ctx.sic_dual[0] * ctx.cluster_power * ctx.beam_gain[1])))
-        assert closed_form_pac(0, ctx) == pytest.approx(expected, rel=1e-12)
+        p = cfg.cluster_power_w
+        expected = (cfg.bandwidth_hz * ctx.zeta[0] / (LN2 * (
+            (ctx.rho + ctx.power_dual) * p
+            - ctx.qos_dual[0] * p * ctx.beam_gain[0]
+            - ctx.sic_dual[0] * p * ctx.beam_gain[1])))
+        assert _closed_form(ctx, cfg)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_duals_flagged(self):
         cfg, ctx, _ = _single_cluster_context(1)
@@ -108,13 +131,13 @@ class TestClosedForm:
         ctx.qos_dual = np.zeros(2)
         ctx.sic_dual = np.zeros(1)
         with pytest.raises(DualInfeasibleError):
-            closed_form_pac(0, ctx)
+            _closed_form(ctx, cfg)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_grid_search_stationary_point(self, seed):
         cfg, ctx, _ = _single_cluster_context(seed)
         # user 0: the formula is explicit; grid the independent dual function
-        beta0 = closed_form_pac(0, ctx)
+        beta0 = _closed_form(ctx, cfg)[0]
         lo, hi = beta0 * 0.2, beta0 * 5.0
         grid = np.linspace(lo, hi, 100_000)
         values = np.array([_lagrangian(np.array([b, ctx.beta[1]]), ctx, cfg)
@@ -132,12 +155,12 @@ class TestClosedForm:
     def test_second_user_fixed_point_is_stationary(self):
         cfg, ctx, _ = _single_cluster_context(7)
         # solve the implicit relation by fixed point, then check the dual
-        # function's derivative vanishes there (central difference)
-        beta0 = closed_form_pac(0, ctx)
-        ctx.beta[0] = beta0
+        # function's derivative vanishes there (central difference); user 0's
+        # closed form reads no coefficient, so the sweeps iterate user 1 alone
+        beta = ctx.beta
         for _ in range(60):
-            ctx.beta[1] = closed_form_pac(1, ctx)
-        beta1 = ctx.beta[1]
+            beta = _closed_form(ctx, cfg, beta)
+        beta0, beta1 = beta
         h = beta1 * 1e-6
         up = _lagrangian(np.array([beta0, beta1 + h]), ctx, cfg)
         down = _lagrangian(np.array([beta0, beta1 - h]), ctx, cfg)
@@ -147,19 +170,27 @@ class TestClosedForm:
 
 
 def _scalar_sweep(g, psi, beta, zeta, rho, duals, cfg):
-    """Reference sweep: one 1-D context per cluster, users weakest-first."""
+    """Reference sweep: the closed form written out one scalar at a time.
+
+    Cluster by cluster, users weakest-first, every weaker-user term rebuilt
+    for each user, each product in the order the batched sweep takes it.
+    """
+    p, bw, noise = cfg.cluster_power_w, cfg.bandwidth_hz, cfg.noise_power_w
     out = beta.copy()
-    for i in range(beta.shape[0]):
-        ctx = PacContext(
-            beam_gain=g[i], psi=psi[i], beta=out[i], zeta=zeta[i],
-            rho=float(rho[i]), power_dual=float(duals.power[i]),
-            qos_dual=duals.qos[i], sic_dual=duals.sic[i],
-            min_sinr=cfg.min_sinr, cluster_power=cfg.cluster_power_w,
-            noise_power=cfg.noise_power_w, bandwidth=cfg.bandwidth_hz)
-        for k in range(beta.shape[1]):
-            value = closed_form_pac(k, ctx)
-            assert isinstance(value, float)
-            out[i, k] = value
+    clusters, users = beta.shape
+    for i in range(clusters):
+        for k in range(users):
+            sic_term = duals.sic[i, k] * p * g[i, k + 1] if k < users - 1 else 0.0
+            denom = LN2 * ((rho[i] + duals.power[i]) * p
+                           - duals.qos[i, k] * p * g[i, k] - sic_term)
+            for z in range(k):
+                d_z = p * g[i, z] * sum(out[i, z + 1:]) + psi[i, z] + noise
+                denom += bw * zeta[i, z] * p * g[i, z] / d_z
+                denom += LN2 * (duals.qos[i, z] * cfg.min_sinr * p * g[i, z]
+                                + duals.sic[i, z] * p * g[i, z + 1])
+            if denom <= 0.0:
+                raise DualInfeasibleError(f"cluster {i}, user {k}")
+            out[i, k] = bw * zeta[i, k] / denom
     return np.clip(out, 0.0, cfg.max_power_w / cfg.cluster_power_w)
 
 
@@ -171,8 +202,11 @@ class TestBatchedSweep:
     def test_matches_per_cluster_loop(self, clusters, users, seed, dual_scale):
         rng = np.random.default_rng(seed)
         shape = (clusters, users)
+        # non-unit power and bandwidth, which would hide a reordered product
         cfg = dataclasses.replace(SystemConfig(),
-                                  min_sinr=10 ** rng.uniform(-2, 0.5))
+                                  min_sinr=10 ** rng.uniform(-2, 0.5),
+                                  cluster_power_w=10 ** rng.uniform(-1, 1),
+                                  bandwidth_hz=10 ** rng.uniform(0, 7))
         p = cfg.cluster_power_w
         g = np.sort(10 ** rng.uniform(-11, -7, shape), axis=1)
         psi = 10 ** rng.uniform(-15, -9, shape)

@@ -185,7 +185,7 @@ class TestGaussianRandomization:
     def test_shape_and_modulus(self):
         rng = np.random.default_rng(0)
         b_mat = _random_psd(rng, 7)
-        draws = gaussian_randomization(b_mat, 25, rng)
+        draws = gaussian_randomization(*np.linalg.eigh(b_mat), 25, rng)
         assert draws.shape == (25, 7)
         assert np.abs(np.abs(draws) - 1.0).max() <= ULP
 
