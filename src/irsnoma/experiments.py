@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -188,6 +187,8 @@ def run_experiment(config: SystemConfig, spec: ExperimentSpec) -> list[TrialReco
              for n in spec.n_grid for m in spec.m_grid
              for t in range(spec.num_trials)]
     if spec.workers > 1:
+        # imported here: a serial run need not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=1))
     else:

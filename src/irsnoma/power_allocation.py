@@ -19,10 +19,14 @@ The dual iterate is free to cross the SINR-floor boundary (that is what
 makes the multipliers move); a separate incumbent keeps the best iterate
 seen so far, preferring floor-respecting ones, and the reported trace is
 the incumbent's running-best efficiency, which is nondecreasing by
-construction. When no coefficient vector can satisfy the floor at the
-current reflection (interference-limited draws), the returned split is
-re-shaped to keep the decode-order power ratios sane so that the
-reflection stage can restore the floor geometrically.
+construction. The loop stops once the incumbent has gone three iterations
+without improving and either breaks the floor (the multipliers then
+diverge, and the incumbent is the only output left to change) or respects
+it while the dual iterate meets the caps with a small parametric residual;
+a longer stall ends it in any case. When no coefficient vector can
+satisfy the floor at the current reflection (interference-limited draws),
+the returned split is re-shaped to keep the decode-order power ratios sane
+so that the reflection stage can restore the floor geometrically.
 """
 
 from __future__ import annotations
@@ -305,17 +309,18 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     incumbent absorb the new point when it improves (floor-respecting
     points always beat violating ones).
 
-    The loop stops with ``converged=True`` in two cases: the parametric
-    residual of the dual iterate falls below ``tolerance`` after three
-    iterations without improvement, or the incumbent stalls for
-    ``stall_limit`` iterations. Once a floor-respecting incumbent exists,
-    the residual test also requires the dual iterate itself to meet the
-    acceptance caps, since a small residual alone only says the dual step
-    was small. While no floor-respecting point exists (an unattainable
-    floor, where the multipliers legitimately diverge) the residual test
-    alone decides. ``converged`` is False when ``max_iterations`` is
-    reached or every step retry raised ``DualInfeasibleError``;
-    ``residual`` is ``inf`` when no sweep was taken.
+    The loop stops with ``converged=True`` after three iterations without
+    improvement when the incumbent breaks the floor, or when it respects
+    the floor and the dual iterate both meets the acceptance caps and has
+    a parametric residual below ``tolerance`` (a small residual alone only
+    says the dual step was small). It also stops once the incumbent stalls
+    for ``stall_limit`` iterations. While no floor-respecting point exists
+    (an unattainable floor) the multipliers diverge and the residual
+    certifies nothing, so it is not waited for. ``residual`` is the
+    one-sweep Lagrangian change of the last iteration, whichever rule
+    stopped the loop, and ``inf`` when no sweep was taken. ``converged``
+    is False when ``max_iterations`` is reached or every step retry
+    raised ``DualInfeasibleError``.
     """
     num_clusters, users = gains.own_beam.shape
     warm = initial_coefficients(gains, config)
@@ -384,8 +389,8 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
             point.powers, prev.rho, duals, point.slacks)
         scale = max(float((prev.rho * full_power).sum()), 1e-300)
         residual = abs(lag_new - lag_old) / scale
-        if (residual <= tolerance and iteration - last_improvement >= 3
-                and (point.feasible or not inc.feasible)):
+        if iteration - last_improvement >= 3 and (
+                not inc.feasible or (residual <= tolerance and point.feasible)):
             converged = True
             break
         if iteration - last_improvement >= stall_limit:

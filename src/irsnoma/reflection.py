@@ -380,10 +380,12 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     fallback = best_b is None or best_ee < ee0
     if fallback:
         best_ee, best_b, best_psi = ee0, b0, psi0
+    # exact_rank_penalty(anchor), from the extraction's decomposition
+    penalty = float(np.real(np.trace(anchor)) - eigvals[-1])
     return ReflectionResult(reflection=best_b, lifted=anchor, ee=best_ee,
                             ee_initial=ee0, psi=best_psi, fallback=fallback,
                             converged=converged, iterations=iterations,
-                            exact_penalty=exact_rank_penalty(anchor), trace=trace)
+                            exact_penalty=penalty, trace=trace)
 
 
 def _feasible_start(problem: sdp.SdpProblem, anchor: np.ndarray,

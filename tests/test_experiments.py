@@ -9,7 +9,7 @@ import pytest
 from irsnoma.channel import sinr
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.experiments import (ExperimentSpec, TrialRecord,
+from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord,
                                  conventional_bf_ee, emit_results,
                                  random_power_coefficients, run_experiment,
                                  run_trial)
@@ -114,6 +114,25 @@ class TestRunTrial:
         cfg = small_config()
         record = run_trial(cfg, ["conventional"], seed=5, n=4, m=6, trial=0)
         assert record.n == 4
+
+
+class TestRunExperiment:
+    def test_worker_count_does_not_change_records(self, tmp_path):
+        # the process-pool path gives the serial path's records, in order;
+        # only the measured wall times may differ
+        cfg = small_config()
+        spec = ExperimentSpec(n_grid=[4, 8], m_grid=[6], num_trials=2,
+                              methods=list(METHODS),
+                              out_dir=str(tmp_path), seed=7)
+
+        def untimed(records):
+            return [dataclasses.replace(r, wall_stage1_s=0.0, wall_stage2_s=0.0)
+                    for r in records]
+
+        serial = run_experiment(cfg, spec)
+        pooled = run_experiment(cfg, dataclasses.replace(spec, workers=2))
+        assert len(serial) == 4
+        assert untimed(pooled) == untimed(serial)
 
 
 class TestEmitResults:

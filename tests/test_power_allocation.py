@@ -393,6 +393,42 @@ class TestAllocatePower:
             assert np.all(ratios >= cfg.min_sinr)
 
 
+def _last_gain(result):
+    """Iteration whose point last raised the running best (0: none did)."""
+    ees = [tp.ee for tp in result.trace]
+    # the entry of iteration j holds the best after iteration j - 1
+    return max((tp.iteration - 1 for tp, before in zip(result.trace[1:], ees)
+                if tp.ee > before), default=0)
+
+
+class TestStopRule:
+    def test_unattainable_floor_converges_in_a_few_iterations(self):
+        # ZF draws at the reference floor have no floor-respecting split;
+        # the loop stops once the incumbent stops improving
+        for seed in range(10):
+            cfg, *_, gains = build_scenario(seed)
+            result = allocate_power(gains, cfg, max_iterations=12)
+            assert result.feasible is False
+            assert result.converged is True
+
+    def test_unattainable_floor_stops_three_after_last_gain(self):
+        for seed in range(10):
+            cfg, *_, gains = build_scenario(seed)
+            result = allocate_power(gains, cfg)
+            assert not result.feasible
+            assert result.iterations == _last_gain(result) + 3
+
+    def test_attainable_floor_runs_to_stall_limit(self):
+        # floor-respecting incumbents keep the residual test, which these
+        # ZF draws never pass, so the stall limit ends the loop
+        for seed in range(3):
+            cfg, *_, gains = attainable_floor_scenario(seed, random_beams=False)
+            for stall_limit in (10, 25):
+                result = allocate_power(gains, cfg, stall_limit=stall_limit)
+                assert result.feasible and result.converged
+                assert result.iterations == _last_gain(result) + stall_limit
+
+
 # (kind, N) at the reference floor, (kind, random_beams) at an attainable one
 _SOURCES = (("reference", 8), ("reference", 16),
             ("attainable", False), ("attainable", True))
