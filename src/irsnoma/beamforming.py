@@ -3,7 +3,9 @@
 Beam i is the projection of the strongest user's channel onto the null
 space of the other clusters' strongest-user channels, normalized to unit
 norm. That nulls the inter-cluster leakage at the user whose channel shaped
-the beam; weaker users in a cluster keep residual leakage.
+the beam; weaker users in a cluster keep residual leakage. Every cluster's
+null space comes from one batched SVD over the stacked "other clusters"
+blocks, and every projection from one batched product.
 """
 
 from __future__ import annotations
@@ -30,28 +32,31 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
     """Build one unit-norm ZF beam per cluster.
 
     ``strong_channels`` stacks the strongest-user effective rows u_{i,K}
-    as (I, M). For each i the rows of the other clusters form the matrix
-    whose null space (found by SVD with threshold max(M, I) * eps * s_max)
-    hosts beam i.
+    as (I, M). Block i stacks the rows of the other clusters, in ascending
+    order, as (I-1, M); its null space (found by SVD with threshold
+    max(M, I) * eps * s_max) hosts beam i. One SVD runs over all I blocks.
+    Each null-space basis is sliced at the lowest rank among the blocks,
+    and a block of higher rank (a degenerate stack) zeroes the extra
+    columns, so every beam is one batched projection. Each beam is then
+    divided by its own ``np.linalg.norm``.
     """
     num_clusters, m = strong_channels.shape
     if m <= num_clusters - 1:
         raise NullSpaceError(0, f"need M > I - 1, got M={m}, I={num_clusters}")
-    vectors = np.zeros((num_clusters, m), dtype=complex)
-    for i in range(num_clusters):
-        others = np.delete(strong_channels, i, axis=0)   # (I-1, M), rows u_{j,K}
-        if others.size:
-            _, svals, vh = np.linalg.svd(others, full_matrices=True)
-            tol = max(m, num_clusters) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-            rank = int(np.sum(svals > tol))
-            basis = vh[rank:].conj().T                   # (M, M - rank)
-        else:
-            basis = np.eye(m, dtype=complex)
-        if basis.shape[1] == 0:
-            raise NullSpaceError(i, "empty null space (rank-deficient channel stack)")
-        beam = basis @ (basis.conj().T @ strong_channels[i].conj())
-        norm = np.linalg.norm(beam)
-        if norm < 1e-30:
-            raise NullSpaceError(i, "strongest-user channel lies in the span of the others")
-        vectors[i] = beam / norm
-    return BeamformerSet(vectors=vectors)
+    # rank <= I - 1 < M, so every null space is nonempty from here on
+    others = np.nonzero(~np.eye(num_clusters, dtype=bool))[1].reshape(num_clusters, -1)
+    _, svals, vh = np.linalg.svd(strong_channels[others], full_matrices=True)
+    tol = max(m, num_clusters) * np.finfo(float).eps * svals[:, :1]
+    rank = np.sum(svals > tol, axis=1)
+    low = int(rank.min())
+    keep = np.arange(low, m) >= rank[:, None]          # (I, M - low)
+    basis = np.where(keep[:, None, :], vh[:, low:].conj().transpose(0, 2, 1), 0.0)
+    beams = (basis @ (basis.conj().transpose(0, 2, 1)
+                      @ strong_channels.conj()[:, :, None]))[:, :, 0]
+    # one norm per beam: a batched norm(axis=1) rounds some beams differently
+    norms = np.array([np.linalg.norm(beam) for beam in beams])
+    tiny = np.flatnonzero(norms < 1e-30)
+    if tiny.size:
+        raise NullSpaceError(int(tiny[0]),
+                             "strongest-user channel lies in the span of the others")
+    return BeamformerSet(vectors=beams / norms[:, None])

@@ -5,7 +5,9 @@ both) while having clearly separated channel gains (so superposition-coded
 decoding works). Pairs are picked greedily by the largest gain difference
 among pairs whose correlation clears a threshold; when the gate starves,
 the threshold is relaxed in 0.05 steps and the final resort is random
-pairing, so a plan is always produced.
+pairing, so a plan is always produced. The gated matrix is built once per
+plan on the whole pool, and a taken user's row and column are zeroed; pool
+indices ascend, so ties break as on a matrix of the available users alone.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ def build_difference_matrix(effective: np.ndarray, threshold: float) -> np.ndarr
     if v < 2:
         raise ValueError("need at least two users")
     power = np.sum(np.abs(effective) ** 2, axis=1)
-    corr = correlation_matrix(effective)
+    return _gated_differences(power, correlation_matrix(effective), threshold)
+
+
+def _gated_differences(power: np.ndarray, corr: np.ndarray,
+                       threshold: float) -> np.ndarray:
     diff = power[:, None] - power[None, :]
     gated = np.where(corr > threshold, diff, 0.0)
     return np.triu(gated, k=1)
@@ -87,22 +93,24 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
         # degenerate: no pairing, serve the strongest users one per beam
         order = np.argsort(-power, kind="stable")[:num_clusters]
         members[:, 0] = np.sort(order)
-        leftover = np.setdiff1d(np.arange(v), members[:, 0])
-        return ClusterPlan(members=members, leftover=leftover)
+        available[order] = False
+        return ClusterPlan(members=members, leftover=np.flatnonzero(available))
 
+    gated = _gated_differences(power, corr, threshold)
     for i in range(num_clusters):
-        pool = np.flatnonzero(available)
-        gate = threshold
-        pair = None
+        gated[~available] = 0.0
+        gated[:, ~available] = 0.0
+        diff, gate, pair = gated, threshold, None
         while pair is None:
-            diff = build_difference_matrix(effective[pool], gate)
             x, y, mag = _argmax_pair(diff)
             if mag > 0.0:
-                pair = (pool[x], pool[y])
+                pair = (x, y)
             elif gate > 0.0:
                 gate = max(gate - 0.05, 0.0)
+                diff = np.where(np.outer(available, available),
+                                _gated_differences(power, corr, gate), 0.0)
             else:
-                pick = rng.choice(pool, size=2, replace=False)
+                pick = rng.choice(np.flatnonzero(available), size=2, replace=False)
                 pair = (int(pick[0]), int(pick[1]))
         cluster = [pair[0], pair[1]]
         available[list(cluster)] = False
@@ -137,5 +145,6 @@ def random_plan(effective: np.ndarray, num_clusters: int, users_per_cluster: int
     power = np.sum(np.abs(effective) ** 2, axis=1)
     members = picked.reshape(num_clusters, users_per_cluster)
     members = np.take_along_axis(members, np.argsort(power[members], axis=1), axis=1)
-    leftover = np.setdiff1d(np.arange(v), picked)
-    return ClusterPlan(members=members, leftover=leftover)
+    available = np.ones(v, dtype=bool)
+    available[picked] = False
+    return ClusterPlan(members=members, leftover=np.flatnonzero(available))

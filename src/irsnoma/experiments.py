@@ -109,16 +109,22 @@ def random_power_coefficients(config: SystemConfig,
     return draws / draws.sum(axis=1, keepdims=True) * budget
 
 
+def _stream(key: list[int], index: int) -> np.random.Generator:
+    """The generator of ``SeedSequence(key).spawn(5)[index]``, built alone."""
+    return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(index,)))
+
+
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
-    """One paired-comparison trial at scenario (n, m)."""
+    """One paired-comparison trial at scenario (n, m).
+
+    Only the random streams that the requested methods read are built.
+    """
     cfg = replace(config, num_irs_elements=n, num_bs_antennas=m)
-    streams = np.random.SeedSequence([seed, n, m, trial]).spawn(5)
-    rng_channel = np.random.default_rng(streams[0])
-    rng_cluster = np.random.default_rng(streams[1])
-    rng_randclust = np.random.default_rng(streams[2])
-    rng_randpac = np.random.default_rng(streams[3])
-    rng_stage2 = np.random.default_rng(streams[4])
+    key = [seed, n, m, trial]
+    rng_channel, rng_cluster = _stream(key, 0), _stream(key, 1)
+    if "proposed" in methods or "random-clustering" in methods:
+        rng_stage2 = _stream(key, 4)   # proposed draws first, then random-clustering
 
     geometry = draw_user_geometry(cfg, rng_channel)
     channels = synthesize_channels(cfg, geometry, rng_channel)
@@ -158,7 +164,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
 
     if "random-clustering" in methods:
         plan_r = random_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
-                             rng_randclust)
+                             _stream(key, 2))
         beams_r = build_zf_beamformers(effective[plan_r.members[:, -1]])
         gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
         stage1_r = allocate_power(gains_r, cfg)
@@ -169,7 +175,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
 
     if "random-pac" in methods:
-        beta_r = random_power_coefficients(cfg, rng_randpac)
+        beta_r = random_power_coefficients(cfg, _stream(key, 3))
         gamma_r, psi_rp = sinr(gains, beta_r, cfg)
         record.ee["random-pac"] = energy_efficiency(gamma_r, beta_r, cfg)
         record.ici["random-pac"] = _far_user_ici(psi_rp)

@@ -145,9 +145,10 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     coefficients above z as updated so far in this sweep. So users go in
     ascending k, the coefficient-free terms are built once per sweep, and
     only d_z is rebuilt per (k, z). Raises DualInfeasibleError when a
-    denominator is nonpositive (duals inconsistent with rho): the caller
-    should shrink its dual steps and retry. The result is clipped to
-    [0, P_max / P].
+    denominator or a coefficient is not strictly positive (duals
+    inconsistent with rho, or a multiplier so large that the coefficient
+    vanishes): the caller should shrink its dual steps and retry. The
+    result is capped at P_max / P.
     """
     p, bw = config.cluster_power_w, config.bandwidth_hz
     g = gains.own_beam
@@ -167,7 +168,9 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
         if (denom <= 0.0).any():
             raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
         out[:, k] = bw * zeta[:, k] / denom
-    return out.clip(0.0, config.max_power_w / config.cluster_power_w)
+        if not (out[:, k] > 0.0).all():
+            raise DualInfeasibleError(f"coefficient of user {k} is not positive")
+    return np.minimum(out, config.max_power_w / config.cluster_power_w)
 
 
 @dataclass
@@ -259,6 +262,18 @@ def _lagrangian(rbar: np.ndarray, powers: np.ndarray, rho: np.ndarray,
                  + (duals.sic * slacks.sic).sum())
 
 
+def _residual(prev: _Point, point: _Point, duals: DualVariables,
+              config: SystemConfig) -> float:
+    """Relative change of the Lagrangian at ``duals`` over one sweep."""
+    lag_old = _lagrangian(prev.rbar, prev.powers, prev.rho, duals, prev.slacks)
+    lag_new = _lagrangian(
+        _surrogate(point.log_gamma, prev.zeta, prev.omega, config.bandwidth_hz),
+        point.powers, prev.rho, duals, point.slacks)
+    full_power = config.cluster_power_w + config.circuit_power_w
+    scale = max(float((prev.rho * full_power).sum()), 1e-300)
+    return abs(lag_new - lag_old) / scale
+
+
 def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Restore decode-order power ratios at constant per-cluster power.
 
@@ -316,8 +331,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     says the dual step was small). It also stops once the incumbent stalls
     for ``stall_limit`` iterations. While no floor-respecting point exists
     (an unattainable floor) the multipliers diverge and the residual
-    certifies nothing, so it is not waited for. ``residual`` is the
-    one-sweep Lagrangian change of the last iteration, whichever rule
+    certifies nothing, so it is not waited for. The residual is computed
+    only where that test reads it, and once after the loop: ``residual``
+    is the one-sweep Lagrangian change of the last sweep, whichever rule
     stopped the loop, and ``inf`` when no sweep was taken. ``converged``
     is False when ``max_iterations`` is reached or every step retry
     raised ``DualInfeasibleError``.
@@ -332,7 +348,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
 
     duals = DualVariables.zeros(num_clusters, users)
     c = 1e-2
-    residual = np.inf
+    prev = None                              # the point before the last sweep
     converged = False
     trace: list[TracePoint] = []
     last_improvement = 0
@@ -340,7 +356,6 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     g_sic = p * gains.own_beam[:, 1:]
     sic_floor = 1e-2 * (g_sic + config.sic_power_gap_w)
     qos_base = p * gains.own_beam * config.min_sinr
-    full_power = config.cluster_power_w + config.circuit_power_w
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
@@ -368,9 +383,6 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         else:
             break
         duals, c = duals_try, c_try
-        # previous point's Lagrangian, from the values computed there
-        lag_old = _lagrangian(point.rbar, point.powers, point.rho, duals,
-                              point.slacks)
         prev, point = point, _evaluate(gains, beta_try, config)
 
         # floor-respecting points beat violating ones, then efficiency decides
@@ -380,23 +392,16 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
             run_rho = np.maximum(run_rho, point.rho)
             run_ee = max(run_ee, point.ee)
 
-        # parametric residual: how much the closed-form sweep changed the
-        # Lagrangian at the current multipliers. It vanishes at a stationary
-        # split, but also whenever the dual step is small, so on its own it
-        # does not certify a primal-feasible stop
-        lag_new = _lagrangian(
-            _surrogate(point.log_gamma, prev.zeta, prev.omega, config.bandwidth_hz),
-            point.powers, prev.rho, duals, point.slacks)
-        scale = max(float((prev.rho * full_power).sum()), 1e-300)
-        residual = abs(lag_new - lag_old) / scale
-        if iteration - last_improvement >= 3 and (
-                not inc.feasible or (residual <= tolerance and point.feasible)):
+        if iteration - last_improvement >= 3 and (not inc.feasible or (
+                point.feasible
+                and _residual(prev, point, duals, config) <= tolerance)):
             converged = True
             break
         if iteration - last_improvement >= stall_limit:
             converged = True
             break
 
+    residual = np.inf if prev is None else _residual(prev, point, duals, config)
     feasible = bool(np.all(inc.violations <= np.array([1e-6, 1e-3, 1e-6])))
     final = inc if feasible else _evaluate(
         gains, shape_for_decode_order(inc.beta, config), config)

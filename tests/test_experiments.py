@@ -9,7 +9,7 @@ import pytest
 from irsnoma.channel import sinr
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord,
+from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _stream,
                                  conventional_bf_ee, emit_results,
                                  random_power_coefficients, run_experiment,
                                  run_trial)
@@ -114,6 +114,14 @@ class TestRunTrial:
         cfg = small_config()
         record = run_trial(cfg, ["conventional"], seed=5, n=4, m=6, trial=0)
         assert record.n == 4
+
+    def test_streams_are_the_spawned_children(self):
+        # a stream built alone draws what SeedSequence.spawn's child draws
+        for key in ([4243, 16, 8, 0], [1, 64, 8, 7]):
+            children = np.random.SeedSequence(key).spawn(5)
+            for i, child in enumerate(children):
+                assert (_stream(key, i).bit_generator.state
+                        == np.random.default_rng(child).bit_generator.state)
 
 
 class TestRunExperiment:
