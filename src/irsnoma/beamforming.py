@@ -38,7 +38,8 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
     Each null-space basis is sliced at the lowest rank among the blocks,
     and a block of higher rank (a degenerate stack) zeroes the extra
     columns, so every beam is one batched projection. Each beam is then
-    divided by its own ``np.linalg.norm``.
+    divided by its own ``np.linalg.norm``; a norm of at most 1e-10 ||u_{i,K}||
+    is rounding noise (u_{i,K} lies in the span of the others), and raises.
     """
     num_clusters, m = strong_channels.shape
     if m <= num_clusters - 1:
@@ -55,7 +56,7 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
                       @ strong_channels.conj()[:, :, None]))[:, :, 0]
     # one norm per beam: a batched norm(axis=1) rounds some beams differently
     norms = np.array([np.linalg.norm(beam) for beam in beams])
-    tiny = np.flatnonzero(norms < 1e-30)
+    tiny = np.flatnonzero(norms <= 1e-10 * np.linalg.norm(strong_channels, axis=1))
     if tiny.size:
         raise NullSpaceError(int(tiny[0]),
                              "strongest-user channel lies in the span of the others")

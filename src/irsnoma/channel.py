@@ -179,6 +179,7 @@ class SinrParts(NamedTuple):
     tail: np.ndarray       # (I, K) stronger_tail(beta)
     den: np.ndarray        # (I, K) SINR denominator P tail g + psi + sigma^2
     radiated: np.ndarray   # (I,) radiated power per beam P_i * sum(beta), W
+    num: np.ndarray        # (I, K) SINR numerator P beta g
 
 
 def sinr_parts(gains: LinkGains, beta: np.ndarray,
@@ -194,7 +195,8 @@ def sinr_parts(gains: LinkGains, beta: np.ndarray,
            - gains.own_beam * radiated[:, None])
     tail = stronger_tail(beta)
     den = p * tail * gains.own_beam + psi + config.noise_power_w
-    return SinrParts(p * beta * gains.own_beam / den, psi, tail, den, radiated)
+    num = p * beta * gains.own_beam
+    return SinrParts(num / den, psi, tail, den, radiated, num)
 
 
 def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -110,7 +110,8 @@ def random_power_coefficients(config: SystemConfig,
 
 
 def _stream(key: list[int], index: int) -> np.random.Generator:
-    """The generator of ``SeedSequence(key).spawn(5)[index]``, built alone."""
+    """The generator of ``SeedSequence(key).spawn(n)[index]`` (any n > index),
+    built alone; each reader of a trial's randomness owns one index."""
     return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(index,)))
 
 
@@ -123,8 +124,6 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     cfg = replace(config, num_irs_elements=n, num_bs_antennas=m)
     key = [seed, n, m, trial]
     rng_channel, rng_cluster = _stream(key, 0), _stream(key, 1)
-    if "proposed" in methods or "random-clustering" in methods:
-        rng_stage2 = _stream(key, 4)   # proposed draws first, then random-clustering
 
     geometry = draw_user_geometry(cfg, rng_channel)
     channels = synthesize_channels(cfg, geometry, rng_channel)
@@ -149,6 +148,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["stage1-only"] = _far_user_ici(stage1.psi)
 
     if "proposed" in methods:
+        rng_stage2 = _stream(key, 4)
         t0 = time.perf_counter()
         stage2 = optimize_reflection(channels, plan, beams, stage1, cfg, rng_stage2)
         record.wall_stage2_s = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         stage1_r = allocate_power(gains_r, cfg)
         record.random_plan_feasible = stage1_r.feasible
         stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg,
-                                       rng_stage2)
+                                       _stream(key, 5))
         record.ee["random-clustering"] = stage2_r.ee
         record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
 

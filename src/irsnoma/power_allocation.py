@@ -13,7 +13,8 @@ coefficients just updated above them. The terms that depend on no
 coefficient are built once per sweep and shared by every user.
 Dual variables for the power budget, SINR floor, and decode-power-gap
 constraints follow projected subgradient steps. Each split the loop visits
-is evaluated once; the dual step, the sweep and the stop test read that.
+is evaluated once, in one pass; the dual step, the sweep and the stop test
+read that.
 
 The dual iterate is free to cross the SINR-floor boundary (that is what
 makes the multipliers move); a separate incumbent keeps the best iterate
@@ -31,6 +32,7 @@ so that the reflection stage can restore the floor geometrically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +44,7 @@ LN2 = float(np.log(2.0))
 
 # acceptance caps per constraint family (power, SINR floor, decode gap),
 # tighter than the reporting tolerances (1e-6, 1e-3, 1e-6)
-_CAPS = np.array([5e-7, 5e-4, 5e-7])
+_CAPS = (5e-7, 5e-4, 5e-7)
 
 
 class DualInfeasibleError(RuntimeError):
@@ -57,13 +59,14 @@ def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zeta*log2(gamma) + omega <= log2(1+gamma) for every gamma > 0,
     with equality at gamma = gamma0.
     """
-    return _bound_terms(np.asarray(gamma0, dtype=float))[:2]
+    gamma0 = np.asarray(gamma0, dtype=float)
+    if (gamma0 <= 0.0).any():
+        raise ValueError("expansion point must be strictly positive")
+    return _bound_terms(gamma0)[:2]
 
 
 def _bound_terms(gamma0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(zeta, omega, log2(gamma0), log2(1 + gamma0)) for ``sca_coefficients``."""
-    if (gamma0 <= 0.0).any():
-        raise ValueError("expansion point must be strictly positive")
+    """(zeta, omega, log2(gamma0), log2(1 + gamma0)) at a positive ``gamma0``."""
     one_plus = 1.0 + gamma0
     log_gamma, log_rate = np.log2(gamma0), np.log2(one_plus)
     zeta = gamma0 / one_plus
@@ -118,7 +121,7 @@ def _slacks(gains: LinkGains, beta: np.ndarray, parts: SinrParts,
     """Slacks at ``beta`` from its ``sinr_parts``."""
     p = config.cluster_power_w
     g = gains.own_beam
-    qos = p * beta * g - config.min_sinr * parts.den
+    qos = parts.num - config.min_sinr * parts.den
     sic = p * g[:, 1:] * (beta[:, :-1] - parts.tail[:, :-1]) - config.sic_power_gap_w
     return Slacks(power=config.max_power_w - parts.radiated, qos=qos, sic=sic)
 
@@ -153,7 +156,7 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     p, bw = config.cluster_power_w, config.bandwidth_hz
     g = gains.own_beam
     pg = p * g
-    sic_term = np.zeros_like(g)          # the strongest user has no gap
+    sic_term = np.zeros(g.shape)         # the strongest user has no gap
     sic_term[:, :-1] = duals.sic * p * g[:, 1:]
     own = LN2 * ((rho + duals.power)[:, None] * p - duals.qos * p * g - sic_term)
     weak = LN2 * (duals.qos[:, :-1] * config.min_sinr * p * g[:, :-1]
@@ -165,11 +168,12 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
         for z in range(k):
             d_z = pg[:, z] * out[:, z + 1:].sum(axis=1) + psi[:, z] + config.noise_power_w
             denom = denom + rate_gain[:, z] / d_z + weak[:, z]
-        if (denom <= 0.0).any():
+        if denom.min() <= 0.0:
             raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
-        out[:, k] = bw * zeta[:, k] / denom
-        if not (out[:, k] > 0.0).all():
+        column = bw * zeta[:, k] / denom
+        if not column.min() > 0.0:
             raise DualInfeasibleError(f"coefficient of user {k} is not positive")
+        out[:, k] = column
     return np.minimum(out, config.max_power_w / config.cluster_power_w)
 
 
@@ -194,21 +198,29 @@ class _Point:
 
 
 def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Point:
+    """Everything the loop reads at ``beta``, in one pass over its SINR terms.
+
+    Each violation is a monotone map of one extreme entry, so it has the
+    bits of the largest mapped entry. The smallest SINR also makes the
+    bound's positivity check.
+    """
     parts = sinr_parts(gains, beta, config)
     gamma, radiated = parts.gamma, parts.radiated
     slacks = _slacks(gains, beta, parts, config)
-    violations = np.array([
-        max(0.0, float((radiated / config.max_power_w - 1.0).max())),
-        max(0.0, float((1.0 - gamma / config.min_sinr).max(initial=0.0))),
-        max(0.0, float((-slacks.sic / config.sic_power_gap_w).max(initial=0.0))),
-    ])
+    low = float(gamma.min())
+    if low <= 0.0:
+        raise ValueError("expansion point must be strictly positive")
+    gap_short = -float(slacks.sic.min()) if slacks.sic.size else 0.0  # K = 1: no gap
+    power = max(0.0, float(radiated.max()) / config.max_power_w - 1.0)
+    floor = max(0.0, 1.0 - low / config.min_sinr)
+    sic = max(0.0, gap_short / config.sic_power_gap_w)
     zeta, omega, log_gamma, log_rate = _bound_terms(gamma)
     rates = config.bandwidth_hz * log_rate.sum(axis=1)  # as cluster_rates_and_power
     powers = radiated + config.circuit_power_w
     rbar = _surrogate(log_gamma, zeta, omega, config.bandwidth_hz)
     return _Point(beta=beta, gamma=gamma, log_gamma=log_gamma, psi=parts.psi,
-                  den=parts.den, slacks=slacks, violations=violations,
-                  feasible=bool((violations <= _CAPS).all()),
+                  den=parts.den, slacks=slacks, violations=np.array([power, floor, sic]),
+                  feasible=power <= _CAPS[0] and floor <= _CAPS[1] and sic <= _CAPS[2],
                   ee=float((rates / powers).sum()), powers=powers, zeta=zeta,
                   omega=omega, rbar=rbar, rho=rbar / powers)
 
@@ -250,7 +262,7 @@ def qos_power_repair(gains: LinkGains, beta0: np.ndarray,
     if (beta.sum(axis=1) > budget * (1.0 + 1e-9)).any():
         return None
     point = _evaluate(gains, beta, config)
-    return None if point.violations.max() > _CAPS.max() else point
+    return None if point.violations.max() > max(_CAPS) else point
 
 
 def _lagrangian(rbar: np.ndarray, powers: np.ndarray, rho: np.ndarray,
@@ -322,7 +334,8 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     cluster's efficiency parameter to its achieved ratio, take one dual
     step, refresh all coefficients through the closed form, and let the
     incumbent absorb the new point when it improves (floor-respecting
-    points always beat violating ones).
+    points always beat violating ones). Each new split is evaluated once,
+    by ``_evaluate``, and every later step of the loop reads that point.
 
     The loop stops with ``converged=True`` after three iterations without
     improvement when the incumbent breaks the floor, or when it respects
@@ -361,7 +374,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     for iteration in range(1, max_iterations + 1):
         trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(), ee=run_ee))
 
-        rho_scale = max(float(point.rho.mean()), 1e-12)
+        rho_scale = max(float(point.rho.sum()) / num_clusters, 1e-12)  # as np.mean
         qos_scale = qos_base * point.den
         # SIC-gap violations are tiny against their own scale near the
         # boundary, so the step saturates to a sign-normalized move of
@@ -369,7 +382,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         sic_scale = g_sic * (np.abs(point.slacks.sic) + sic_floor)
         c_try = c
         for _ in range(max_retries):
-            base = c_try / np.sqrt(iteration)
+            base = c_try / math.sqrt(iteration)
             duals_try = subgradient_update(
                 duals, point.slacks, base * rho_scale / config.max_power_w,
                 base * rho_scale / qos_scale, 5.0 * base * rho_scale / sic_scale)

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import hashlib
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -118,10 +119,23 @@ class TestRunTrial:
     def test_streams_are_the_spawned_children(self):
         # a stream built alone draws what SeedSequence.spawn's child draws
         for key in ([4243, 16, 8, 0], [1, 64, 8, 7]):
-            children = np.random.SeedSequence(key).spawn(5)
+            children = np.random.SeedSequence(key).spawn(6)
             for i, child in enumerate(children):
                 assert (_stream(key, i).bit_generator.state
                         == np.random.default_rng(child).bit_generator.state)
+
+    def test_random_clustering_draws_apart_from_proposed(self):
+        # at -15 dB Stage 2 runs its Gaussian randomization on these draws;
+        # random-clustering's values must not depend on whether proposed ran
+        cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
+        for trial in range(6):
+            alone = run_trial(cfg, ["random-clustering"], seed=1, n=8, m=8,
+                              trial=trial)
+            paired = run_trial(cfg, ["proposed", "random-clustering"], seed=1,
+                               n=8, m=8, trial=trial)
+            for values in ("ee", "ici"):
+                assert (getattr(alone, values)["random-clustering"]
+                        == getattr(paired, values)["random-clustering"]), values
 
 
 class TestRunExperiment:
@@ -150,7 +164,7 @@ class TestEmitResults:
                           methods=["conventional", "random-pac"])
         records = run_experiment(cfg, spec)
         paths = emit_results(records, spec, cfg)
-        header = open(paths["summary.csv"]).readline().strip()
+        header = pathlib.Path(paths["summary.csv"]).read_text().splitlines()[0]
         assert header == "method,N,M,mean_ee,std_ee,trials,infeasible"
 
         spec2 = small_spec(tmp_path / "run2",
@@ -166,7 +180,7 @@ class TestEmitResults:
         record = TrialRecord(n=8, m=6, trial=0, feasible=False)
         record.ee["conventional"] = 1.0
         paths = emit_results([record], spec, small_config())
-        rows = open(paths["summary.csv"]).read().splitlines()
+        rows = pathlib.Path(paths["summary.csv"]).read_text().splitlines()
         assert rows[1] == "conventional,8,6,1,0,1,0"
 
     def test_stage1_method_on_infeasible_trial_is_na(self, tmp_path):
@@ -176,7 +190,7 @@ class TestEmitResults:
         record.ici["stage1-only"] = 1.0
         paths = emit_results([record], spec, small_config())
         for name in ("summary.csv", "ici.csv"):
-            rows = open(paths[name]).read().splitlines()
+            rows = pathlib.Path(paths[name]).read_text().splitlines()
             assert rows[1] == "stage1-only,8,6,NA,NA,0,1", name
 
     def test_random_clustering_gated_on_its_own_plan(self, tmp_path):
@@ -190,7 +204,7 @@ class TestEmitResults:
             (False, True), (True, False)]
         paths = emit_results(records, small_spec(tmp_path, methods=methods), cfg)
         for name, values in (("summary.csv", "ee"), ("ici.csv", "ici")):
-            rows = open(paths[name]).read().splitlines()
+            rows = pathlib.Path(paths[name]).read_text().splitlines()
             clustered = getattr(records[0], values)["random-clustering"]
             stage1 = getattr(records[1], values)["stage1-only"]
             assert rows[1] == f"random-clustering,8,6,{clustered:.12g},0,1,1", name
@@ -201,7 +215,7 @@ class TestEmitResults:
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
         records = run_experiment(cfg, spec)
         paths = emit_results(records, spec, cfg)
-        manifest = open(paths["manifest.txt"]).read()
+        manifest = pathlib.Path(paths["manifest.txt"]).read_text()
         assert "content_sha256" in manifest
         assert "num_irs_elements" in manifest
         assert os.path.exists(paths["plot_results.py"])
@@ -241,7 +255,7 @@ def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):
                           out_dir=str(tmp_path), seed=4243)
     records = run_experiment(SystemConfig(), spec)
     paths = emit_results(records, spec, SystemConfig())
-    digests = {name: hashlib.sha256(open(paths[name], "rb").read()).hexdigest()
+    digests = {name: hashlib.sha256(pathlib.Path(paths[name]).read_bytes()).hexdigest()
                for name in ("summary.csv", "ici.csv", "convergence_stage1.csv")}
     lines = [f"{r.n},{r.m},{r.trial},{m},{r.ee[m]!r}"
              for r in records for m in sorted(r.ee)]
@@ -252,4 +266,30 @@ def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):
         "convergence_stage1.csv":
             "6ee76bf27592c48094df11b66a17a6a9f47c3a2c96c2d126f98fa3e8503fbd74",
         "records": "e3f9e5f5d561a015388fa06f4757dea1bf156f358f55f27cfe290cf67d3e68dc",
+    }
+
+
+def test_all_methods_at_reference_floor_output_bytes_pinned(tmp_path):
+    # at the 3 dB floor Stage 1 is infeasible on every draw, so Stage 2
+    # returns its start at once for proposed and random-clustering and
+    # draws nothing: no method's bytes depend on the BLAS thread count.
+    # A change that moves these bytes on purpose updates the digests
+    spec = ExperimentSpec(n_grid=[16, 32], m_grid=[8], num_trials=3,
+                          methods=list(METHODS), out_dir=str(tmp_path), seed=4243)
+    records = run_experiment(SystemConfig(), spec)
+    assert all(r.stage2_iterations == 0 for r in records)
+    paths = emit_results(records, spec, SystemConfig())
+    digests = {name: hashlib.sha256(pathlib.Path(paths[name]).read_bytes()).hexdigest()
+               for name in ("summary.csv", "ici.csv", "convergence_stage1.csv",
+                            "convergence_stage2.csv")}
+    lines = [f"{r.n},{r.m},{r.trial},{m},{r.ee[m]!r},{r.ici[m]!r}"
+             for r in records for m in sorted(r.ee)]
+    digests["records"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    header = "6ee76bf27592c48094df11b66a17a6a9f47c3a2c96c2d126f98fa3e8503fbd74"
+    assert digests == {
+        "summary.csv": "b848662e9792a5817c7b24c35018e5715738b25b8f1671d38cddc3fcdda3c8da",
+        "ici.csv": "a73e81872f15d4196ce7678377374d9dcbc7cc8251685a42e0eef2c7690ad6ed",
+        "convergence_stage1.csv": header,
+        "convergence_stage2.csv": header,
+        "records": "8a150481ef109b1d4b74e88448b844a715bbf27bc047ca6a5107a57eb3aca23f",
     }

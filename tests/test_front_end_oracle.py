@@ -40,7 +40,7 @@ def _zf_reference(strong_channels):
             raise NullSpaceError(i, "empty null space (rank-deficient channel stack)")
         beam = basis @ (basis.conj().T @ strong_channels[i].conj())
         norm = np.linalg.norm(beam)
-        if norm < 1e-30:
+        if norm <= 1e-10 * np.linalg.norm(strong_channels[i]):
             raise NullSpaceError(i, "strongest-user channel lies in the span of the others")
         vectors[i] = beam / norm
     return vectors
@@ -143,7 +143,8 @@ class TestZeroForcingOracle:
     def test_degenerate_stacks_same_error_or_close_beams(self):
         # exactly dependent rows give blocks of different ranks; the masked
         # columns change the product's summation length, so beams agree to
-        # rounding here rather than bitwise
+        # rounding here rather than bitwise. A dependent row lies in the
+        # span of the others, so on these stacks both raise
         rng = np.random.default_rng(12)
         for _ in range(60):
             strong = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
@@ -162,6 +163,18 @@ class TestZeroForcingOracle:
         with pytest.raises(NullSpaceError) as got:
             build_zf_beamformers(hand)
         assert got.value.cluster_index == 0
+
+    def test_strongest_user_in_span_of_others_raises(self):
+        # u_1 = 2 u_0: the rounding noise left of beam 0 is no beam
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            strong = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+            strong[1] = 2.0 * strong[0]
+            with pytest.raises(NullSpaceError) as want:
+                _zf_reference(strong)
+            with pytest.raises(NullSpaceError) as got:
+                build_zf_beamformers(strong)
+            assert got.value.cluster_index == want.value.cluster_index
 
 
 class TestClusteringOracle:

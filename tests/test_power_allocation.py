@@ -567,3 +567,36 @@ class TestFusedPoint:
             (point.powers, powers), (point.rho, rbar / powers)))
         assert point.ee == energy_efficiency(gamma, beta, cfg)
         assert point.feasible == bool(np.all(violations <= power_allocation._CAPS))
+
+
+def _stage1_wide_draws():
+    """260 Stage-1 inputs: reference-floor ZF draws and attainable floors."""
+    for n in (16, 64):
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+        for seed in range(100):
+            cfg, *_, gains = build_scenario(seed, config=base)
+            yield cfg, gains
+    for random_beams in (False, True):
+        for seed in range(30):
+            cfg, *_, gains = attainable_floor_scenario(seed, random_beams=random_beams)
+            yield cfg, gains
+
+
+def test_stage1_wide_bytes_pinned():
+    # allocate_power's split, SINRs, interference, scalar fields and trace,
+    # on the reference floor (where every draw is unattainable) and on
+    # attainable floors under ZF and random beams. Recorded before Stage 1
+    # was evaluated in one lean pass; a change that moves these bytes on
+    # purpose updates the digest
+    digest = hashlib.sha256()
+    for cfg, gains in _stage1_wide_draws():
+        result = allocate_power(gains, cfg)
+        for array in (result.beta, result.gamma, result.psi):
+            digest.update(array.tobytes())
+        digest.update(repr((repr(result.ee), result.iterations, result.converged,
+                            result.feasible, repr(result.residual))).encode())
+        for tp in result.trace:
+            digest.update(repr((tp.iteration, repr(tp.ee))).encode())
+            digest.update(tp.rho.tobytes())
+    assert digest.hexdigest() == (
+        "508b9a37b08ff79f039fa0b762f384e445d1526ddf85af4ecc084aedf6aba669")
