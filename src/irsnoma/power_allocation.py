@@ -198,13 +198,18 @@ class _Point:
 
 
 def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Point:
-    """Everything the loop reads at ``beta``, in one pass over its SINR terms.
+    """Everything the loop reads at ``beta``, in one pass over its SINR terms."""
+    return _evaluate_parts(gains, beta, sinr_parts(gains, beta, config), config)
+
+
+def _evaluate_parts(gains: LinkGains, beta: np.ndarray, parts: SinrParts,
+                    config: SystemConfig) -> _Point:
+    """``_evaluate`` at ``beta`` from its ``sinr_parts``.
 
     Each violation is a monotone map of one extreme entry, so it has the
     bits of the largest mapped entry. The smallest SINR also makes the
     bound's positivity check.
     """
-    parts = sinr_parts(gains, beta, config)
     gamma, radiated = parts.gamma, parts.radiated
     slacks = _slacks(gains, beta, parts, config)
     low = float(gamma.min())
@@ -244,9 +249,14 @@ def qos_power_repair(gains: LinkGains, beta0: np.ndarray,
     reflection; returns the evaluated repaired split, or None on
     divergence or budget overflow (unattainable draw).
     """
+    return _repair(gains, beta0, sinr_parts(gains, beta0, config), config)
+
+
+def _repair(gains: LinkGains, beta0: np.ndarray, parts: SinrParts,
+            config: SystemConfig) -> _Point | None:
+    """``qos_power_repair`` from the ``sinr_parts`` of ``beta0``."""
     pg = config.cluster_power_w * gains.own_beam
     budget = min(config.cluster_power_w, config.max_power_w) / config.cluster_power_w
-    parts = sinr_parts(gains, beta0, config)
     target = np.maximum(parts.gamma, config.min_sinr * 1.05)
     den = parts.den
     beta = beta0.copy()
@@ -353,8 +363,10 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     """
     num_clusters, users = gains.own_beam.shape
     warm = initial_coefficients(gains, config)
+    parts = sinr_parts(gains, warm, config)  # read by the repair and the fallback
     # the dual iterate: the repaired warm start, or the warm start itself
-    point = qos_power_repair(gains, warm, config) or _evaluate(gains, warm, config)
+    point = (_repair(gains, warm, parts, config)
+             or _evaluate_parts(gains, warm, parts, config))
     inc = point                              # the incumbent
     run_rho = point.rho                      # running max per cluster
     run_ee = point.ee                        # running max overall

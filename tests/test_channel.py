@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ class TestSynthesis:
         v, n = 4, 11
         expected = ch.irs_user[v, n].conj() * ch.bs_irs[v, n]
         np.testing.assert_allclose(ch.cascaded[v, n], expected, rtol=1e-12)
+
+    def test_synthesis_bytes_pinned(self):
+        # every byte of the three channel arrays over 90 draws; the digest
+        # was recorded before the Rician mix was computed in real arithmetic,
+        # under 1 and 2 BLAS threads. A change that moves these bytes on
+        # purpose updates it
+        digest = hashlib.sha256()
+        for n in (16, 32, 64):
+            cfg = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                ch = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
+                for array in (ch.bs_irs, ch.irs_user, ch.cascaded):
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "1404884ae5e4f91109937ee631a275333fd86e3361ce3149c052c22dda016982")
 
     def test_geometry_invariants(self):
         cfg = SystemConfig()
