@@ -3,9 +3,10 @@
 Beam i is the projection of the strongest user's channel onto the null
 space of the other clusters' strongest-user channels, normalized to unit
 norm. That nulls the inter-cluster leakage at the user whose channel shaped
-the beam; weaker users in a cluster keep residual leakage. Every cluster's
-null space comes from one batched SVD over the stacked "other clusters"
-blocks, and every projection from one batched product.
+the beam; weaker users in a cluster keep residual leakage. Every beam is a
+column of one pseudo-inverse of the strongest-user stack, read from one
+SVD (Wiesel, Eldar & Shamai, "Zero-forcing precoding and generalized
+inverses", IEEE TSP 2008).
 """
 
 from __future__ import annotations
@@ -31,33 +32,29 @@ class BeamformerSet:
 def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
     """Build one unit-norm ZF beam per cluster.
 
-    ``strong_channels`` stacks the strongest-user effective rows u_{i,K}
-    as (I, M). Block i stacks the rows of the other clusters, in ascending
-    order, as (I-1, M); its null space (found by SVD with threshold
-    max(M, I) * eps * s_max) hosts beam i. One SVD runs over all I blocks.
-    Each null-space basis is sliced at the lowest rank among the blocks,
-    and a block of higher rank (a degenerate stack) zeroes the extra
-    columns, so every beam is one batched projection. Each beam is then
-    divided by its own ``np.linalg.norm``; a norm of at most 1e-10 ||u_{i,K}||
-    is rounding noise (u_{i,K} lies in the span of the others), and raises.
+    ``strong_channels`` stacks the strongest-user rows u_i as the (I, M)
+    matrix S. One SVD, S = U diag(s) V^H, gives the pseudo-inverse
+    F = V diag(1/s) U^H, whose column f_i meets u_j f_i = 1 if j = i, else
+    0. Beam i is f_i / ||f_i|| = P u_i^* / ||P u_i^*||, with P the projector
+    onto the null space of the other rows, so u_i f_i is real and positive.
+    Raises at the first u_i in the span of the others: on a rank-deficient
+    S (s_min <= max(M, I) eps s_max), the first row whose removal keeps the
+    rank; else the first with ||P u_i^*|| = 1 / ||f_i|| <= 1e-10 ||u_i||.
     """
     num_clusters, m = strong_channels.shape
     if m <= num_clusters - 1:
         raise NullSpaceError(0, f"need M > I - 1, got M={m}, I={num_clusters}")
-    # rank <= I - 1 < M, so every null space is nonempty from here on
-    others = np.nonzero(~np.eye(num_clusters, dtype=bool))[1].reshape(num_clusters, -1)
-    _, svals, vh = np.linalg.svd(strong_channels[others], full_matrices=True)
-    tol = max(m, num_clusters) * np.finfo(float).eps * svals[:, :1]
-    rank = np.sum(svals > tol, axis=1)
-    low = int(rank.min())
-    keep = np.arange(low, m) >= rank[:, None]          # (I, M - low)
-    basis = np.where(keep[:, None, :], vh[:, low:].conj().transpose(0, 2, 1), 0.0)
-    beams = (basis @ (basis.conj().transpose(0, 2, 1)
-                      @ strong_channels.conj()[:, :, None]))[:, :, 0]
-    # one norm per beam: a batched norm(axis=1) rounds some beams differently
-    norms = np.array([np.linalg.norm(beam) for beam in beams])
-    tiny = np.flatnonzero(norms <= 1e-10 * np.linalg.norm(strong_channels, axis=1))
-    if tiny.size:
-        raise NullSpaceError(int(tiny[0]),
-                             "strongest-user channel lies in the span of the others")
-    return BeamformerSet(vectors=beams / norms[:, None])
+    u, svals, vh = np.linalg.svd(strong_channels, full_matrices=False)
+    tol = max(m, num_clusters) * np.finfo(float).eps * svals[0]
+    if svals[-1] > tol:
+        beams = (u.conj() / svals) @ vh.conj()        # row i is f_i^T
+        norms = np.linalg.norm(beams, axis=1)
+        spanned = np.flatnonzero(norms * np.linalg.norm(strong_channels, axis=1) >= 1e10)
+        if not spanned.size:
+            return BeamformerSet(vectors=beams / norms[:, None])
+    else:
+        rank = np.sum(svals > tol)
+        spanned = [i for i in range(num_clusters) if np.linalg.matrix_rank(
+            np.delete(strong_channels, i, axis=0)) == rank] or [0]
+    raise NullSpaceError(int(spanned[0]),
+                         "strongest-user channel lies in the span of the others")

@@ -77,25 +77,21 @@ def draw_user_geometry(config: SystemConfig, rng: np.random.Generator) -> UserGe
 
 
 def _rician(rng: np.random.Generator, los: np.ndarray, factor: float,
-            amplitude: float | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """amplitude * (sqrt(f/(1+f)) los + sqrt(1/(1+f)) (a + jb)/sqrt(2)), a, b ~ N(0, 1).
+            gain: float | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """sqrt(gain) (sqrt(f/(1+f)) los + sqrt(1/(1+f)) (a + jb)/sqrt(2)), a, b ~ N(0, 1).
 
-    Computed part by part in real arithmetic, with the bits of the complex
-    expression: NumPy divides by sqrt(2) + 0j with Smith's method, which
-    scales each part by fl(1/sqrt(2)), and a real factor promoted to complex
-    adds only signed-zero cross terms. ``a`` and then ``b`` are drawn with
-    ``shape``; ``los`` broadcasts to it.
+    Part by part in real arithmetic, with the complex expression's bits:
+    NumPy divides by sqrt(2) + 0j with Smith's method, which scales each
+    part by fl(1/sqrt(2)), and a real factor adds only signed-zero cross
+    terms. ``a`` is drawn before ``b``.
     """
-    parts = rng.standard_normal(shape), rng.standard_normal(shape)
-    w_los, w_nlos = np.sqrt(factor / (1.0 + factor)), np.sqrt(1.0 / (1.0 + factor))
-    scale = 1.0 / np.sqrt(2.0)
     out = np.empty(shape, dtype=complex)
-    for draw, los_part, out_part in zip(parts, (los.real, los.imag),
-                                        (out.real, out.imag)):
-        draw *= scale
-        draw *= w_nlos
-        draw += w_los * los_part
-        np.multiply(draw, amplitude, out=out_part)
+    draws = rng.standard_normal(shape), rng.standard_normal(shape)
+    for draw, los_part, part in zip(draws, (los.real, los.imag), (out.real, out.imag)):
+        draw *= 1.0 / np.sqrt(2.0)
+        draw *= np.sqrt(1.0 / (1.0 + factor))
+        draw += np.sqrt(factor / (1.0 + factor)) * los_part
+        np.multiply(draw, np.sqrt(gain), out=part)
     return out
 
 
@@ -105,10 +101,8 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
 
     Each link mixes a deterministic ULA outer-product line-of-sight term
     (weight delta/(1+delta)) with unit-variance complex Gaussian scatter
-    (weight 1/(1+delta)), scaled by the distance path gain. The mix is
-    computed in real arithmetic on the real and imaginary parts, bit for
-    bit as the complex expression would give it; the normal draws are most
-    of the cost.
+    (weight 1/(1+delta)), scaled by the distance path gain; the normal
+    draws are most of the cost.
     """
     n, m, v = config.num_irs_elements, config.num_bs_antennas, config.total_users
     sr = config.element_spacing_ratio
@@ -118,8 +112,7 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     los_bs_irs = np.outer(a_irs_rx.conj(), a_bs_tx)
     gain_bs_irs = path_gain(config.ref_pathloss, config.bs_irs_distance_m,
                             config.ref_distance_m, config.pathloss_exp_bs_irs)
-    bs_irs = _rician(rng, los_bs_irs, config.rician_bs_irs,
-                     np.sqrt(gain_bs_irs), (v, n, m))
+    bs_irs = _rician(rng, los_bs_irs, config.rician_bs_irs, gain_bs_irs, (v, n, m))
 
     los_irs_user = array_response(geometry.irs_user_aod_rad, n, sr)
     gain_irs_user = path_gain(
@@ -127,7 +120,7 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
         config.ref_distance_m, config.pathloss_exp_irs_user,
     )
     irs_user = _rician(rng, los_irs_user, config.rician_irs_user,
-                       np.sqrt(gain_irs_user)[:, None], (v, n))
+                       gain_irs_user[:, None], (v, n))
 
     cascaded = irs_user.conj()[:, :, None] * bs_irs
     return ChannelSet(bs_irs=bs_irs, irs_user=irs_user, cascaded=cascaded)

@@ -204,11 +204,9 @@ def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Poin
 
 def _evaluate_parts(gains: LinkGains, beta: np.ndarray, parts: SinrParts,
                     config: SystemConfig) -> _Point:
-    """``_evaluate`` at ``beta`` from its ``sinr_parts``.
-
-    Each violation is a monotone map of one extreme entry, so it has the
-    bits of the largest mapped entry. The smallest SINR also makes the
-    bound's positivity check.
+    """``_evaluate`` from the ``sinr_parts`` at ``beta``. Each violation is a
+    monotone map of one extreme entry, so it has the bits of the largest
+    mapped entry. The smallest SINR also makes the bound's positivity check.
     """
     gamma, radiated = parts.gamma, parts.radiated
     slacks = _slacks(gains, beta, parts, config)

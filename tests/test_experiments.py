@@ -3,6 +3,9 @@ import filecmp
 import hashlib
 import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,7 +268,7 @@ def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):
         "ici.csv": "d8ffe997ea9cd75fefd918de54d8c4c895841d48eb320baad40e2a0f27f7b132",
         "convergence_stage1.csv":
             "6ee76bf27592c48094df11b66a17a6a9f47c3a2c96c2d126f98fa3e8503fbd74",
-        "records": "e3f9e5f5d561a015388fa06f4757dea1bf156f358f55f27cfe290cf67d3e68dc",
+        "records": "d9469d03ccfd56b8c47609389536333d4618bb7ff564b6125921c0c40c628c3c",
     }
 
 
@@ -291,5 +294,20 @@ def test_all_methods_at_reference_floor_output_bytes_pinned(tmp_path):
         "ici.csv": "a73e81872f15d4196ce7678377374d9dcbc7cc8251685a42e0eef2c7690ad6ed",
         "convergence_stage1.csv": header,
         "convergence_stage2.csv": header,
-        "records": "8a150481ef109b1d4b74e88448b844a715bbf27bc047ca6a5107a57eb3aca23f",
+        "records": "5f9433ab5ea1a288ce019566b8e3f316bd12f9b72df66d8a289dc6a7daea09fc",
     }
+
+
+def test_pinned_digests_hold_under_two_blas_threads():
+    # every *_bytes_pinned digest holds under 1 and 2 BLAS threads. BLAS
+    # reads its thread count when numpy loads, so the pins run again in a
+    # fresh interpreter with two threads
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "bytes_pinned"],
+        cwd=pathlib.Path(__file__).resolve().parents[1], env=env,
+        capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:]
+    assert re.search(r"\b5 passed\b", run.stdout), run.stdout[-3000:]

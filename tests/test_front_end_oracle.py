@@ -1,15 +1,19 @@
-"""The batched front end against the per-cluster code it replaced.
+"""The front end against the per-cluster code it replaced.
 
-``build_zf_beamformers`` runs one SVD over every cluster's block and
-``form_clusters`` masks one whole-pool gated matrix. The reference
-functions below are the per-cluster loop and the subset rebuild they
-replaced, kept verbatim, and the batched code must give the same bits.
+``build_zf_beamformers`` reads every beam from one pseudo-inverse of the
+strongest-user stack, and ``form_clusters`` masks one whole-pool gated
+matrix. The reference functions below are the per-cluster loop and the
+subset rebuild they replaced, kept verbatim. The clustering must give the
+same bits; the beams agree to 1e-13, since the pseudo-inverse rounds
+differently from the per-cluster projections, and raise the same error.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsnoma.beamforming import NullSpaceError, build_zf_beamformers
 from irsnoma.channel import (draw_user_geometry, effective_channel,
@@ -127,8 +131,8 @@ class TestZeroForcingOracle:
         shapes = [(5, 8)] * 250 + [(1, 3)] * 20 + [(2, 3)] * 20
         for shape in shapes:
             strong = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.array_equal(build_zf_beamformers(strong).vectors,
-                                  _zf_reference(strong))
+            np.testing.assert_allclose(build_zf_beamformers(strong).vectors,
+                                       _zf_reference(strong), rtol=0.0, atol=1e-13)
 
     def test_scenario_draws_bitwise(self):
         for seed in range(20):
@@ -138,7 +142,8 @@ class TestZeroForcingOracle:
                 effective = effective_channel(channels.cascaded,
                                               np.ones(n, dtype=complex))
                 strong = effective[plan.members[:, -1]]
-                assert np.array_equal(beams.vectors, _zf_reference(strong))
+                np.testing.assert_allclose(beams.vectors, _zf_reference(strong),
+                                           rtol=0.0, atol=1e-13)
 
     def test_degenerate_stacks_same_error_or_close_beams(self):
         # exactly dependent rows give blocks of different ranks; the masked
@@ -175,6 +180,55 @@ class TestZeroForcingOracle:
             with pytest.raises(NullSpaceError) as got:
                 build_zf_beamformers(strong)
             assert got.value.cluster_index == want.value.cluster_index
+
+
+def _stacks(min_clusters):
+    """(I, M) with min_clusters <= I <= M <= 12, and a seed for the entries."""
+    shapes = st.integers(min_clusters, 12).flatmap(
+        lambda m: st.tuples(st.integers(min_clusters, m), st.just(m)))
+    return st.tuples(shapes, st.integers(0, 2**32 - 1))
+
+
+def _gaussian_stack(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestZeroForcingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=_stacks(1))
+    def test_contract(self, stack):
+        strong = _gaussian_stack(*stack)
+        beams = build_zf_beamformers(strong).vectors
+        np.testing.assert_allclose(np.linalg.norm(beams, axis=1), 1.0,
+                                   rtol=0.0, atol=1e-12)
+        gain = strong @ beams.T                  # (j, i) = u_j f_i
+        leak = np.abs(gain) / np.linalg.norm(strong, axis=1)[:, None]
+        assert np.all(leak[~np.eye(len(strong), dtype=bool)] <= 1e-10)
+        own = np.diag(gain)
+        assert np.all(own.real > 0.0)
+        assert np.all(np.abs(own.imag) <= 1e-12 * own.real)
+        np.testing.assert_allclose(beams, _zf_reference(strong), rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=_stacks(2), rows=st.permutations(range(12)), summed=st.booleans(),
+           scale=st.just(0j) | st.complex_numbers(min_magnitude=1e-3,
+                                                  max_magnitude=1e3),
+           tilt=st.sampled_from([0.0, 1e-12]))
+    def test_dependent_row_raises_as_reference(self, stack, rows, summed, scale, tilt):
+        # row j becomes u_k + u_l (given three rows) or c u_k. A relative
+        # tilt of 1e-12 along u_j keeps the stack numerically full rank, so
+        # the beam-norm test must raise rather than the rank test
+        strong = _gaussian_stack(*stack)
+        j, k, *rest = [r for r in rows if r < len(strong)]
+        row = strong[k] + strong[rest[0]] if summed and rest else scale * strong[k]
+        tilt *= np.linalg.norm(row) / np.linalg.norm(strong[j])
+        strong[j] = row + tilt * strong[j]
+        with pytest.raises(NullSpaceError) as want:
+            _zf_reference(strong)
+        with pytest.raises(NullSpaceError) as got:
+            build_zf_beamformers(strong)
+        assert got.value.cluster_index == want.value.cluster_index
 
 
 class TestClusteringOracle:

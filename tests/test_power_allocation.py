@@ -464,9 +464,9 @@ class TestStopRule:
 def test_floor_respecting_stage1_bytes_pinned():
     # the 3 dB pin in test_experiments never reads the residual: no split
     # respects that floor. On these draws the incumbent respects the floor,
-    # so the residual decides the stop. The digest was recorded before the
-    # residual was computed only where it is read; a change that moves
-    # these bytes on purpose updates it
+    # so the residual decides the stop. The digest was re-recorded when the
+    # ZF beams moved in their last bits (one pseudo-inverse); a change that
+    # moves these bytes on purpose updates it
     digest = hashlib.sha256()
     for random_beams in (True, False):
         for seed in range(20):
@@ -476,7 +476,7 @@ def test_floor_respecting_stage1_bytes_pinned():
                                 repr(result.residual), repr(result.ee))).encode())
             digest.update(result.beta.tobytes())
     assert digest.hexdigest() == (
-        "aec330d0fac0d233cc17f16e28a159d6cedc68663af625497d177d628d2abe9d")
+        "6bb4f8e36c427d145ec77c670fe0e442a4f9450aad85e483357b7f5675e04ab8")
 
 
 # (kind, N) at the reference floor, (kind, random_beams) at an attainable one
@@ -585,9 +585,9 @@ def _stage1_wide_draws():
 def test_stage1_wide_bytes_pinned():
     # allocate_power's split, SINRs, interference, scalar fields and trace,
     # on the reference floor (where every draw is unattainable) and on
-    # attainable floors under ZF and random beams. Recorded before Stage 1
-    # was evaluated in one lean pass; a change that moves these bytes on
-    # purpose updates the digest
+    # attainable floors under ZF and random beams. Re-recorded when the ZF
+    # beams moved in their last bits (one pseudo-inverse); a change that
+    # moves these bytes on purpose updates the digest
     digest = hashlib.sha256()
     for cfg, gains in _stage1_wide_draws():
         result = allocate_power(gains, cfg)
@@ -599,4 +599,4 @@ def test_stage1_wide_bytes_pinned():
             digest.update(repr((tp.iteration, repr(tp.ee))).encode())
             digest.update(tp.rho.tobytes())
     assert digest.hexdigest() == (
-        "508b9a37b08ff79f039fa0b762f384e445d1526ddf85af4ecc084aedf6aba669")
+        "fdeee2352a6dad6010ed92bce63dc5cfdffc81defa956eb8e6d94cf2bf23eda4")
