@@ -175,7 +175,7 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
 
 def stronger_tail(beta: np.ndarray) -> np.ndarray:
     """Per user, the summed coefficients of the stronger users l > k, (I, K)."""
-    return beta[:, ::-1].cumsum(axis=1)[:, ::-1] - beta
+    return np.add.accumulate(beta[:, ::-1], axis=1)[:, ::-1] - beta
 
 
 class SinrParts(NamedTuple):
@@ -195,9 +195,12 @@ def sinr_parts(gains: LinkGains, beta: np.ndarray,
 
     User k in a cluster decodes after the weaker ones are cancelled, so the
     remaining in-beam interference stems from the stronger users l > k.
+    Stage 1 calls this on every split it visits, so the reductions call the
+    ufuncs directly: the same C reduction as the ndarray methods, without
+    their Python frame.
     """
     p = config.cluster_power_w
-    radiated = p * beta.sum(axis=1)
+    radiated = p * np.add.reduce(beta, axis=1)
     psi = (np.einsum("ikj,j->ik", gains.cross_beam, radiated)
            - gains.own_beam * radiated[:, None])
     tail = stronger_tail(beta)

@@ -56,7 +56,6 @@ class SystemConfig:
     sic_power_gap_w: float = 100.0 * _NOISE_W   # P_g, decode-power separation
     correlation_threshold: float = 0.7          # clustering gate in [0, 1]
     element_spacing_ratio: float = 0.5          # d/lambda for both ULAs
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_bs_antennas <= self.num_clusters - 1:
@@ -97,7 +96,7 @@ _DB_KEYS = {
 
 _INT_FIELDS = {
     "num_bs_antennas", "num_irs_elements", "users_per_cluster",
-    "num_clusters", "total_users", "rng_seed",
+    "num_clusters", "total_users",
 }
 
 

@@ -115,15 +115,32 @@ def _stream(key: list[int], index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(index,)))
 
 
+class _LazyStream:
+    """``_stream(key, index)``, built on its first attribute access.
+
+    Clustering draws only in its fallback and Stage 2 only past its early
+    returns, so most trials never build their generators. A built stream is
+    the same generator, so its draws are the same.
+    """
+
+    def __init__(self, key: list[int], index: int) -> None:
+        self._key, self._index, self._rng = key, index, None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = _stream(self._key, self._index)
+        return getattr(self._rng, name)
+
+
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
     """One paired-comparison trial at scenario (n, m).
 
-    Only the random streams that the requested methods read are built.
+    Only the random streams that are drawn from are built.
     """
     cfg = replace(config, num_irs_elements=n, num_bs_antennas=m)
     key = [seed, n, m, trial]
-    rng_channel, rng_cluster = _stream(key, 0), _stream(key, 1)
+    rng_channel, rng_cluster = _stream(key, 0), _LazyStream(key, 1)
 
     geometry = draw_user_geometry(cfg, rng_channel)
     channels = synthesize_channels(cfg, geometry, rng_channel)
@@ -148,7 +165,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["stage1-only"] = _far_user_ici(stage1.psi)
 
     if "proposed" in methods:
-        rng_stage2 = _stream(key, 4)
+        rng_stage2 = _LazyStream(key, 4)
         t0 = time.perf_counter()
         stage2 = optimize_reflection(channels, plan, beams, stage1, cfg, rng_stage2)
         record.wall_stage2_s = time.perf_counter() - t0
@@ -170,7 +187,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         stage1_r = allocate_power(gains_r, cfg)
         record.random_plan_feasible = stage1_r.feasible
         stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg,
-                                       _stream(key, 5))
+                                       _LazyStream(key, 5))
         record.ee["random-clustering"] = stage2_r.ee
         record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
 

@@ -14,7 +14,11 @@ coefficient are built once per sweep and shared by every user.
 Dual variables for the power budget, SINR floor, and decode-power-gap
 constraints follow projected subgradient steps. Each split the loop visits
 is evaluated once, in one pass; the dual step, the sweep and the stop test
-read that.
+read that. The loop runs about a hundred NumPy calls per iteration on
+(I, K) arrays, so each call's fixed cost, not its arithmetic, sets the
+time: reductions call the ufuncs' own ``reduce`` (the C reduction behind
+``ndarray.sum``/``min``/``max``, without their Python frame), and products
+two steps share are formed once, in the same left-to-right order.
 
 The dual iterate is free to cross the SINR-floor boundary (that is what
 makes the multipliers move); a separate incumbent keeps the best iterate
@@ -66,11 +70,14 @@ def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bound_terms(gamma0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(zeta, omega, log2(gamma0), log2(1 + gamma0)) at a positive ``gamma0``."""
+    """(zeta, omega, log2(gamma0), log2(1 + gamma0), zeta * log2(gamma0)) at a
+    positive ``gamma0``; the last is the bound's slope term, shared by omega
+    and the surrogate rate tight at ``gamma0``."""
     one_plus = 1.0 + gamma0
     log_gamma, log_rate = np.log2(gamma0), np.log2(one_plus)
     zeta = gamma0 / one_plus
-    return zeta, log_rate - zeta * log_gamma, log_gamma, log_rate
+    slope = zeta * log_gamma
+    return zeta, log_rate - slope, log_gamma, log_rate, slope
 
 
 def surrogate_rates(gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray,
@@ -81,7 +88,7 @@ def surrogate_rates(gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray,
 
 def _surrogate(log_gamma: np.ndarray, zeta: np.ndarray, omega: np.ndarray,
                bandwidth: float) -> np.ndarray:
-    return bandwidth * (zeta * log_gamma + omega).sum(axis=1)
+    return bandwidth * np.add.reduce(zeta * log_gamma + omega, axis=1)
 
 
 @dataclass
@@ -161,17 +168,19 @@ def _sweep(gains: LinkGains, beta: np.ndarray, psi: np.ndarray,
     own = LN2 * ((rho + duals.power)[:, None] * p - duals.qos * p * g - sic_term)
     weak = LN2 * (duals.qos[:, :-1] * config.min_sinr * p * g[:, :-1]
                   + sic_term[:, :-1])
-    rate_gain = bw * zeta * p * g
+    numerator = bw * zeta
+    rate_gain = numerator * p * g
     out = beta.copy()
     for k in range(g.shape[1]):
         denom = own[:, k]
         for z in range(k):
-            d_z = pg[:, z] * out[:, z + 1:].sum(axis=1) + psi[:, z] + config.noise_power_w
+            d_z = (pg[:, z] * np.add.reduce(out[:, z + 1:], axis=1) + psi[:, z]
+                   + config.noise_power_w)
             denom = denom + rate_gain[:, z] / d_z + weak[:, z]
-        if denom.min() <= 0.0:
+        if np.minimum.reduce(denom) <= 0.0:
             raise DualInfeasibleError(f"nonpositive stationary denominator for user {k}")
-        column = bw * zeta[:, k] / denom
-        if not column.min() > 0.0:
+        column = numerator[:, k] / denom
+        if not np.minimum.reduce(column) > 0.0:
             raise DualInfeasibleError(f"coefficient of user {k} is not positive")
         out[:, k] = column
     return np.minimum(out, config.max_power_w / config.cluster_power_w)
@@ -210,21 +219,23 @@ def _evaluate_parts(gains: LinkGains, beta: np.ndarray, parts: SinrParts,
     """
     gamma, radiated = parts.gamma, parts.radiated
     slacks = _slacks(gains, beta, parts, config)
-    low = float(gamma.min())
+    low = float(np.minimum.reduce(gamma, axis=None))
     if low <= 0.0:
         raise ValueError("expansion point must be strictly positive")
-    gap_short = -float(slacks.sic.min()) if slacks.sic.size else 0.0  # K = 1: no gap
-    power = max(0.0, float(radiated.max()) / config.max_power_w - 1.0)
+    gap_short = (-float(np.minimum.reduce(slacks.sic, axis=None))
+                 if slacks.sic.size else 0.0)  # K = 1: no gap
+    power = max(0.0, float(np.maximum.reduce(radiated)) / config.max_power_w - 1.0)
     floor = max(0.0, 1.0 - low / config.min_sinr)
     sic = max(0.0, gap_short / config.sic_power_gap_w)
-    zeta, omega, log_gamma, log_rate = _bound_terms(gamma)
-    rates = config.bandwidth_hz * log_rate.sum(axis=1)  # as cluster_rates_and_power
+    zeta, omega, log_gamma, log_rate, slope = _bound_terms(gamma)
+    bw = config.bandwidth_hz
+    rates = bw * np.add.reduce(log_rate, axis=1)  # as cluster_rates_and_power
     powers = radiated + config.circuit_power_w
-    rbar = _surrogate(log_gamma, zeta, omega, config.bandwidth_hz)
+    rbar = bw * np.add.reduce(slope + omega, axis=1)  # as _surrogate
     return _Point(beta=beta, gamma=gamma, log_gamma=log_gamma, psi=parts.psi,
                   den=parts.den, slacks=slacks, violations=np.array([power, floor, sic]),
                   feasible=power <= _CAPS[0] and floor <= _CAPS[1] and sic <= _CAPS[2],
-                  ee=float((rates / powers).sum()), powers=powers, zeta=zeta,
+                  ee=float(np.add.reduce(rates / powers)), powers=powers, zeta=zeta,
                   omega=omega, rbar=rbar, rho=rbar / powers)
 
 
@@ -312,6 +323,13 @@ def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray
 
 @dataclass
 class TracePoint:
+    """The running-best per-cluster ratios and efficiency before an iteration.
+
+    ``rho`` may be the same array as other trace points' (and as the
+    result's ``rho``): the loop rebinds its running maximum and never
+    writes into it, so trace arrays are shared and read-only.
+    """
+
     iteration: int
     rho: np.ndarray
     ee: float
@@ -382,9 +400,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        trace.append(TracePoint(iteration=iteration, rho=run_rho.copy(), ee=run_ee))
+        trace.append(TracePoint(iteration=iteration, rho=run_rho, ee=run_ee))
 
-        rho_scale = max(float(point.rho.sum()) / num_clusters, 1e-12)  # as np.mean
+        rho_scale = max(float(np.add.reduce(point.rho)) / num_clusters, 1e-12)  # as np.mean
         qos_scale = qos_base * point.den
         # SIC-gap violations are tiny against their own scale near the
         # boundary, so the step saturates to a sign-normalized move of
@@ -428,7 +446,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     feasible = bool(np.all(inc.violations <= np.array([1e-6, 1e-3, 1e-6])))
     final = inc if feasible else _evaluate(
         gains, shape_for_decode_order(inc.beta, config), config)
-    trace.append(TracePoint(iteration=iteration + 1, rho=run_rho.copy(), ee=run_ee))
+    trace.append(TracePoint(iteration=iteration + 1, rho=run_rho, ee=run_ee))
     return Stage1Result(beta=final.beta, rho=final.rho, zeta=final.zeta,
                         omega=final.omega, gamma=final.gamma, psi=final.psi,
                         iterations=iteration, converged=converged,

@@ -60,6 +60,13 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text("just words\n")
 
 
+def test_parse_config_rejects_rng_seed():
+    # simulate --seed seeds every run; a seed in the scenario file would be
+    # ignored, so it is refused like any other unknown key
+    with pytest.raises(ValueError, match="line 2: unknown config key 'rng_seed'"):
+        parse_config_text("num_irs_elements = 16\nrng_seed = 5\n")
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("num_bs_antennas = 10\nbandwidth_hz = 2.0\n")

@@ -6,14 +6,17 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from irsnoma.channel import sinr
+from irsnoma import experiments
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _stream,
+from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _LazyStream,
+                                 _stream,
                                  conventional_bf_ee, emit_results,
                                  random_power_coefficients, run_experiment,
                                  run_trial)
@@ -139,6 +142,57 @@ class TestRunTrial:
             for values in ("ee", "ici"):
                 assert (getattr(alone, values)["random-clustering"]
                         == getattr(paired, values)["random-clustering"]), values
+
+    @staticmethod
+    def _built_streams(cfg, methods, seed, n, trials):
+        """Records of ``trials`` trials and the stream indices each built."""
+        built = []
+
+        def counted(key, index):
+            built[-1].append(index)
+            return _stream(key, index)
+
+        records = []
+        with mock.patch.object(experiments, "_stream", counted):
+            for trial in range(trials):
+                built.append([])
+                records.append(run_trial(cfg, methods, seed=seed, n=n, m=8,
+                                         trial=trial))
+        return records, built
+
+    def test_unread_streams_are_not_built(self):
+        # at the 3 dB floor clustering never reaches its random fallback and
+        # Stage 2 returns before it draws, so a five-method trial builds
+        # only the channel, random-plan and random-pac generators
+        for n in (16, 64):
+            _, built = self._built_streams(SystemConfig(), list(METHODS),
+                                           seed=4243, n=n, trials=4)
+            assert built == [[0, 2, 3]] * 4
+
+    def test_lazy_streams_draw_as_built_streams(self):
+        # at -15 dB Stage 2 draws its Gaussian randomization wherever its
+        # plan's Stage 1 is feasible, so the Stage-2 streams are built there,
+        # and they draw what _stream(key, i) draws
+        for key in ([1, 8, 8, 0], [4243, 64, 8, 3]):
+            for index in (1, 4, 5):
+                assert np.array_equal(_LazyStream(key, index).standard_normal(16),
+                                      _stream(key, index).standard_normal(16))
+        cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
+        methods = ["proposed", "random-clustering"]
+        lazy, built = self._built_streams(cfg, methods, seed=1, n=8, trials=4)
+        assert [(4 in indices, 5 in indices) for indices in built] == [
+            (r.feasible, r.random_plan_feasible) for r in lazy]
+        assert all(r.feasible for r in lazy)
+        assert any(r.random_plan_feasible for r in lazy)
+        with mock.patch.object(experiments, "_LazyStream", _stream):
+            eager = [run_trial(cfg, methods, seed=1, n=8, m=8, trial=trial)
+                     for trial in range(4)]
+
+        def untimed(record):
+            return dataclasses.replace(record, wall_stage1_s=0.0, wall_stage2_s=0.0)
+
+        assert [untimed(r) for r in lazy] == [untimed(r) for r in eager]
+        assert any(r.stage2_iterations for r in lazy)
 
 
 class TestRunExperiment:
@@ -310,4 +364,4 @@ def test_pinned_digests_hold_under_two_blas_threads():
         cwd=pathlib.Path(__file__).resolve().parents[1], env=env,
         capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-3000:]
-    assert re.search(r"\b5 passed\b", run.stdout), run.stdout[-3000:]
+    assert re.search(r"\b6 passed\b", run.stdout), run.stdout[-3000:]

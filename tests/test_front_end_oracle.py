@@ -126,7 +126,7 @@ def _assert_same_plan(effective, num_clusters, users_per_cluster, threshold,
 
 
 class TestZeroForcingOracle:
-    def test_random_stacks_bitwise(self):
+    def test_random_stacks_within_1e_13(self):
         rng = np.random.default_rng(11)
         shapes = [(5, 8)] * 250 + [(1, 3)] * 20 + [(2, 3)] * 20
         for shape in shapes:
@@ -134,7 +134,7 @@ class TestZeroForcingOracle:
             np.testing.assert_allclose(build_zf_beamformers(strong).vectors,
                                        _zf_reference(strong), rtol=0.0, atol=1e-13)
 
-    def test_scenario_draws_bitwise(self):
+    def test_scenario_draws_within_1e_13(self):
         for seed in range(20):
             for n in (16, 64):
                 base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
@@ -146,10 +146,11 @@ class TestZeroForcingOracle:
                                            rtol=0.0, atol=1e-13)
 
     def test_degenerate_stacks_same_error_or_close_beams(self):
-        # exactly dependent rows give blocks of different ranks; the masked
-        # columns change the product's summation length, so beams agree to
-        # rounding here rather than bitwise. A dependent row lies in the
-        # span of the others, so on these stacks both raise
+        # a row set to 2 u_0 or u_0 + u_2 lies in the span of the others, so
+        # the stack is rank-deficient and both raise, at the same cluster
+        # (all 60 stacks here do). Should the rounding of u_0 + u_2 leave a
+        # stack numerically full rank, neither raises, and beams built from
+        # so near-singular a stack agree only to 1e-12
         rng = np.random.default_rng(12)
         for _ in range(60):
             strong = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))

@@ -600,3 +600,28 @@ def test_stage1_wide_bytes_pinned():
             digest.update(tp.rho.tobytes())
     assert digest.hexdigest() == (
         "fdeee2352a6dad6010ed92bce63dc5cfdffc81defa956eb8e6d94cf2bf23eda4")
+
+
+def test_stage1_nine_clusters_bytes_pinned():
+    # the wide pin's draws all have I = 5, and below 8 terms NumPy sums
+    # left to right; from 8 terms on it sums pairwise. Nine clusters put
+    # every sum over clusters on the pairwise path, so a reduction that
+    # changes its order moves these bytes (a left-to-right Python sum of
+    # the cluster ratios passes the I = 5 pins and fails this one).
+    # Recorded under 1 and 2 BLAS threads
+    digest = hashlib.sha256()
+    for users in (2, 3):
+        base = dataclasses.replace(SystemConfig(), num_clusters=9,
+                                   num_bs_antennas=10, users_per_cluster=users)
+        for seed in range(30):
+            cfg, *_, gains = build_scenario(seed, config=base)
+            result = allocate_power(gains, cfg)
+            for array in (result.beta, result.gamma, result.psi):
+                digest.update(array.tobytes())
+            digest.update(repr((repr(result.ee), result.iterations, result.converged,
+                                result.feasible, repr(result.residual))).encode())
+            for tp in result.trace:
+                digest.update(repr((tp.iteration, repr(tp.ee))).encode())
+                digest.update(tp.rho.tobytes())
+    assert digest.hexdigest() == (
+        "f9c762b2d89fd5159ad1630ecd0de40e54838c11e34d6172f594de7bb0ce9151")
