@@ -9,6 +9,7 @@ from irsnoma.channel import (draw_user_geometry, effective_channel, link_gains,
                              sinr, synthesize_channels)
 from irsnoma.clustering import form_clusters
 from irsnoma.config import SystemConfig
+from irsnoma.power_allocation import shape_for_decode_order
 
 # the same examples on every run, and no example database on disk
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -41,19 +42,24 @@ def build_scenario(seed, config=None, zero_forcing=True, random_beams=False):
     return cfg, rng, channels, plan, beams, gains
 
 
+def solver_free_floor(gains, cfg):
+    """Half the smallest SINR of the decode-order split at the full per-beam
+    budget: a floor that split meets, set without running Stage 1."""
+    full = np.full(gains.own_beam.shape, cfg.max_power_w / cfg.cluster_power_w
+                   / gains.own_beam.shape[1])
+    gamma, _ = sinr(gains, shape_for_decode_order(full, cfg), cfg)
+    return 0.5 * float(gamma.min())
+
+
 def attainable_floor_scenario(seed, num_irs_elements=16, random_beams=True):
     """Scenario whose SINR floor is set below the starting SINRs.
 
     Used wherever the floor must be jointly attainable at the initial
     reflection (the reference parameters leave far users interference
-    limited below the 3 dB floor there).
+    limited below the 3 dB floor there). The floor is ``solver_free_floor``.
     """
-    from irsnoma.power_allocation import allocate_power
-
     base = dataclasses.replace(SystemConfig(), num_irs_elements=num_irs_elements)
     cfg, rng, channels, plan, beams, gains = build_scenario(
         seed, config=base, random_beams=random_beams)
-    stage1 = allocate_power(gains, cfg)
-    gamma, _ = sinr(gains, stage1.beta, cfg)
-    cfg = dataclasses.replace(cfg, min_sinr=0.5 * float(gamma.min()))
+    cfg = dataclasses.replace(cfg, min_sinr=solver_free_floor(gains, cfg))
     return cfg, rng, channels, plan, beams, gains

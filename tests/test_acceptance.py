@@ -17,16 +17,14 @@ import pytest
 
 from irsnoma import sdp
 from irsnoma.beamforming import build_zf_beamformers
-from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
 from irsnoma.power_allocation import allocate_power, sca_coefficients
 from irsnoma.reflection import (dc_linearize, lift_user_matrices,
                                 optimize_reflection, sinr_trace_matrices)
 
-from conftest import attainable_floor_scenario, build_scenario
-from test_power_allocation import (_closed_form, _lagrangian,
-                                   _single_cluster_context)
+from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
+from test_power_allocation import bound_split, single_cluster, weak_user_grid_optimum
 from test_sdp import brute_force_objective, random_problem
 
 ULP = np.finfo(float).eps
@@ -85,19 +83,6 @@ def test_criterion_2_sca_bound_suite():
     verdict(2, ok, f"tightness {tightness:.2e}, worst dominance slack {slack:.2e}")
 
 
-def _grid_stationary_first_user(ctx, cfg):
-    beta0 = _closed_form(ctx, cfg)[0]
-    lo, hi = beta0 * 0.2, beta0 * 5.0
-    grid = np.linspace(lo, hi, 100_000)
-    values = np.array([_lagrangian(np.array([b, ctx.beta[1]]), ctx, cfg)
-                       for b in grid[::50]])
-    coarse = grid[::50][int(np.argmax(values))]
-    width = (hi - lo) / len(values)
-    fine = np.linspace(coarse - width, coarse + width, 4001)
-    vals = [_lagrangian(np.array([b, ctx.beta[1]]), ctx, cfg) for b in fine]
-    return beta0, float(fine[int(np.argmax(vals))])
-
-
 def _ee_grid_oracle(gains, cfg, resolution=400):
     """Exhaustive efficiency optimum over the (beta_1, beta_2) square."""
     p, bw = cfg.cluster_power_w, cfg.bandwidth_hz
@@ -120,8 +105,10 @@ def test_criterion_3_closed_form_against_oracles():
     start = time.perf_counter()
     worst_rel = 0.0
     for seed in range(50):
-        cfg, ctx, _ = _single_cluster_context(seed)
-        formula, grid_point = _grid_stationary_first_user(ctx, cfg)
+        # the split at a fixed total against a 1-D grid over the weak user
+        cfg, gains, total = single_cluster(seed)
+        formula = bound_split(gains, cfg, np.array([total]))[0, 0]
+        grid_point = weak_user_grid_optimum(gains, cfg, total)
         worst_rel = max(worst_rel, abs(formula - grid_point) / grid_point)
 
     worst_gap = 0.0
@@ -135,22 +122,19 @@ def test_criterion_3_closed_form_against_oracles():
         worst_gap = max(worst_gap, (oracle - result.ee) / oracle)
     elapsed = time.perf_counter() - start
     ok = worst_rel < 1e-4 and worst_gap < 0.02 and elapsed < 30.0
-    verdict(3, ok, f"stationary-point error {worst_rel:.2e}, "
+    verdict(3, ok, f"fixed-total split error {worst_rel:.2e}, "
                    f"grid-optimum gap {100 * worst_gap:.2f}%, {elapsed:.1f}s")
 
 
 def test_criterion_4_dinkelbach_monotonicity():
-    # root-finding semantics presuppose a feasible problem, so the floor is
-    # set per instance below the starting SINRs (the reference floor is
-    # interference-unattainable, where the multipliers legitimately diverge)
+    # the floor is set per instance below the SINRs of a solver-free split
+    # (the reference floor is interference-unattainable)
     monotone = 0
     residual_ok = 0
     trials = 200
     for seed in range(trials):
         cfg, _, _, _, _, gains = build_scenario(seed)
-        probe = allocate_power(gains, cfg)
-        gamma, _ = sinr(gains, probe.beta, cfg)
-        cfg = dataclasses.replace(cfg, min_sinr=0.5 * float(gamma.min()))
+        cfg = dataclasses.replace(cfg, min_sinr=solver_free_floor(gains, cfg))
         result = allocate_power(gains, cfg)
         rhos = np.array([tp.rho for tp in result.trace])
         ees = np.array([tp.ee for tp in result.trace])
