@@ -118,9 +118,9 @@ def _stream(key: list[int], index: int) -> np.random.Generator:
 class _LazyStream:
     """``_stream(key, index)``, built on its first attribute access.
 
-    Clustering draws only in its fallback and Stage 2 only past its early
-    returns, so most trials never build their generators. A built stream is
-    the same generator, so its draws are the same.
+    Clustering draws only in its fallback, so most trials never build its
+    generator. A built stream is the same generator, so its draws are the
+    same.
     """
 
     def __init__(self, key: list[int], index: int) -> None:
@@ -165,9 +165,8 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["stage1-only"] = _far_user_ici(stage1.psi)
 
     if "proposed" in methods:
-        rng_stage2 = _LazyStream(key, 4)
         t0 = time.perf_counter()
-        stage2 = optimize_reflection(channels, plan, beams, stage1, cfg, rng_stage2)
+        stage2 = optimize_reflection(channels, plan, beams, stage1, cfg)
         record.wall_stage2_s = time.perf_counter() - t0
         record.stage2_ee_trace = [tp.ee for tp in stage2.trace]
         record.stage2_iterations = stage2.iterations
@@ -186,8 +185,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
         stage1_r = allocate_power(gains_r, cfg)
         record.random_plan_feasible = stage1_r.feasible
-        stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg,
-                                       _LazyStream(key, 5))
+        stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg)
         record.ee["random-clustering"] = stage2_r.ee
         record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
 

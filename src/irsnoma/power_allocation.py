@@ -32,9 +32,6 @@ LN2 = float(np.log(2.0))
 
 # acceptance caps per constraint family (power, SINR floor, decode gap)
 _CAPS = (5e-7, 5e-4, 5e-7)
-# the ascent runs under the floor raised by this factor, so every SINR it
-# returns clears the floor, as the reflection stage's solver needs
-_RAISE = 1.0 + 1e-3
 # the ascent stops once a full Newton step predicts less relative gain
 _TOLERANCE = 1e-10
 
@@ -291,33 +288,31 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
                    max_iterations: int = 100) -> Stage1Result:
     """Certify the floor, then maximize the efficiency by ``_ascend``.
 
-    An attainable floor is searched under the floor raised by ``_RAISE``
-    (under the floor itself where only that can be met) from its least
+    An attainable floor is searched over its polyhedron from its least
     levels, lifted to a tenth of the budget where that keeps the floor; an
-    unattainable one from a tenth of the budget. ``converged`` is False
-    after ``max_iterations`` steps or when no halving of a step gained.
+    unattainable one from a tenth of the budget. ``feasible`` is the
+    certificate, and the reflection stage runs exactly where it holds.
+    ``converged`` is False after ``max_iterations`` steps or when no
+    halving of a step gained.
     """
     problem = _Problem(gains, config)
     clusters, users = problem.shape
-    least = problem.certify(*problem.constraints(config.min_sinr))
+    a, b = problem.constraints(config.min_sinr)
+    least = problem.certify(a, b)
     feasible = least is not None
     efficiency = _Efficiency(problem, feasible)
     x = np.full(clusters, 0.1 * problem.high)
     if feasible:
-        a, b = problem.constraints(config.min_sinr * _RAISE)
-        start = problem.certify(a, b)
-        if start is None:        # only the floor itself can be met: search on it
-            (a, b), start = problem.constraints(config.min_sinr), least
         # the least totals scaled up still meet the floor (interference is
         # linear in them, noise is not), so the second lift always does
-        totals = start[::users]
+        totals = least[::users]
         for lift in (np.maximum(x, totals), totals * (problem.high / totals.max())):
             x = problem.tight(a, np.r_[lift, b[clusters:]], slice(clusters))
             if x is not None and np.all(a @ x - b <= 1e-12 * problem.high):
                 break
     else:
-        # every beam keeps a 1e-6 share of its budget, so every SINR the
-        # reflection stage takes logarithms of stays positive
+        # every beam keeps a 1e-6 share of its budget, so every SINR stays
+        # positive and the lifted surrogate can take its logarithm
         a = np.r_[np.eye(clusters), -np.eye(clusters)]
         b = np.r_[np.full(clusters, problem.high), np.full(clusters, -1e-6 * problem.high)]
     x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)

@@ -8,19 +8,19 @@ current iterate yields a concave minorant, and the nonconvex rank-one
 requirement is replaced by the penalty tr(B) - ||B||_2, itself minorized
 through the spectral-norm subgradient at the iterate.
 
-The ascent starts from the all-ones reflection b0 and needs it to meet
-the SINR floor; when b0 breaks the floor, the stage returns b0 at once.
-Otherwise each iteration maximizes the minorant exactly over the
-floor-respecting spectrahedron with the dense barrier solver and keeps
-the solution only if it raises the minorant, so the penalized surrogate
-ascends monotonically for a fixed penalty weight. Rank one is reached
-through the penalty alone: its weight grows tenfold, from a cold start,
-whenever the ascent stalls at an iterate that is not yet rank-one, and
-the loop stops once the iterate is rank-one or the ascent stalls at the
-top weight. A unit-modulus vector is finally recovered from the leading
-eigenvector's phases, with Gaussian randomization as backup; if no
-floor-respecting candidate beats b0, b0 is returned, so the achieved
-efficiency never drops below its Stage-1 value.
+The ascent starts from the all-ones reflection b0, at which Stage 1 solved
+the split, and runs exactly when Stage 1 certified the SINR floor
+attainable; otherwise the stage returns b0 at once. Each iteration
+maximizes the minorant exactly over the floor-respecting spectrahedron
+with the dense barrier solver and keeps the solution only if it raises the
+minorant, so the penalized surrogate ascends monotonically for a fixed
+penalty weight. Rank one is reached through the penalty alone: its weight
+grows tenfold, from a cold start, whenever the ascent stalls at an iterate
+that is not yet rank-one, and the loop stops once the iterate is rank-one
+or the ascent stalls at the top weight. The unit-modulus vector is the
+leading eigenvector's phases; if those break the floor or lower the
+efficiency, b0 is returned, so the achieved efficiency never drops below
+its Stage-1 value.
 """
 
 from __future__ import annotations
@@ -192,19 +192,6 @@ def exact_rank_penalty(b_mat: np.ndarray) -> float:
     return float(np.real(np.trace(b_mat)) - eigvals[-1])
 
 
-def gaussian_randomization(eigvals: np.ndarray, eigvecs: np.ndarray, count: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus candidates from phases of CN(0, B) draws, (count, N).
-
-    Takes B as its eigendecomposition, ``np.linalg.eigh(B)``.
-    """
-    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))[None, :]
-    n = eigvecs.shape[0]
-    z = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
-    draws = z @ root.conj().T / np.sqrt(2.0)
-    return np.exp(1j * np.angle(draws))
-
-
 @dataclass
 class Stage2TracePoint:
     iteration: int
@@ -270,8 +257,7 @@ def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
 
 def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                         beamformers: BeamformerSet, stage1: Stage1Result,
-                        config: SystemConfig,
-                        rng: np.random.Generator) -> ReflectionResult:
+                        config: SystemConfig) -> ReflectionResult:
     """Run the Stage-2 loop and extract a unit-modulus reflection vector.
 
     At most 20 iterations, each one exact surrogate solve to a 1e-6 gap.
@@ -281,25 +267,26 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     rank-one to within 1e-3 of its trace, the weight climbs tenfold, up
     to 1e6, and the next solve starts cold; at 1e6 a stalled surrogate
     ends the loop with ``converged=True``. The loop starts from the lift of
-    the all-ones vector b0; when b0 breaks the SINR floor for any user,
-    the guaranteed fallback applies at once: b0 is returned with
-    ``fallback=True``, ``iterations=0`` and ``lifted = b0 b0^H``. The
-    vector is recovered from the leading eigenvector's phases and 50
-    Gaussian draws; only candidates that meet the floor and keep at least
-    the starting efficiency count. ``psi`` of the result is the
+    the all-ones vector b0; when Stage 1 did not certify the floor
+    attainable, the guaranteed fallback applies at once: b0 is returned
+    with ``fallback=True``, ``iterations=0`` and ``lifted = b0 b0^H``. The
+    vector is the leading eigenvector's phases, kept only if it meets the
+    floor and keeps at least the starting efficiency; otherwise b0 is
+    returned with ``fallback=True``. ``psi`` of the result is the
     interference every user sees at the returned reflection with the
     Stage-1 split.
 
     ``stage1`` must be solved at the all-ones reflection b0 with these
-    beams and this plan: its ``ee``, ``gamma`` and ``psi`` are taken as
-    the values at b0 (``evaluate_reflection`` at b0 gives them bitwise).
+    beams and this plan: its ``ee`` and ``psi`` are taken as the values at
+    b0 (``evaluate_reflection`` at b0 gives them bitwise), and its
+    ``feasible`` certificate is the only gate of the loop.
     """
     n = config.num_irs_elements
     b0 = np.ones(n, dtype=complex)
-    ee0, gamma0, psi0 = stage1.ee, stage1.gamma, stage1.psi
+    ee0, psi0 = stage1.ee, stage1.psi
     anchor = np.outer(b0, b0.conj())
-    if np.any(gamma0 <= config.min_sinr):
-        # the surrogate ascent needs a floor-respecting start; keep b0
+    if not stage1.feasible:
+        # the surrogate ascent needs a floor-respecting split; keep b0
         return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
                                 ee_initial=ee0, psi=psi0, fallback=True,
                                 converged=False, iterations=0,
@@ -363,27 +350,20 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                 break
         prev_ee = ee_rel
 
-    # recover a unit-modulus vector: leading-eigenvector phases, then
-    # Gaussian randomization as backup; only QoS-clean candidates count,
-    # and efficiency may never drop below ee0
+    # recover a unit-modulus vector from the leading eigenvector's phases;
+    # it must meet the floor, and efficiency may never drop below ee0
     eigvals, eigvecs = np.linalg.eigh(anchor)
-    lead = eigvecs[:, -1] * np.sqrt(max(float(eigvals[-1]), 0.0))
-    candidates = [np.exp(1j * np.angle(lead)),
-                  *gaussian_randomization(eigvals, eigvecs, 50, rng)]
-    best_ee, best_b, best_psi = -np.inf, None, None
-    for cand in candidates:
-        ee_c, gamma_c, psi_c = evaluate_reflection(channels, plan, beamformers,
-                                                   stage1.beta, cand, config)
-        viol_c = float(np.max(1.0 - gamma_c / config.min_sinr, initial=0.0))
-        if viol_c <= 1e-9 and ee_c >= ee0 * (1.0 - 1e-12) and ee_c > best_ee:
-            best_ee, best_b, best_psi = ee_c, cand, psi_c
-    fallback = best_b is None or best_ee < ee0
+    reflection = np.exp(1j * np.angle(eigvecs[:, -1]))
+    ee, gamma, psi = evaluate_reflection(channels, plan, beamformers, stage1.beta,
+                                         reflection, config)
+    violation = float(np.max(1.0 - gamma / config.min_sinr, initial=0.0))
+    fallback = not (violation <= 1e-9 and ee >= ee0)
     if fallback:
-        best_ee, best_b, best_psi = ee0, b0, psi0
+        reflection, ee, psi = b0, ee0, psi0
     # exact_rank_penalty(anchor), from the extraction's decomposition
     penalty = float(np.real(np.trace(anchor)) - eigvals[-1])
-    return ReflectionResult(reflection=best_b, lifted=anchor, ee=best_ee,
-                            ee_initial=ee0, psi=best_psi, fallback=fallback,
+    return ReflectionResult(reflection=reflection, lifted=anchor, ee=ee,
+                            ee_initial=ee0, psi=psi, fallback=fallback,
                             converged=converged, iterations=iterations,
                             exact_penalty=penalty, trace=trace)
 

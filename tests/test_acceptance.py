@@ -239,7 +239,7 @@ def floor_attainable_runs():
         stage1 = allocate_power(gains, cfg)
         if not stage1.feasible:
             continue
-        result = optimize_reflection(channels, plan, beams, stage1, cfg, rng)
+        result = optimize_reflection(channels, plan, beams, stage1, cfg)
         runs.append((stage1, result))
     return runs
 
@@ -327,7 +327,7 @@ def test_criterion_10_convergence_counts(trend_records):
             stage1 = allocate_power(gains, cfg)
             if not stage1.feasible:
                 continue
-            result = optimize_reflection(channels, plan, beams, stage1, cfg, rng)
+            result = optimize_reflection(channels, plan, beams, stage1, cfg)
             if result.trace:
                 counts.append(_iterations_to_settle(
                     [tp.ee for tp in result.trace]))

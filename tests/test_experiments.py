@@ -14,6 +14,7 @@ import pytest
 from irsnoma.channel import sinr
 from irsnoma import experiments
 from irsnoma.cli import main as cli_main
+from irsnoma.clustering import form_clusters
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _LazyStream,
                                  _stream,
@@ -131,8 +132,8 @@ class TestRunTrial:
                         == np.random.default_rng(child).bit_generator.state)
 
     def test_random_clustering_draws_apart_from_proposed(self):
-        # at -15 dB Stage 2 runs its Gaussian randomization on these draws;
-        # random-clustering's values must not depend on whether proposed ran
+        # at -15 dB Stage 2 runs its loop on these draws; random-clustering's
+        # values must not depend on whether proposed ran
         cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
         for trial in range(6):
             alone = run_trial(cfg, ["random-clustering"], seed=1, n=8, m=8,
@@ -161,27 +162,32 @@ class TestRunTrial:
         return records, built
 
     def test_unread_streams_are_not_built(self):
-        # at the 3 dB floor clustering never reaches its random fallback and
-        # Stage 2 returns before it draws, so a five-method trial builds
-        # only the channel, random-plan and random-pac generators
+        # at the 3 dB floor clustering never reaches its random fallback, so
+        # a five-method trial builds only the channel, random-plan and
+        # random-pac generators
         for n in (16, 64):
             _, built = self._built_streams(SystemConfig(), list(METHODS),
                                            seed=4243, n=n, trials=4)
             assert built == [[0, 2, 3]] * 4
 
     def test_lazy_streams_draw_as_built_streams(self):
-        # at -15 dB Stage 2 draws its Gaussian randomization wherever its
-        # plan's Stage 1 is feasible, so the Stage-2 streams are built there,
-        # and they draw what _stream(key, i) draws
+        # the clustering stream draws what _stream(key, 1) draws, also
+        # through clustering's random fallback (equal channels leave every
+        # gain difference zero)
+        flat = np.ones((12, 8), dtype=complex)
         for key in ([1, 8, 8, 0], [4243, 64, 8, 3]):
-            for index in (1, 4, 5):
-                assert np.array_equal(_LazyStream(key, index).standard_normal(16),
-                                      _stream(key, index).standard_normal(16))
+            assert np.array_equal(_LazyStream(key, 1).standard_normal(16),
+                                  _stream(key, 1).standard_normal(16))
+            plans = [form_clusters(flat, 3, 2, 0.5, rng).members
+                     for rng in (_LazyStream(key, 1), _stream(key, 1))]
+            assert np.array_equal(*plans)
+        # at -15 dB Stage 2 runs wherever its plan's Stage 1 is feasible and
+        # draws no randomness, so only the channel and random-plan streams
+        # are built, and the records equal those of eagerly built streams
         cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
         methods = ["proposed", "random-clustering"]
         lazy, built = self._built_streams(cfg, methods, seed=1, n=8, trials=4)
-        assert [(4 in indices, 5 in indices) for indices in built] == [
-            (r.feasible, r.random_plan_feasible) for r in lazy]
+        assert built == [[0, 2]] * 4
         assert all(r.feasible for r in lazy)
         assert any(r.random_plan_feasible for r in lazy)
         with mock.patch.object(experiments, "_LazyStream", _stream):

@@ -146,15 +146,12 @@ def grid_optimum(gains, cfg, attainable, points=40, rounds=4):
 @pytest.mark.parametrize("attainable", [True, False])
 def test_totals_search_matches_totals_grid(attainable):
     # (b) Stage 1's efficiency against an exhaustive (s1, s2) grid at I = 2,
-    # at a solver-free attainable floor and at an unattainable 10 dB floor.
-    # At an attainable floor Stage 1 searches under the floor raised by
-    # _RAISE, so the grid does too
+    # at a solver-free attainable floor and at an unattainable 10 dB floor
     for seed in range(4):
         cfg, gains = two_cluster_draw(seed, None if attainable else 10.0)
         result = allocate_power(gains, cfg)
         assert result.feasible == attainable
-        raised = dataclasses.replace(cfg, min_sinr=cfg.min_sinr * power_allocation._RAISE)
-        oracle = grid_optimum(gains, raised if attainable else cfg, attainable)
+        oracle = grid_optimum(gains, cfg, attainable)
         assert result.ee >= oracle * (1 - 1e-6), seed
         assert result.ee <= oracle * (1 + 1e-4), seed
 
