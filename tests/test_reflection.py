@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -142,6 +143,55 @@ class TestDcLinearization:
         cfg, anchor, own, den, stage1, _ = self._pieces(3)
         with pytest.raises(ValueError, match="anchor"):
             dc_linearize(np.zeros_like(anchor), own, den, stage1, cfg, 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.sampled_from([8, 16]),
+           random_beams=st.booleans(), eta=st.sampled_from([0.0, 1.0]),
+           draw_seed=st.integers(0, 10**6))
+    def test_solver_problem_minorizes_penalized_rate(self, seed, n, random_beams,
+                                                     eta, draw_seed):
+        # the problem the solver maximizes gains no more than the penalized
+        # summed rate R - eta P from its anchor to any B, and its gradient at
+        # the anchor matches finite differences
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+        cfg, _, channels, plan, beams, gains = build_scenario(
+            seed, config=base, random_beams=random_beams)
+        stage1 = allocate_power(gains, cfg)
+        lifts = lift_user_matrices(channels, plan, beams)
+        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+
+        def objective(b_mat):
+            num = (cfg.cluster_power_w * stage1.beta
+                   * np.einsum("ikab,ba->ik", own, b_mat).real)
+            dval = np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
+            rate = cfg.bandwidth_hz * float(np.sum(np.log2(1.0 + num / dval)))
+            return rate - eta * exact_rank_penalty(b_mat)
+
+        rng = np.random.default_rng(draw_seed)
+        anchor = _random_psd(rng, n)
+        pieces = dc_linearize(anchor, own, den, stage1, cfg, eta)
+        problem = pieces.as_solver_problem([])
+        grad = pieces.gradient()
+        at_anchor = problem.value(anchor)
+        exact_anchor = objective(anchor)
+        tol = 1e-9 * (1.0 + abs(at_anchor) + abs(exact_anchor))
+        for draw in range(20):
+            if draw % 2:
+                phases = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+                other = rng.random() * np.outer(phases, phases.conj())
+            else:
+                other = _random_psd(rng, n)
+            gain = problem.value(other) - at_anchor
+            assert gain <= objective(other) - exact_anchor + tol
+        for _ in range(3):
+            delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            delta = 0.5 * (delta + delta.conj().T)
+            delta /= np.linalg.norm(delta)
+            h = 1e-6
+            fd = (problem.value(anchor + h * delta)
+                  - problem.value(anchor - h * delta)) / (2 * h)
+            analytic = sdp.frob(grad, delta)
+            assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-3 * np.linalg.norm(grad))
 
 
 class TestRankOnePenalty:
@@ -307,6 +357,27 @@ class TestOptimizeReflection:
                 assert stage1.ee == ee0
                 assert np.array_equal(stage1.gamma, gamma0)
                 assert np.array_equal(stage1.psi, psi0)
+
+    def test_stage2_attainable_bytes_pinned(self):
+        # the reference-floor pins return before any solve; on these draws
+        # the floor is attainable, so every result field comes out of the
+        # surrogate loop. N = 16 does not move with the BLAS thread count; a
+        # change that moves these bytes on purpose updates the digest
+        digest = hashlib.sha256()
+        for random_beams in (True, False):
+            for seed in range(10):
+                cfg, _, channels, plan, beams, gains = attainable_floor_scenario(
+                    seed, random_beams=random_beams)
+                stage1 = allocate_power(gains, cfg)
+                result = optimize_reflection(channels, plan, beams, stage1, cfg)
+                digest.update(result.reflection.tobytes())
+                digest.update(repr((repr(result.ee), result.iterations,
+                                    result.fallback, result.converged,
+                                    repr(result.exact_penalty))).encode())
+                digest.update(repr([(p.iteration, repr(p.ee), repr(p.eta))
+                                    for p in result.trace]).encode())
+        assert digest.hexdigest() == (
+            "b13cfecb6e971217634edfebdac66b5b6dcc6371e018389fad4eeb4555726fc9")
 
     def test_surrogate_trace_monotone_for_fixed_eta(self):
         cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
