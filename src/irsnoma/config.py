@@ -73,10 +73,12 @@ class SystemConfig:
         for name in (
             "cluster_power_w", "max_power_w", "circuit_power_w", "noise_power_w",
             "bandwidth_hz", "ref_distance_m", "bs_irs_distance_m", "user_radius_m",
-            "sic_power_gap_w",
+            "sic_power_gap_w", "min_sinr", "ref_pathloss",
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if min(self.rician_bs_irs, self.rician_irs_user) < 0.0:
+            raise ValueError("Rician factors must be nonnegative")
         if not 0.0 <= self.correlation_threshold <= 1.0:
             raise ValueError("correlation_threshold must lie in [0, 1]")
 

@@ -89,9 +89,10 @@ def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray
     """Restore decode-order power ratios at constant per-cluster power.
 
     Re-splits each cluster so the weakest-first coefficients decrease
-    geometrically by 1.5 times the floor, which keeps the floor reachable
-    once the reflection stage aligns phases. Total per-cluster power is
-    preserved.
+    geometrically by 1.5 times the floor: with two users, the weaker one's
+    SINR against the stronger one's power alone is 1.5 times the floor.
+    Stage 1 searches the totals under these weights where the floor is
+    unattainable. Total per-cluster power is preserved.
     """
     ratio = config.min_sinr * 1.5
     users = beta.shape[1]
@@ -311,8 +312,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
             if x is not None and np.all(a @ x - b <= 1e-12 * problem.high):
                 break
     else:
-        # every beam keeps a 1e-6 share of its budget, so every SINR stays
-        # positive and the lifted surrogate can take its logarithm
+        # every beam keeps a 1e-6 share of its budget, so no beam falls
+        # silent: every user of the split reported at an unattainable floor
+        # keeps a positive SINR and rate
         a = np.r_[np.eye(clusters), -np.eye(clusters)]
         b = np.r_[np.full(clusters, problem.high), np.full(clusters, -1e-6 * problem.high)]
     x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)

@@ -79,111 +79,51 @@ def sinr_trace_matrices(lifts: np.ndarray, beta: np.ndarray,
     return own, den
 
 
-@dataclass
-class SurrogatePieces:
-    """Anchor-dependent minorant of the penalized Stage-2 objective."""
+def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,
+                      constraints: list[tuple[np.ndarray, float]],
+                      config: SystemConfig,
+                      eta: float) -> tuple[sdp.SdpProblem, np.ndarray]:
+    """This iteration's problem: the penalized rate's minorant at B_t.
 
-    num_mats: np.ndarray     # (I, K, N, N) own-beam lifts scaled by P beta
-    den_mats: np.ndarray     # (I, K, N, N)
-    num_anchor: np.ndarray   # (I, K) traces at the anchor
-    den_anchor: np.ndarray   # (I, K) traces at the anchor, noise included
-    zeta: np.ndarray
-    omega: np.ndarray
-    constant: float          # -rho * power (B-independent)
-    eta: float
-    kappa: np.ndarray        # leading eigenvector of the anchor
-    anchor_offset: float     # ||B_t||_2 - Re tr(kappa kappa^H B_t)
-    bandwidth: float
-    noise_power: float
+    ``num`` holds the numerator lifts P beta own, so that gamma =
+    tr(B num) / (tr(B den) + sigma^2). The penalized rate is
+    R(B) - eta (tr(B) - ||B||_2), with R the bandwidth times the summed
+    log2(1 + gamma). Its concave minorant bounds each log2(1 + gamma) by
+    ``sca_coefficients`` at the anchor SINRs, linearizes each denominator
+    log at B_t and bounds ||B||_2 below by Re tr(kappa kappa^H B), with
+    kappa the anchor's leading eigenvector; it is tight at B_t. In the
+    returned problem, under the floors ``constraints``, the numerator logs
+    are weighted log terms on unit-Frobenius matrices and the rest is the
+    linear objective. Its value differs from the minorant by a constant
+    that does not depend on B. Also returns the Hermitian gradient of the
+    rate part at B_t, which is the gradient of R there.
 
-    def value(self, b_mat: np.ndarray) -> float:
-        """Minorant value at B: concave logs minus affine terms."""
-        num = _traces(self.num_mats, b_mat)
-        den = _traces(self.den_mats, b_mat) + self.noise_power
-        if np.any(num <= 0.0):
-            return -np.inf
-        f1 = np.log2(num)
-        f2bar = np.log2(self.den_anchor) + (den - self.den_anchor) / (
-            LN2 * self.den_anchor)
-        rate = self.bandwidth * float(np.sum(self.zeta * (f1 - f2bar) + self.omega))
-        return rate + self.constant - self.eta * self.penalty(b_mat)
-
-    def penalty(self, b_mat: np.ndarray) -> float:
-        """Minorized penalty tr(B) - [||B_t||_2 + Re tr(kk^H (B - B_t))].
-
-        The bracket lower-bounds the spectral norm, so this value upper
-        bounds the exact penalty tr(B) - ||B||_2 and is tight at B_t.
-        """
-        return float(np.real(np.trace(b_mat))) - self.anchor_offset - float(
-            np.real(np.vdot(self.kappa, b_mat @ self.kappa)))
-
-    def gradient(self) -> np.ndarray:
-        """Exact gradient of the minorant at its anchor (Hermitian)."""
-        n = self.num_mats.shape[-1]
-        grad = np.einsum("ik,ikab->ab", self.zeta / (LN2 * self.num_anchor),
-                         self.num_mats)
-        grad -= np.einsum("ik,ikab->ab",
-                          self.zeta / (LN2 * self.den_anchor), self.den_mats)
-        grad *= self.bandwidth
-        grad -= self.eta * (np.eye(n) - np.outer(self.kappa, self.kappa.conj()))
-        return 0.5 * (grad + grad.conj().T)
-
-    def as_solver_problem(self, constraints) -> "sdp.SdpProblem":
-        """Cast the minorant as the solver's concave objective.
-
-        The numerator logs become weighted log terms (normalized to unit
-        Frobenius scale; the normalization only shifts the objective by a
-        constant). The linearized denominators and the rank-one penalty
-        form the linear part.
-        """
-        n = self.num_mats.shape[-1]
-        linear = -np.einsum("ik,ikab->ab",
-                            self.zeta / (LN2 * self.den_anchor), self.den_mats)
-        linear *= self.bandwidth
-        linear -= self.eta * (np.eye(n) - np.outer(self.kappa, self.kappa.conj()))
-        linear = 0.5 * (linear + linear.conj().T)
-        logs = []
-        weights = self.bandwidth * self.zeta / LN2
-        for i in range(self.num_mats.shape[0]):
-            for k in range(self.num_mats.shape[1]):
-                mat = self.num_mats[i, k]
-                scale = max(float(np.linalg.norm(mat)), 1e-300)
-                logs.append((mat / scale, float(weights[i, k])))
-        return sdp.SdpProblem(objective=linear, constraints=list(constraints),
-                              log_terms=logs)
-
-
-def dc_linearize(anchor: np.ndarray, own: np.ndarray, den: np.ndarray,
-                 stage1: Stage1Result, config: SystemConfig,
-                 eta: float) -> SurrogatePieces:
-    """Build the concave minorant anchored at the current lifted iterate.
-
-    The logarithmic bound coefficients are re-tightened at the anchor SINRs
-    (the bound is global for any expansion point, so the minorant property
-    is preserved and the surrogate is tight at the anchor). Raises
-    ValueError when a log argument is nonpositive at the anchor, which
-    signals an infeasible anchor.
+    Raises ValueError when a log argument is nonpositive at the anchor,
+    which signals an infeasible anchor.
     """
-    p = config.cluster_power_w
-    num_mats = p * stage1.beta[:, :, None, None] * own
-    num_anchor = _traces(num_mats, anchor)
+    num_anchor = _traces(num, anchor)
     den_anchor = _traces(den, anchor) + config.noise_power_w
     if np.any(num_anchor <= 0.0) or np.any(den_anchor <= 0.0):
         raise ValueError("infeasible anchor: nonpositive log argument")
-    zeta, omega = sca_coefficients(num_anchor / den_anchor)
-    eigvals, eigvecs = np.linalg.eigh(anchor)
+    zeta, _ = sca_coefficients(num_anchor / den_anchor)
+    _, eigvecs = np.linalg.eigh(anchor)
     kappa = eigvecs[:, -1]
-    spectral = float(eigvals[-1])
-    anchor_offset = spectral - float(np.real(np.vdot(kappa, anchor @ kappa)))
-    rho_power = float(np.sum(stage1.rho * (
-        p * stage1.beta.sum(axis=1) + config.circuit_power_w)))
-    return SurrogatePieces(
-        num_mats=num_mats, den_mats=den, num_anchor=num_anchor,
-        den_anchor=den_anchor, zeta=zeta, omega=omega,
-        constant=-rho_power, eta=eta, kappa=kappa,
-        anchor_offset=anchor_offset, bandwidth=config.bandwidth_hz,
-        noise_power=config.noise_power_w,
-    )
+    bandwidth = config.bandwidth_hz
+    den_part = np.einsum("ik,ikab->ab", zeta / (LN2 * den_anchor), den)
+    gradient = np.einsum("ik,ikab->ab", zeta / (LN2 * num_anchor), num)
+    gradient -= den_part
+    gradient *= bandwidth
+    linear = -bandwidth * den_part
+    linear -= eta * (np.eye(anchor.shape[0]) - np.outer(kappa, kappa.conj()))
+    logs = []
+    weights = bandwidth * zeta / LN2
+    for i in range(num.shape[0]):
+        for k in range(num.shape[1]):
+            scale = max(float(np.linalg.norm(num[i, k])), 1e-300)
+            logs.append((num[i, k] / scale, float(weights[i, k])))
+    problem = sdp.SdpProblem(objective=0.5 * (linear + linear.conj().T),
+                             constraints=constraints, log_terms=logs)
+    return problem, 0.5 * (gradient + gradient.conj().T)
 
 
 def exact_rank_penalty(b_mat: np.ndarray) -> float:
@@ -225,20 +165,19 @@ def evaluate_reflection(channels: ChannelSet, plan: ClusterPlan,
     return energy_efficiency(gamma, beta, config), gamma, psi
 
 
-def floor_constraints(own: np.ndarray, den: np.ndarray, beta: np.ndarray,
+def floor_constraints(num: np.ndarray, den: np.ndarray,
                       config: SystemConfig) -> list[tuple[np.ndarray, float]]:
     """Lifted SINR floors Re tr(A B) >= c, one per user.
 
-    gamma >= gamma_min is P beta tr(B own) - gamma_min tr(B den) >=
-    gamma_min sigma^2; each pair is normalized to unit Frobenius scale for
-    solver conditioning. A has rank <= I: the own-beam lift plus the I - 1
-    other beams' leakage lifts.
+    With ``num`` the numerator lifts P beta own, gamma >= gamma_min is
+    tr(B num) - gamma_min tr(B den) >= gamma_min sigma^2; each pair is
+    normalized to unit Frobenius scale for solver conditioning. A has rank
+    <= I: the own-beam lift plus the I - 1 other beams' leakage lifts.
     """
-    p = config.cluster_power_w
     constraints = []
-    for i in range(own.shape[0]):
-        for k in range(own.shape[1]):
-            a_mat = p * beta[i, k] * own[i, k] - config.min_sinr * den[i, k]
+    for i in range(num.shape[0]):
+        for k in range(num.shape[1]):
+            a_mat = num[i, k] - config.min_sinr * den[i, k]
             scale = max(float(np.linalg.norm(a_mat)), 1e-300)
             constraints.append((a_mat / scale,
                                 config.min_sinr * config.noise_power_w / scale))
@@ -250,9 +189,7 @@ def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
     """Efficiency of the lifted SINRs at B with the Stage-1 split."""
     num = config.cluster_power_w * beta * _traces(own, b_mat)
     dval = _traces(den, b_mat) + config.noise_power_w
-    rates = config.bandwidth_hz * np.log2(1.0 + num / dval).sum(axis=1)
-    powers = config.cluster_power_w * beta.sum(axis=1) + config.circuit_power_w
-    return float(np.sum(rates / powers))
+    return energy_efficiency(num / dval, beta, config)
 
 
 def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
@@ -294,7 +231,8 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
 
     lifts = lift_user_matrices(channels, plan, beamformers)
     own, den = sinr_trace_matrices(lifts, stage1.beta, config)
-    constraints = floor_constraints(own, den, stage1.beta, config)
+    num = config.cluster_power_w * stage1.beta[:, :, None, None] * own
+    constraints = floor_constraints(num, den, config)
 
     eta = 0.0
     trace: list[Stage2TracePoint] = []
@@ -304,25 +242,24 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     iterations = 0
     for iterations in range(1, 21):
         try:
-            pieces = dc_linearize(anchor, own, den, stage1, config, eta)
+            problem, gradient = surrogate_problem(anchor, num, den, constraints,
+                                                  config, eta)
         except ValueError:
             break
         if iterations == 1:
-            # start the penalty at a few percent of the rate-gradient scale;
-            # no other piece of the minorant depends on the weight
-            rate_scale = float(np.linalg.norm(pieces.gradient()))
-            eta = pieces.eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
-        # one exact solve maximizes this iteration's concave surrogate: the
-        # log numerators ride along as weighted log terms, everything else
-        # (linearized denominators, penalty) is the linear part
-        problem = pieces.as_solver_problem(constraints)
+            # start the penalty at a few percent of the rate-gradient scale,
+            # then rebuild the problem at that weight
+            rate_scale = float(np.linalg.norm(gradient))
+            eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
+            problem, _ = surrogate_problem(anchor, num, den, constraints, config, eta)
+        # one exact solve maximizes this iteration's concave surrogate
         start = _feasible_start(problem, anchor, warm)
         solution = sdp.solve(problem, tolerance=1e-6, initial=start)
         if solution.status == "infeasible":
             break
-        phi_start = pieces.value(anchor)
+        phi_start = problem.value(anchor)
         cand = 0.5 * (solution.matrix + solution.matrix.conj().T)
-        stalled = pieces.value(cand) <= phi_start + _ASCENT_TOL * (
+        stalled = problem.value(cand) <= phi_start + _ASCENT_TOL * (
             1.0 + abs(phi_start))
         if not stalled:
             anchor = cand

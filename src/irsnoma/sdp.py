@@ -179,12 +179,6 @@ def _slacks_and_traces(problem: SdpProblem,
     return traces[:count] - problem._bounds, diag, traces[count:]
 
 
-def slacks(problem: SdpProblem, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint slacks Re tr(A_m B) - c_m and diagonal slacks 1 - B_nn."""
-    lin, diag, _ = _slacks_and_traces(problem, b)
-    return lin, diag
-
-
 def strictly_feasible(problem: SdpProblem, b: np.ndarray) -> bool:
     """True when ``b`` sits strictly inside every constraint of ``problem``."""
     lin, diag, traces = _slacks_and_traces(problem, b)
@@ -391,7 +385,7 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
     if not problem.constraints:
         return None
     n = problem.dim
-    lin0, _ = slacks(problem, start)
+    lin0, _, _ = _slacks_and_traces(problem, start)
     offset = max(0.0, -float(lin0.min())) + 1.0
     scale = 2.0 * offset / DIAG_BOUND  # slack level = scale * last diagonal entry
     aug_cons = []

@@ -20,15 +20,14 @@ from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
 from irsnoma.power_allocation import allocate_power, sca_coefficients
-from irsnoma.reflection import (dc_linearize, lift_user_matrices,
-                                optimize_reflection, sinr_trace_matrices)
+from irsnoma.reflection import optimize_reflection, surrogate_problem
 
 from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
 from test_power_allocation import bound_split, single_cluster, weak_user_grid_optimum
+from test_reflection import sinr_lifts, summed_rate
 from test_sdp import brute_force_objective, random_problem
 
 ULP = np.finfo(float).eps
-LN2 = np.log(2.0)
 
 
 def verdict(criterion, ok, detail):
@@ -156,50 +155,47 @@ def test_criterion_5_dc_gradient_and_majorization():
             seed % 20, random_beams=bool(seed % 2))
         seed += 1
         stage1 = allocate_power(gains, cfg)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
         n = cfg.num_irs_elements
         for _ in range(5):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             anchor = g @ g.conj().T
             anchor *= rng.random() / np.real(np.diag(anchor)).max()
             anchor += 1e-3 * np.eye(n)
-            pieces = dc_linearize(anchor, own, den, stage1, cfg, eta=0.0)
-            grad = pieces.gradient()
+            problem, grad = surrogate_problem(anchor, num, den, [], cfg, eta=0.0)
             delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             delta = 0.5 * (delta + delta.conj().T)
             delta /= np.linalg.norm(delta)
             h = 1e-6
-            fd = (pieces.value(anchor + h * delta)
-                  - pieces.value(anchor - h * delta)) / (2 * h)
+            fd = (problem.value(anchor + h * delta)
+                  - problem.value(anchor - h * delta)) / (2 * h)
             analytic = float(np.real(np.einsum("ij,ji->", grad, delta)))
             worst_fd = max(worst_fd, abs(analytic - fd) / max(abs(fd), 1e-12))
             checks += 1
             if checks >= 100:
                 break
 
-    # majorization of the denominator log over 1e3 random feasible points
+    # the surrogate the solver maximizes rises no more than the summed rate
+    # from its anchor, over 1e3 random feasible points
     cfg, _, channels, plan, beams, gains = build_scenario(0)
     stage1 = allocate_power(gains, cfg)
-    lifts = lift_user_matrices(channels, plan, beams)
-    own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+    num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
     n = cfg.num_irs_elements
     anchor = np.outer(np.ones(n), np.ones(n)).astype(complex)
-    pieces = dc_linearize(anchor, own, den, stage1, cfg, eta=0.0)
+    problem, _ = surrogate_problem(anchor, num, den, [], cfg, eta=0.0)
+    at_anchor = problem.value(anchor)
+    rate_anchor = summed_rate(num, den, anchor, cfg)
     violations = 0
     for _ in range(1000):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         other = g @ g.conj().T
         other *= rng.random() / np.real(np.diag(other)).max()
-        den_other = (np.einsum("ikab,ba->ik", den, other).real
-                     + cfg.noise_power_w)
-        f2 = np.log2(den_other)
-        f2bar = (np.log2(pieces.den_anchor)
-                 + (den_other - pieces.den_anchor) / (LN2 * pieces.den_anchor))
-        violations += int(np.any(f2 > f2bar + 1e-10))
+        rise = problem.value(other) - at_anchor
+        violations += int(rise > summed_rate(num, den, other, cfg) - rate_anchor
+                          + 1e-10 * (1.0 + abs(rate_anchor)))
     ok = worst_fd < 1e-4 and violations == 0
     verdict(5, ok, f"worst gradient FD error {worst_fd:.2e}, "
-                   f"majorization violations {violations}/1000")
+                   f"minorant violations {violations}/1000")
 
 
 @pytest.mark.slow

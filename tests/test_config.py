@@ -31,6 +31,11 @@ def test_defaults_follow_reference_table():
     ("total_users", 9),          # fewer than K * I
     ("cluster_power_w", 0.0),
     ("correlation_threshold", 1.5),
+    ("min_sinr", 0.0),           # divides the floor violation
+    ("min_sinr", -1.0),
+    ("ref_pathloss", 0.0),       # all-zero channels
+    ("rician_bs_irs", -0.5),     # NaN channels
+    ("rician_irs_user", -0.5),
 ])
 def test_invalid_configs_rejected(field, value):
     with pytest.raises(ValueError):
@@ -58,6 +63,13 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text("mystery_knob = 12\n")
     with pytest.raises(ValueError, match="expected"):
         parse_config_text("just words\n")
+
+
+def test_parse_config_rejects_out_of_range_values():
+    # a linear key reaches SystemConfig unconverted, so its range is checked
+    # there, before any stage runs
+    with pytest.raises(ValueError, match="min_sinr must be strictly positive"):
+        parse_config_text("num_irs_elements = 16\nmin_sinr = 0\n")
 
 
 def test_parse_config_rejects_rng_seed():

@@ -12,10 +12,10 @@ from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.clustering import random_plan
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.power_allocation import allocate_power
-from irsnoma.reflection import (dc_linearize, evaluate_reflection,
-                                exact_rank_penalty, lift_user_matrices,
-                                optimize_reflection, sinr_trace_matrices)
+from irsnoma.power_allocation import allocate_power, sca_coefficients
+from irsnoma.reflection import (evaluate_reflection, exact_rank_penalty,
+                                lift_user_matrices, optimize_reflection,
+                                sinr_trace_matrices, surrogate_problem)
 
 from conftest import attainable_floor_scenario, build_scenario
 
@@ -89,60 +89,87 @@ class TestLifting:
         np.testing.assert_allclose(num / dval, gamma_vec, rtol=1e-9)
 
 
+def sinr_lifts(channels, plan, beams, stage1, cfg):
+    """The numerator lifts P beta own and the denominator lifts of every
+    user's SINR at the Stage-1 split."""
+    lifts = lift_user_matrices(channels, plan, beams)
+    own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+    return cfg.cluster_power_w * stage1.beta[:, :, None, None] * own, den
+
+
+def summed_rate(num, den, b_mat, cfg):
+    """R(B): bandwidth times the summed log2(1 + gamma) of the lifted SINRs."""
+    gamma = (np.einsum("ikab,ba->ik", num, b_mat).real
+             / (np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w))
+    return cfg.bandwidth_hz * float(np.sum(np.log2(1.0 + gamma)))
+
+
+def _unit_hermitian(rng, n):
+    delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    delta = 0.5 * (delta + delta.conj().T)
+    return delta / np.linalg.norm(delta)
+
+
 class TestDcLinearization:
-    def _pieces(self, seed, eta=0.0):
+    def _surrogate(self, seed, eta=0.0):
         cfg, rng, channels, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
         n = cfg.num_irs_elements
         anchor = _random_psd(np.random.default_rng(seed + 1), n) + 0.05 * np.eye(n)
         anchor *= 1.0 / max(np.real(np.diag(anchor)).max(), 1.0)
-        pieces = dc_linearize(anchor, own, den, stage1, cfg, eta)
-        return cfg, anchor, own, den, stage1, pieces
+        problem, grad = surrogate_problem(anchor, num, den, [], cfg, eta)
+        return cfg, anchor, num, den, problem, grad
 
     def test_tight_at_anchor(self):
-        _, anchor, own, den, stage1, pieces = self._pieces(0)
-        rate = pieces.bandwidth * float(np.sum(
-            pieces.zeta * (np.log2(pieces.num_anchor)
-                           - np.log2(pieces.den_anchor)) + pieces.omega))
-        assert pieces.value(anchor) == pytest.approx(rate + pieces.constant,
-                                                     rel=1e-10)
+        # the minorant touches the summed rate at the anchor: the returned
+        # rate gradient is the rate's own gradient there
+        cfg, anchor, num, den, _, grad = self._surrogate(0)
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for _ in range(20):
+            delta = _unit_hermitian(rng, anchor.shape[0])
+            fd = (summed_rate(num, den, anchor + h * delta, cfg)
+                  - summed_rate(num, den, anchor - h * delta, cfg)) / (2 * h)
+            assert sdp.frob(grad, delta) == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_majorization_of_denominator_log(self):
-        cfg, anchor, own, den, stage1, pieces = self._pieces(1)
+        # at eta = 0 the linear part is -sum_ik bw zeta_ik d_ik(B) / (ln2 d_ik(B_t)),
+        # the tangent of the concave sum -sum_ik bw zeta_ik log2 d_ik(B) at B_t
+        cfg, anchor, num, den, problem, _ = self._surrogate(1)
+
+        def dval(b_mat):
+            return np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
+
+        zeta, _ = sca_coefficients(
+            np.einsum("ikab,ba->ik", num, anchor).real / dval(anchor))
+        weights = cfg.bandwidth_hz * zeta
+        at_anchor = sdp.frob(problem.objective, anchor)
         rng = np.random.default_rng(7)
-        n = anchor.shape[0]
         for _ in range(200):
-            other = _random_psd(rng, n)
-            den_other = (np.einsum("ikab,ba->ik", den, other).real
-                         + cfg.noise_power_w)
-            f2 = np.log2(den_other)
-            f2bar = (np.log2(pieces.den_anchor)
-                     + (den_other - pieces.den_anchor)
-                     / (np.log(2.0) * pieces.den_anchor))
-            assert np.all(f2 <= f2bar + 1e-10)
+            other = _random_psd(rng, anchor.shape[0])
+            log_rise = float(np.sum(weights * (np.log2(dval(other))
+                                               - np.log2(dval(anchor)))))
+            tangent_rise = at_anchor - sdp.frob(problem.objective, other)
+            assert log_rise <= tangent_rise + 1e-10 * (1.0 + abs(at_anchor))
 
     def test_gradient_matches_finite_differences(self):
-        cfg, anchor, own, den, stage1, pieces = self._pieces(2)
+        cfg, anchor, num, den, problem, grad = self._surrogate(2)
         rng = np.random.default_rng(11)
         n = anchor.shape[0]
-        grad = pieces.gradient()
         for _ in range(20):
-            delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            delta = 0.5 * (delta + delta.conj().T)
-            delta /= np.linalg.norm(delta)
+            delta = _unit_hermitian(rng, n)
             h = 1e-6
-            up = pieces.value(anchor + h * delta)
-            down = pieces.value(anchor - h * delta)
+            up = problem.value(anchor + h * delta)
+            down = problem.value(anchor - h * delta)
             fd = (up - down) / (2 * h)
-            analytic = float(np.real(np.einsum("ij,ji->", grad, delta)))
+            analytic = sdp.frob(grad, delta)
             assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_infeasible_anchor_rejected(self):
-        cfg, anchor, own, den, stage1, _ = self._pieces(3)
+        cfg, anchor, num, den, _, _ = self._surrogate(3)
         with pytest.raises(ValueError, match="anchor"):
-            dc_linearize(np.zeros_like(anchor), own, den, stage1, cfg, 0.0)
+            surrogate_problem(np.zeros_like(anchor), num, den, [], cfg, 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.sampled_from([8, 16]),
@@ -152,26 +179,23 @@ class TestDcLinearization:
                                                      eta, draw_seed):
         # the problem the solver maximizes gains no more than the penalized
         # summed rate R - eta P from its anchor to any B, and its gradient at
-        # the anchor matches finite differences
+        # the anchor (the rate gradient less eta times the penalty's
+        # subgradient I - kappa kappa^H) matches finite differences
         base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
         cfg, _, channels, plan, beams, gains = build_scenario(
             seed, config=base, random_beams=random_beams)
         stage1 = allocate_power(gains, cfg)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
+        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
 
         def objective(b_mat):
-            num = (cfg.cluster_power_w * stage1.beta
-                   * np.einsum("ikab,ba->ik", own, b_mat).real)
-            dval = np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
-            rate = cfg.bandwidth_hz * float(np.sum(np.log2(1.0 + num / dval)))
-            return rate - eta * exact_rank_penalty(b_mat)
+            return (summed_rate(num, den, b_mat, cfg)
+                    - eta * exact_rank_penalty(b_mat))
 
         rng = np.random.default_rng(draw_seed)
         anchor = _random_psd(rng, n)
-        pieces = dc_linearize(anchor, own, den, stage1, cfg, eta)
-        problem = pieces.as_solver_problem([])
-        grad = pieces.gradient()
+        problem, rate_grad = surrogate_problem(anchor, num, den, [], cfg, eta)
+        kappa = np.linalg.eigh(anchor)[1][:, -1]
+        grad = rate_grad - eta * (np.eye(n) - np.outer(kappa, kappa.conj()))
         at_anchor = problem.value(anchor)
         exact_anchor = objective(anchor)
         tol = 1e-9 * (1.0 + abs(at_anchor) + abs(exact_anchor))
@@ -184,9 +208,7 @@ class TestDcLinearization:
             gain = problem.value(other) - at_anchor
             assert gain <= objective(other) - exact_anchor + tol
         for _ in range(3):
-            delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            delta = 0.5 * (delta + delta.conj().T)
-            delta /= np.linalg.norm(delta)
+            delta = _unit_hermitian(rng, n)
             h = 1e-6
             fd = (problem.value(anchor + h * delta)
                   - problem.value(anchor - h * delta)) / (2 * h)
@@ -206,13 +228,21 @@ class TestRankOnePenalty:
 
     @staticmethod
     def _linearizer(seed):
-        """Dimension and a minorant builder for one drawn scenario."""
+        """Dimension and, per anchor, the minorized penalty of its problem.
+
+        The weight enters the problem only through -eta Re tr(M B), so M is
+        the objective at weight 0 less the objective at weight 1.
+        """
         cfg, _, channels, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
-        return cfg.num_irs_elements, lambda anchor: dc_linearize(
-            anchor, own, den, stage1, cfg, 0.0)
+        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+
+        def penalty(anchor):
+            free, _ = surrogate_problem(anchor, num, den, [], cfg, 0.0)
+            weighted, _ = surrogate_problem(anchor, num, den, [], cfg, 1.0)
+            return lambda b_mat: sdp.frob(free.objective - weighted.objective, b_mat)
+
+        return cfg.num_irs_elements, penalty
 
     def test_surrogate_dominates_exact(self):
         n, linearize = self._linearizer(1)
@@ -220,13 +250,12 @@ class TestRankOnePenalty:
         for _ in range(50):
             anchor = _random_psd(rng, n)
             other = _random_psd(rng, n)
-            assert (linearize(anchor).penalty(other)
-                    >= exact_rank_penalty(other) - 1e-9)
+            assert linearize(anchor)(other) >= exact_rank_penalty(other) - 1e-9
 
     def test_surrogate_tight_at_anchor(self):
         n, linearize = self._linearizer(2)
         anchor = _random_psd(np.random.default_rng(2), n)
-        assert linearize(anchor).penalty(anchor) == pytest.approx(
+        assert linearize(anchor)(anchor) == pytest.approx(
             exact_rank_penalty(anchor), abs=1e-10)
 
 
@@ -391,10 +420,9 @@ class TestOptimizeReflection:
             assert np.all(np.diff(values) >= -1e-6 * max(1.0, abs(values[0])))
 
 
-# (kind, N): at the reference floor the starting vector breaks the SINR
-# floor, so Stage 2 returns it at once without solving; at an attainable
-# floor with random beams it runs its loop wherever the starting vector
-# meets the floor
+# (kind, N): at the reference floor Stage 1 certifies no draw, so Stage 2
+# returns its start at once without solving; at an attainable floor with
+# random beams the certificate holds and Stage 2 runs its loop
 _STAGE2_SOURCES = (("reference", 8), ("reference", 16),
                    ("attainable", 8), ("attainable", 16))
 

@@ -272,7 +272,8 @@ class TestLowRankFactors:
         stage1 = allocate_power(gains, cfg)
         lifts = lift_user_matrices(channels, plan, beams)
         own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
-        constraints = floor_constraints(own, den, stage1.beta, cfg)
+        num = cfg.cluster_power_w * stage1.beta[:, :, None, None] * own
+        constraints = floor_constraints(num, den, cfg)
         n = cfg.num_irs_elements
         problem = sdp.SdpProblem(objective=np.zeros((n, n)), constraints=constraints)
         lifted = _phase_one_lift(problem)
