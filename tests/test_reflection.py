@@ -213,7 +213,8 @@ class TestDcLinearization:
             fd = (problem.value(anchor + h * delta)
                   - problem.value(anchor - h * delta)) / (2 * h)
             analytic = sdp.frob(grad, delta)
-            assert abs(analytic - fd) <= 1e-4 * max(abs(fd), 1e-3 * np.linalg.norm(grad))
+            scale = max(abs(fd), 1e-3 * np.linalg.norm(grad))
+            assert abs(analytic - fd) <= 1e-4 * scale
 
 
 class TestRankOnePenalty:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import build_scenario
+from test_reflection import sinr_lifts
 from irsnoma import sdp
 from irsnoma.power_allocation import allocate_power
-from irsnoma.reflection import floor_constraints, lift_user_matrices, sinr_trace_matrices
+from irsnoma.reflection import floor_constraints
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -270,9 +271,7 @@ class TestLowRankFactors:
     def test_reflection_floor_constraints_are_low_rank(self):
         cfg, _, channels, plan, beams, gains = build_scenario(0)
         stage1 = allocate_power(gains, cfg)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
-        num = cfg.cluster_power_w * stage1.beta[:, :, None, None] * own
+        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
         constraints = floor_constraints(num, den, cfg)
         n = cfg.num_irs_elements
         problem = sdp.SdpProblem(objective=np.zeros((n, n)), constraints=constraints)
