@@ -11,7 +11,6 @@ the squared gains ``|u f|^2`` of the beamformers ``f``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -178,41 +177,18 @@ def stronger_tail(beta: np.ndarray) -> np.ndarray:
     return np.add.accumulate(beta[:, ::-1], axis=1)[:, ::-1] - beta
 
 
-class SinrParts(NamedTuple):
-    """The SINRs at one split and the terms they are built from."""
-
-    gamma: np.ndarray      # (I, K) post-SIC SINRs
-    psi: np.ndarray        # (I, K) power leaked in from all other beams, W
-    tail: np.ndarray       # (I, K) stronger_tail(beta)
-    den: np.ndarray        # (I, K) SINR denominator P tail g + psi + sigma^2
-    radiated: np.ndarray   # (I,) radiated power per beam P_i * sum(beta), W
-    num: np.ndarray        # (I, K) SINR numerator P beta g
-
-
-def sinr_parts(gains: LinkGains, beta: np.ndarray,
-               config: SystemConfig) -> SinrParts:
-    """Post-SIC SINR of every user and the terms it is built from.
+def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Post-SIC SINR of every user and the interference term it saw, (I, K).
 
     User k in a cluster decodes after the weaker ones are cancelled, so the
     remaining in-beam interference stems from the stronger users l > k.
-    Stage 1 calls this on every split it visits, so the reductions call the
-    ufuncs directly: the same C reduction as the ndarray methods, without
-    their Python frame.
     """
     p = config.cluster_power_w
-    radiated = p * np.add.reduce(beta, axis=1)
+    radiated = p * beta.sum(axis=1)
     psi = (np.einsum("ikj,j->ik", gains.cross_beam, radiated)
            - gains.own_beam * radiated[:, None])
-    tail = stronger_tail(beta)
-    den = p * tail * gains.own_beam + psi + config.noise_power_w
-    num = p * beta * gains.own_beam
-    return SinrParts(num / den, psi, tail, den, radiated, num)
-
-
-def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Post-SIC SINR of every user and the interference term it saw, (I, K)."""
-    parts = sinr_parts(gains, beta, config)
-    return parts.gamma, parts.psi
+    den = p * stronger_tail(beta) * gains.own_beam + psi + config.noise_power_w
+    return p * beta * gains.own_beam / den, psi
 
 
 def cluster_rates_and_power(gamma: np.ndarray, beta: np.ndarray,

@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkGains, sinr_parts
+from .channel import LinkGains, cluster_rates_and_power, sinr
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
 
-# acceptance caps per constraint family (power, SINR floor, decode gap)
-_CAPS = (5e-7, 5e-4, 5e-7)
 # the ascent stops once a full Newton step predicts less relative gain
 _TOLERANCE = 1e-10
 
@@ -49,40 +47,6 @@ def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("expansion point must be strictly positive")
     zeta = gamma0 / (1.0 + gamma0)
     return zeta, np.log2(1.0 + gamma0) - zeta * np.log2(gamma0)
-
-
-@dataclass
-class _Point:
-    """A split's SINRs, efficiency and constraint excesses."""
-
-    gamma: np.ndarray        # (I, K) SINRs
-    psi: np.ndarray          # (I, K) inter-cluster interference they saw
-    violations: np.ndarray   # (power, qos, sic) excesses in tolerance units
-    feasible: bool           # every violation within _CAPS
-    ee: float
-    rho: np.ndarray          # (I,) per-cluster rate / consumed power
-
-
-def _evaluate(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> _Point:
-    """Everything reported at ``beta``, in one pass over its SINR terms.
-    Each violation is a monotone map of one extreme entry, so it has the
-    bits of the largest mapped entry."""
-    parts = sinr_parts(gains, beta, config)
-    gamma, radiated = parts.gamma, parts.radiated
-    sic_slack = (config.cluster_power_w * gains.own_beam[:, 1:]
-                 * (beta[:, :-1] - parts.tail[:, :-1]) - config.sic_power_gap_w)
-    low = float(np.minimum.reduce(gamma, axis=None))
-    gap_short = (-float(np.minimum.reduce(sic_slack, axis=None))
-                 if sic_slack.size else 0.0)  # K = 1: no gap
-    power = max(0.0, float(np.maximum.reduce(radiated)) / config.max_power_w - 1.0)
-    floor = max(0.0, 1.0 - low / config.min_sinr)
-    sic = max(0.0, gap_short / config.sic_power_gap_w)
-    rates = config.bandwidth_hz * np.add.reduce(np.log2(1.0 + gamma), axis=1)
-    rho = rates / (radiated + config.circuit_power_w)
-    return _Point(gamma=gamma, psi=parts.psi,
-                  violations=np.array([power, floor, sic]),
-                  feasible=power <= _CAPS[0] and floor <= _CAPS[1] and sic <= _CAPS[2],
-                  ee=float(np.add.reduce(rho)), rho=rho)
 
 
 def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -116,16 +80,16 @@ class _Problem:
         self.inflow[..., ::self.shape[1]] = config.cluster_power_w * cross
         self.high = config.max_power_w / config.cluster_power_w
 
-    def constraints(self, min_sinr: float) -> tuple[np.ndarray, np.ndarray]:
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit rows ``a`` and bounds ``b`` of ``a @ levels <= b``, I rows
         each: the budget, per weaker user its floor then its gap bound, and
         the strongest user's floor."""
         cfg, (clusters, users) = self.config, self.shape
         eye, inflow = np.eye(self.pg.size).reshape(self.inflow.shape), self.inflow
-        need, gap = min_sinr / self.pg, cfg.sic_power_gap_w / self.pg[:, 1:]
+        need, gap = cfg.min_sinr / self.pg, cfg.sic_power_gap_w / self.pg[:, 1:]
         rows, bounds = [eye[:, 0]], [np.full(clusters, self.high)]
         for k in range(users - 1):
-            rows += [(1.0 + min_sinr) * eye[:, k + 1] - eye[:, k]
+            rows += [(1.0 + cfg.min_sinr) * eye[:, k + 1] - eye[:, k]
                      + need[:, k, None] * inflow[:, k], 2.0 * eye[:, k + 1] - eye[:, k]]
             bounds += [-need[:, k] * cfg.noise_power_w, -gap[:, k]]
         rows.append(need[:, -1, None] * inflow[:, -1] - eye[:, -1])
@@ -298,7 +262,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     """
     problem = _Problem(gains, config)
     clusters, users = problem.shape
-    a, b = problem.constraints(config.min_sinr)
+    a, b = problem.constraints()
     least = problem.certify(a, b)
     feasible = least is not None
     efficiency = _Efficiency(problem, feasible)
@@ -320,7 +284,9 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)
     levels = (efficiency.level_map @ x).reshape(clusters, users)
     beta = levels - np.append(levels[:, 1:], np.zeros((clusters, 1)), axis=1)
-    point = _evaluate(gains, beta, config)
-    return Stage1Result(beta=beta, rho=point.rho, gamma=point.gamma, psi=point.psi,
+    gamma, psi = sinr(gains, beta, config)
+    rates, powers = cluster_rates_and_power(gamma, beta, config)
+    rho = rates / powers
+    return Stage1Result(beta=beta, rho=rho, gamma=gamma, psi=psi,
                         iterations=steps, converged=converged, feasible=feasible,
-                        residual=residual, ee=point.ee, trace=trace)
+                        residual=residual, ee=float(np.sum(rho)), trace=trace)

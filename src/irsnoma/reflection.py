@@ -252,8 +252,9 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
             rate_scale = float(np.linalg.norm(gradient))
             eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
             problem, _ = surrogate_problem(anchor, num, den, constraints, config, eta)
-        # one exact solve maximizes this iteration's concave surrogate
-        start = _feasible_start(problem, anchor, warm)
+        # one exact solve maximizes this iteration's concave surrogate, from
+        # the last solution or, cold, the anchor blended 5% toward I/2
+        start = warm if warm is not None else 0.95 * anchor + 0.025 * np.eye(n)
         solution = sdp.solve(problem, tolerance=1e-6, initial=start)
         if solution.status == "infeasible":
             break
@@ -304,18 +305,3 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
                             converged=converged, iterations=iterations,
                             exact_penalty=penalty, trace=trace)
 
-
-def _feasible_start(problem: sdp.SdpProblem, anchor: np.ndarray,
-                    warm: np.ndarray | None) -> np.ndarray | None:
-    """First strictly feasible candidate among warm start and anchor blends."""
-    n = anchor.shape[0]
-    eye = np.eye(n, dtype=complex)
-    candidates = []
-    if warm is not None:
-        candidates.append(warm)
-    for tau in (0.05, 0.2, 0.5):
-        candidates.append((1.0 - tau) * anchor + 0.5 * tau * eye)
-    for cand in candidates:
-        if sdp.strictly_feasible(problem, cand):
-            return cand
-    return None

@@ -333,9 +333,9 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
           initial: np.ndarray | None = None) -> SdpSolution:
     """Path-following solve; returns the best iterate with a status flag.
 
-    ``initial`` may carry a warm start; it is used only when strictly
-    feasible. Without one, I / 2 is tried, then a few feasibility-repair
-    rounds; if no interior point is found the status is "infeasible".
+    ``initial`` may carry a warm start, used only when strictly feasible;
+    otherwise I / 2 is tried, then a few feasibility-repair rounds; if no
+    interior point is found the status is "infeasible".
     """
     n = problem.dim
     b = None

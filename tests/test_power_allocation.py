@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from irsnoma import power_allocation
 from irsnoma.channel import (LinkGains, cluster_rates_and_power,
-                             energy_efficiency, sinr)
+                             energy_efficiency, sinr, stronger_tail)
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import allocate_power, sca_coefficients
 
@@ -52,7 +52,7 @@ def bound_split(gains, cfg, totals):
     """Stage 1's split at fixed per-cluster ``totals``: every user but the
     strongest at its binding floor or decode-gap bound."""
     problem = power_allocation._Problem(gains, cfg)
-    a, b = problem.constraints(cfg.min_sinr)
+    a, b = problem.constraints()
     clusters = problem.shape[0]
     return split_of(problem.tight(a, np.r_[totals, b[clusters:]], slice(clusters)),
                     problem.shape)
@@ -116,8 +116,25 @@ class TestClosedForm:
 def least_split(gains, cfg):
     """The certificate's least split, or None at an unattainable floor."""
     problem = power_allocation._Problem(gains, cfg)
-    levels = problem.certify(*problem.constraints(cfg.min_sinr))
+    levels = problem.certify(*problem.constraints())
     return None if levels is None else split_of(levels, problem.shape)
+
+
+# caps per constraint family (budget, SINR floor, decode gap) on a split's
+# excess over each bound, relative to that bound
+CAPS = (5e-7, 5e-4, 5e-7)
+
+
+def meets_caps(gains, beta, cfg):
+    """True when ``beta`` breaks no constraint family by more than ``CAPS``."""
+    gamma, _ = sinr(gains, beta, cfg)
+    sic = (cfg.cluster_power_w * gains.own_beam[:, 1:]
+           * (beta[:, :-1] - stronger_tail(beta)[:, :-1]) - cfg.sic_power_gap_w)
+    radiated = cfg.cluster_power_w * beta.sum(axis=1)
+    violations = (float(np.max(radiated / cfg.max_power_w - 1.0)),
+                  float(np.max(1.0 - gamma / cfg.min_sinr, initial=0.0)),
+                  float(np.max(-sic / cfg.sic_power_gap_w, initial=0.0)))
+    return all(excess <= cap for excess, cap in zip(violations, CAPS))
 
 
 def _certificate_draw(users, clusters, seed, floor_db, random_beams):
@@ -141,11 +158,20 @@ class TestCertificate:
         cfg, gains = _certificate_draw(users, clusters, seed, floor_db, random_beams)
         beta = least_split(gains, cfg)
         if beta is not None:
-            assert power_allocation._evaluate(gains, beta * (1.0 + 1e-9), cfg).feasible
+            assert meets_caps(gains, beta * (1.0 + 1e-9), cfg)
         higher = dataclasses.replace(cfg, min_sinr=cfg.min_sinr * db_to_linear(raise_db))
         if beta is None:
             assert least_split(gains, higher) is None
         assert allocate_power(gains, cfg).feasible == (beta is not None)
+
+    def test_cap_oracle_sees_a_raised_floor(self):
+        # the least split puts the strongest users on the floor: it meets the
+        # caps there and breaks the floor's once the floor rises by 1e-3
+        cfg, *_, gains = attainable_floor_scenario(0)
+        beta = least_split(gains, cfg)
+        assert meets_caps(gains, beta, cfg)
+        raised = dataclasses.replace(cfg, min_sinr=cfg.min_sinr * (1.0 + 1e-3))
+        assert not meets_caps(gains, beta, raised)
 
     def test_reference_floor_is_unattainable(self):
         # 3 dB: inter-cluster interference leaves no split that meets it
@@ -285,42 +311,7 @@ class TestStage1Properties:
         assert result.iterations == len(ees) - 1
         assert not result.converged or result.residual <= power_allocation._TOLERANCE
         if result.feasible:
-            assert power_allocation._evaluate(gains, result.beta, cfg).feasible
-
-
-class TestFusedPoint:
-    @settings(max_examples=60, deadline=None)
-    @given(source=st.sampled_from(_SOURCES), seed=st.integers(0, 10**6),
-           scale=st.floats(0.05, 3.0), power=st.floats(0.1, 10.0),
-           circuit=st.floats(0.1, 10.0), bandwidth=st.floats(0.5, 2e7))
-    def test_matches_public_path(self, source, seed, scale, power, circuit,
-                                 bandwidth):
-        # the one-pass evaluation must give, bit for bit, what the public
-        # functions compute at the same split; the defaults' unit powers
-        # and bandwidth would hide a reordered product
-        cfg, gains = _stage1_draw(source, seed)
-        cfg = dataclasses.replace(cfg, cluster_power_w=power,
-                                  circuit_power_w=circuit,
-                                  bandwidth_hz=bandwidth)
-        rng = np.random.default_rng(seed)
-        beta = scale * rng.uniform(1e-3, 1.0, gains.own_beam.shape)
-        point = power_allocation._evaluate(gains, beta, cfg)
-
-        gamma, psi = sinr(gains, beta, cfg)
-        rates, powers = cluster_rates_and_power(gamma, beta, cfg)
-        tail = np.cumsum(beta[:, ::-1], axis=1)[:, ::-1] - beta
-        sic = (cfg.cluster_power_w * gains.own_beam[:, 1:]
-               * (beta[:, :-1] - tail[:, :-1]) - cfg.sic_power_gap_w)
-        radiated = cfg.cluster_power_w * beta.sum(axis=1)
-        violations = np.array([
-            max(0.0, float(np.max(radiated / cfg.max_power_w - 1.0))),
-            max(0.0, float(np.max(1.0 - gamma / cfg.min_sinr, initial=0.0))),
-            max(0.0, float(np.max(-sic / cfg.sic_power_gap_w, initial=0.0)))])
-        assert all(np.array_equal(got, want) for got, want in (
-            (point.gamma, gamma), (point.psi, psi),
-            (point.violations, violations), (point.rho, rates / powers)))
-        assert point.ee == energy_efficiency(gamma, beta, cfg)
-        assert point.feasible == bool(np.all(violations <= power_allocation._CAPS))
+            assert meets_caps(gains, result.beta, cfg)
 
 
 def _stage1_wide_draws():

@@ -160,14 +160,32 @@ class TestSolutionQuality:
 
     def test_phase_one_reaches_strict_interior(self):
         # 0.5 I violates this constraint; the repair must still find a point
-        rng = np.random.default_rng(3)
-        a = _random_hermitian(rng, 6)
-        bound = sdp.frob(a, 0.5 * np.eye(6)) + 0.5
-        problem = sdp.SdpProblem(objective=_random_hermitian(rng, 6),
-                                 constraints=[(a, bound)])
+        problem = _phase_one_problem()
+        (a, bound), = problem.constraints
         solution = sdp.solve(problem, tolerance=1e-5)
         assert solution.status == "optimal"
         assert sdp.frob(a, solution.matrix) >= bound - 1e-5 * (1 + abs(bound))
+
+    def test_start_that_is_not_strictly_feasible_is_dropped(self):
+        # the all-ones lift sits on the diagonal bound, like Stage 2's first
+        # anchor: the solve must start as it does without one, bit for bit
+        problem = _phase_one_problem()
+        initial = np.ones((6, 6), dtype=complex)
+        assert not sdp.strictly_feasible(problem, initial)
+        got = sdp.solve(problem, tolerance=1e-5, initial=initial)
+        want = sdp.solve(problem, tolerance=1e-5)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert (got.status, got.objective, got.newton_steps) == (
+            want.status, want.objective, want.newton_steps)
+
+
+def _phase_one_problem():
+    """One constraint that 0.5 I violates, so the solve needs phase one."""
+    rng = np.random.default_rng(3)
+    a = _random_hermitian(rng, 6)
+    bound = sdp.frob(a, 0.5 * np.eye(6)) + 0.5
+    return sdp.SdpProblem(objective=_random_hermitian(rng, 6),
+                          constraints=[(a, bound)])
 
 
 def _random_vectors(rng, n, count):

@@ -108,7 +108,7 @@ def test_certificate_matches_totals_grid(floor_db):
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
         feasible = np.all(least_totals(gains, cfg, grid, columns) <= grid, axis=-1)
         problem = power_allocation._Problem(gains, cfg)
-        least = problem.certify(*problem.constraints(cfg.min_sinr))
+        least = problem.certify(*problem.constraints())
         verdicts.append(least is not None)
         assert feasible.any() == (least is not None), seed
         if least is not None:
