@@ -374,4 +374,4 @@ def test_pinned_digests_hold_under_two_blas_threads():
         cwd=pathlib.Path(__file__).resolve().parents[1], env=env,
         capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-3000:]
-    assert re.search(r"\b7 passed\b", run.stdout), run.stdout[-3000:]
+    assert re.search(r"\b8 passed\b", run.stdout), run.stdout[-3000:]

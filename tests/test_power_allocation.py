@@ -314,6 +314,17 @@ class TestStage1Properties:
             assert meets_caps(gains, result.beta, cfg)
 
 
+def _digest_result(digest, result):
+    """Feed every field of a ``Stage1Result`` and its trace to ``digest``."""
+    for array in (result.beta, result.gamma, result.psi):
+        digest.update(array.tobytes())
+    digest.update(repr((repr(result.ee), result.iterations, result.converged,
+                        result.feasible, repr(result.residual))).encode())
+    for tp in result.trace:
+        digest.update(repr((tp.iteration, repr(tp.ee))).encode())
+        digest.update(tp.rho.tobytes())
+
+
 def _stage1_wide_draws():
     """260 Stage-1 inputs: reference-floor ZF draws and attainable floors."""
     for n in (16, 64):
@@ -336,14 +347,7 @@ def test_stage1_wide_bytes_pinned():
     # moves these bytes on purpose updates the digest
     digest = hashlib.sha256()
     for cfg, gains in _stage1_wide_draws():
-        result = allocate_power(gains, cfg)
-        for array in (result.beta, result.gamma, result.psi):
-            digest.update(array.tobytes())
-        digest.update(repr((repr(result.ee), result.iterations, result.converged,
-                            result.feasible, repr(result.residual))).encode())
-        for tp in result.trace:
-            digest.update(repr((tp.iteration, repr(tp.ee))).encode())
-            digest.update(tp.rho.tobytes())
+        _digest_result(digest, allocate_power(gains, cfg))
     assert digest.hexdigest() == (
         "e8f4e0516e5e43cce068e1dbc8915620795c3c727b228e6b52d6e636947be316")
 
@@ -362,13 +366,30 @@ def test_stage1_nine_clusters_bytes_pinned():
                                    num_bs_antennas=10, users_per_cluster=users)
         for seed in range(30):
             cfg, *_, gains = build_scenario(seed, config=base)
-            result = allocate_power(gains, cfg)
-            for array in (result.beta, result.gamma, result.psi):
-                digest.update(array.tobytes())
-            digest.update(repr((repr(result.ee), result.iterations, result.converged,
-                                result.feasible, repr(result.residual))).encode())
-            for tp in result.trace:
-                digest.update(repr((tp.iteration, repr(tp.ee))).encode())
-                digest.update(tp.rho.tobytes())
+            _digest_result(digest, allocate_power(gains, cfg))
     assert digest.hexdigest() == (
         "d4d5a4b51f5fff045920014701af1e24fd72e106155083cf57f8595836c48132")
+
+
+def test_stage1_edge_paths_bytes_pinned():
+    # the exits the wide pin does not reach: one user per cluster, where
+    # there are no floor or gap rows between levels, and an ascent cut after
+    # 0, 1 or 2 steps. Recorded before Stage 1's per-call overhead was cut,
+    # which left every field bitwise as it was
+    digest = hashlib.sha256()
+    for floor_db in (-5.0, 3.0):
+        base = dataclasses.replace(SystemConfig(), users_per_cluster=1,
+                                   min_sinr=db_to_linear(floor_db))
+        for random_beams in (False, True):
+            for seed in range(10):
+                cfg, *_, gains = build_scenario(seed, config=base,
+                                                random_beams=random_beams)
+                _digest_result(digest, allocate_power(gains, cfg))
+    for max_iterations in (0, 1, 2):
+        for source in _SOURCES:
+            for seed in range(5):
+                cfg, gains = _stage1_draw(source, seed)
+                _digest_result(digest, allocate_power(gains, cfg,
+                                                      max_iterations=max_iterations))
+    assert digest.hexdigest() == (
+        "57a77a01875df61d499ec87fcfb549e2824a096dcf81621aea8c757b19972b9d")
