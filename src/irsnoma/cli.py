@@ -6,7 +6,8 @@ import argparse
 import sys
 
 from .config import SystemConfig, load_config
-from .experiments import METHODS, ExperimentSpec, emit_results, run_experiment
+from .experiments import (METHODS, ExperimentSpec, check_grid, emit_results,
+                          run_experiment)
 
 
 def _int_list(text: str) -> list[int]:
@@ -36,14 +37,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = load_config(args.config) if args.config else SystemConfig()
-    spec = ExperimentSpec(
-        n_grid=args.n_grid, m_grid=args.m_grid, num_trials=args.trials,
-        methods=[tok.strip() for tok in args.methods.split(",") if tok.strip()],
-        out_dir=args.out, seed=args.seed, workers=args.workers,
-        conventional_mode=args.conventional_mode,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = load_config(args.config) if args.config else SystemConfig()
+        spec = ExperimentSpec(
+            n_grid=args.n_grid, m_grid=args.m_grid, num_trials=args.trials,
+            methods=[tok.strip() for tok in args.methods.split(",") if tok.strip()],
+            out_dir=args.out, seed=args.seed, workers=args.workers,
+            conventional_mode=args.conventional_mode,
+        )
+        check_grid(config, spec)
+    except ValueError as exc:
+        parser.error(str(exc))     # exits 2 with the usage line
     records = run_experiment(config, spec)
     paths = emit_results(records, spec, config)
     feasible = sum(1 for r in records if r.feasible)

@@ -47,6 +47,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.n_grid or not self.m_grid:
             raise ValueError("scenario grids must be nonempty")
         unknown = set(self.methods) - set(METHODS)
@@ -202,8 +204,19 @@ def _trial_task(args: tuple) -> TrialRecord:
     return run_trial(*args)
 
 
+def check_grid(config: SystemConfig, spec: ExperimentSpec) -> None:
+    """Raise ValueError if the config at any (n, m) grid point is invalid."""
+    for n in spec.n_grid:
+        for m in spec.m_grid:
+            replace(config, num_irs_elements=n, num_bs_antennas=m)
+
+
 def run_experiment(config: SystemConfig, spec: ExperimentSpec) -> list[TrialRecord]:
-    """All trials over the scenario grid; order-independent aggregation."""
+    """All trials over the scenario grid; order-independent aggregation.
+
+    Every grid point's config is checked before the first trial runs.
+    """
+    check_grid(config, spec)
     tasks = [(config, spec.methods, spec.seed, n, m, t, spec.conventional_mode)
              for n in spec.n_grid for m in spec.m_grid
              for t in range(spec.num_trials)]

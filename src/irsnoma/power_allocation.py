@@ -95,7 +95,7 @@ class _Problem:
         rows.append(need[:, -1, None] * inflow[:, -1] - eye[:, -1])
         bounds.append(-need[:, -1] * cfg.noise_power_w)
         a, b = np.concatenate(rows), np.concatenate(bounds)
-        norm = np.linalg.norm(a, axis=1)
+        norm = np.sqrt(np.add.reduce(a * a, axis=1))
         return a / norm[:, None], b / norm
 
     def tight(self, a: np.ndarray, b: np.ndarray, first: slice) -> np.ndarray | None:
@@ -105,27 +105,29 @@ class _Problem:
         floors) each solution is a rising lower bound of the least fixed
         point; a singular system or a nonpositive total shows there is none."""
         clusters, users = self.shape
-        pairs = clusters + np.arange(2 * clusters * (users - 1)).reshape(users - 1, 2, clusters)
-        pick = np.zeros((users - 1, 1, clusters), dtype=int)
+        floor, gap = (clusters + np.arange(2 * clusters * (users - 1))
+                      .reshape(users - 1, 2, clusters).transpose(1, 0, 2))
+        fixed = np.arange(b.size)[first]
+        pick = np.zeros((users - 1, clusters), dtype=bool)     # True: the gap row
         while True:
-            rows = np.r_[np.arange(b.size)[first], np.take_along_axis(pairs, pick, 1).ravel()]
+            rows = np.concatenate((fixed, np.where(pick, gap, floor).ravel()))
             try:
                 levels = np.linalg.solve(a[rows], b[rows])
             except np.linalg.LinAlgError:
                 return None
-            if not np.all(levels[::users] > 0.0):
+            if not (levels[::users] > 0.0).all():
                 return None
-            other = np.take_along_axis(pairs, 1 - pick, 1)
+            other = np.where(pick, floor, gap)
             broken = a[other] @ levels > b[other] + 1e-12 * self.high
             if not broken.any():
                 return levels
-            pick[broken] ^= 1
+            pick ^= broken
 
     def certify(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """The least levels in ``a @ levels <= b`` (rows as ``constraints``
         gives them), or None: no fixed point, or one above the budget."""
         levels = self.tight(a, b, slice(-self.shape[0], None))
-        return None if levels is None or np.any(levels[::self.shape[1]] > self.high) else levels
+        return None if levels is None or (levels[::self.shape[1]] > self.high).any() else levels
 
 
 class _Efficiency:
@@ -136,17 +138,18 @@ class _Efficiency:
 
     def __init__(self, problem: _Problem, bound: bool) -> None:
         (clusters, users), size = problem.shape, problem.pg.size
-        level_map = np.eye(size)
-        if not bound:
+        if bound:
+            level_map = np.eye(size)
+        else:
             weights = shape_for_decode_order(np.full((1, users), 1.0 / users),
                                              problem.config)[0]
             tails = weights[::-1].cumsum()[::-1]                    # W_0 = 1
             level_map = (np.eye(clusters)[:, None, :] * tails[:, None]).reshape(size, -1)
-        own, inflow = np.diag(problem.pg.ravel()), problem.inflow.reshape(size, size)
+        pg, inflow = problem.pg.ravel(), problem.inflow.reshape(size, size)
         shift = np.eye(size, k=1)
         shift[users - 1::users] = 0.0    # S_K = 0
-        self.num = (own + inflow) @ level_map
-        self.den = (own @ shift + inflow) @ level_map
+        self.num = (np.diag(pg) + inflow) @ level_map
+        self.den = (pg[:, None] * shift + inflow) @ level_map
         self.power = problem.config.cluster_power_w * level_map[::users]
         self.shape, self.config, self.level_map = problem.shape, problem.config, level_map
 
@@ -155,22 +158,24 @@ class _Efficiency:
         cfg = self.config
         num = cfg.noise_power_w + self.num @ x
         den = cfg.noise_power_w + self.den @ x
-        rates = cfg.bandwidth_hz * np.log2(num / den).reshape(self.shape).sum(axis=1)
+        rates = cfg.bandwidth_hz * np.add.reduce(np.log2(num / den).reshape(self.shape), axis=1)
         power = cfg.circuit_power_w + self.power @ x
         ratios = rates / power
-        return float(ratios.sum()), ratios, (num, den, rates, power)
+        return float(np.add.reduce(ratios)), ratios, (num, den, rates, power)
 
     def derivatives(self, terms) -> tuple[np.ndarray, np.ndarray]:
         num, den, rates, power = terms
         scale = self.config.bandwidth_hz / LN2
         a, b = self.num / num[:, None], self.den / den[:, None]
-        rate_rows = scale * (a - b).reshape(*self.shape, -1).sum(axis=1)
-        grad = rate_rows.T @ (1.0 / power) - self.power.T @ (rates / power ** 2)
-        weight = np.repeat(np.sqrt(1.0 / power), self.shape[1])[:, None]
-        a, b = a * weight, b * weight
-        cross = self.power.T @ (rate_rows / (power ** 2)[:, None])
+        rate_rows = scale * np.add.reduce((a - b).reshape(*self.shape, -1), axis=1)
+        power_t, inverse, square = self.power.T, 1.0 / power, power ** 2
+        grad = rate_rows.T @ inverse - power_t @ (rates / square)
+        weight = np.sqrt(inverse).repeat(self.shape[1])[:, None]
+        a *= weight
+        b *= weight
+        cross = power_t @ (rate_rows / square[:, None])
         hess = (scale * (b.T @ b - a.T @ a) - cross - cross.T
-                + self.power.T @ (self.power * (2.0 * rates / power ** 3)[:, None]))
+                + power_t @ (self.power * (2.0 * rates / power ** 3)[:, None]))
         return grad, hess
 
 
@@ -198,6 +203,16 @@ class Stage1Result:
     trace: list[TracePoint] = field(default_factory=list)
 
 
+def _null_space(a: np.ndarray, held: np.ndarray) -> np.ndarray | None:
+    """An orthonormal basis of the null space of the held rows of ``a``, or
+    None for the whole space when none is held (the SVD would return the
+    identity, and products with it are exact)."""
+    if not held.any():
+        return None
+    _, sv, vt = np.linalg.svd(a[held])
+    return vt[np.count_nonzero(sv > 1e-10 * np.maximum.reduce(sv, initial=0.0)):].T
+
+
 def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
             x: np.ndarray, max_iterations: int):
     """Active-set Newton ascent over ``a @ x <= b`` from a feasible ``x``:
@@ -207,24 +222,27 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
     gain the held row with the most negative multiplier is let go; with
     none left the ascent has converged."""
     ee, ratios, terms = efficiency.value(x)
-    held = b - a @ x <= 1e-12 * np.abs(x).max()
+    held = b - a @ x <= 1e-12 * np.maximum.reduce(np.abs(x))
     run_rho, trace = ratios, [TracePoint(0, ratios, ee)]
-    steps, converged, residual, basis = 0, False, np.inf, None
+    steps, converged, residual = 0, False, np.inf
+    basis = _null_space(a, held)
     for _ in range(max_iterations + b.size):
         grad, hess = efficiency.derivatives(terms)
-        if basis is None:            # null space of the held rows
-            _, sv, vt = np.linalg.svd(a[held])
-            basis = vt[np.count_nonzero(sv > 1e-10 * sv.max(initial=0.0)):].T
-        curv, vecs = np.linalg.eigh(basis.T @ -hess @ basis)
-        curv = np.maximum(np.abs(curv), 1e-12 * np.abs(curv).max(initial=1.0))
-        step = basis @ (vecs @ ((vecs.T @ (basis.T @ grad)) / curv))
+        whole = basis is None        # no row is held
+        curv, vecs = np.linalg.eigh(-hess if whole else basis.T @ -hess @ basis)
+        magnitude = np.abs(curv)
+        curv = np.maximum(magnitude, 1e-12 * np.maximum.reduce(magnitude, initial=1.0))
+        step = vecs @ ((vecs.T @ (grad if whole else basis.T @ grad)) / curv)
+        if not whole:
+            step = basis @ step
         residual = float(grad @ step) / ee
         if residual <= _TOLERANCE:
             mult = np.linalg.lstsq(a[held].T, grad)[0] if held.any() else grad[:0]
-            if not mult.size or mult.min() >= -1e-9 * np.abs(grad).max():
+            if not mult.size or mult.min() >= -1e-9 * np.maximum.reduce(np.abs(grad)):
                 converged = True
                 break
-            held[np.flatnonzero(held)[mult.argmin()]], basis = False, None
+            held[np.flatnonzero(held)[mult.argmin()]] = False
+            basis = _null_space(a, held)
             continue
         if steps == max_iterations:
             break
@@ -234,15 +252,17 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
         hit = int(limits.argmin())
         reach = t = min(1.0, max(float(limits[hit]), 0.0))
         for _ in range(50):
-            ee_new, ratios, terms_new = efficiency.value(x + t * step)
+            trial = x + t * step
+            ee_new, ratios, terms_new = efficiency.value(trial)
             if ee_new >= ee + 1e-4 * t * residual * ee:
                 break
             t *= 0.5
         else:
             break
         if t == reach < 1.0:
-            held[hit], basis = True, None
-        x, ee, terms = x + t * step, ee_new, terms_new
+            held[hit] = True
+            basis = _null_space(a, held)
+        x, ee, terms = trial, ee_new, terms_new
         steps += 1
         run_rho = np.maximum(run_rho, ratios)
         trace.append(TracePoint(steps, run_rho, ee))
@@ -258,8 +278,11 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     unattainable one from a tenth of the budget. ``feasible`` is the
     certificate, and the reflection stage runs exactly where it holds.
     ``converged`` is False after ``max_iterations`` steps or when no
-    halving of a step gained.
+    halving of a step gained. A negative ``max_iterations`` raises
+    ValueError.
     """
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be nonnegative, got {max_iterations}")
     problem = _Problem(gains, config)
     clusters, users = problem.shape
     a, b = problem.constraints()
@@ -272,21 +295,22 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         # linear in them, noise is not), so the second lift always does
         totals = least[::users]
         for lift in (np.maximum(x, totals), totals * (problem.high / totals.max())):
-            x = problem.tight(a, np.r_[lift, b[clusters:]], slice(clusters))
-            if x is not None and np.all(a @ x - b <= 1e-12 * problem.high):
+            x = problem.tight(a, np.concatenate((lift, b[clusters:])), slice(clusters))
+            if x is not None and (a @ x - b <= 1e-12 * problem.high).all():
                 break
     else:
         # every beam keeps a 1e-6 share of its budget, so no beam falls
         # silent: every user of the split reported at an unattainable floor
         # keeps a positive SINR and rate
-        a = np.r_[np.eye(clusters), -np.eye(clusters)]
-        b = np.r_[np.full(clusters, problem.high), np.full(clusters, -1e-6 * problem.high)]
+        a = np.concatenate((np.eye(clusters), -np.eye(clusters)))
+        b = np.concatenate((np.full(clusters, problem.high),
+                            np.full(clusters, -1e-6 * problem.high)))
     x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)
     levels = (efficiency.level_map @ x).reshape(clusters, users)
-    beta = levels - np.append(levels[:, 1:], np.zeros((clusters, 1)), axis=1)
+    beta = levels - np.concatenate((levels[:, 1:], np.zeros((clusters, 1))), axis=1)
     gamma, psi = sinr(gains, beta, config)
     rates, powers = cluster_rates_and_power(gamma, beta, config)
     rho = rates / powers
     return Stage1Result(beta=beta, rho=rho, gamma=gamma, psi=psi,
                         iterations=steps, converged=converged, feasible=feasible,
-                        residual=residual, ee=float(np.sum(rho)), trace=trace)
+                        residual=residual, ee=float(np.add.reduce(rho)), trace=trace)

@@ -51,6 +51,21 @@ class TestSpecValidation:
             ExperimentSpec(n_grid=[], m_grid=[6], num_trials=1,
                            methods=["proposed"], out_dir="x", seed=0)
 
+    def test_rejects_negative_seed(self):
+        # the trial streams take the seed as entropy, which must be nonnegative
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(n_grid=[8], m_grid=[6], num_trials=1,
+                           methods=["proposed"], out_dir="x", seed=-1)
+
+    def test_invalid_grid_point_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        # M = 2 leaves too few antennas for three beams; the valid point
+        # before it must not run either
+        monkeypatch.setattr(experiments, "run_trial", mock.Mock())
+        spec = dataclasses.replace(small_spec(tmp_path), m_grid=[6, 2])
+        with pytest.raises(ValueError, match="num_bs_antennas"):
+            run_experiment(small_config(), spec)
+        experiments.run_trial.assert_not_called()
+
 
 class TestConventionalBaseline:
     def test_single_user_cluster_equals_full_power_noma(self):
@@ -304,6 +319,29 @@ class TestCli:
         assert code == 0
         assert (out / "summary.csv").exists()
         assert "trials" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "0"], "num_trials must be at least 1"),
+        (["--methods", "bogus"], "unknown methods"),
+        (["--m-grid", "8,3"], "num_bs_antennas must exceed"),
+        (["--n-grid", "16,0"], "counts must be positive"),
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--config", "CONFIG"], "line 1: unknown config key 'num_beams'"),
+    ])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                        args, message):
+        # reported on one line with exit status 2, before any trial runs
+        config_path = tmp_path / "bad.cfg"
+        config_path.write_text("num_beams = 5\n")
+        args = [str(config_path) if arg == "CONFIG" else arg for arg in args]
+        monkeypatch.setattr(experiments, "run_trial", mock.Mock())
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--n-grid", "16", "--out", str(tmp_path / "out"), *args])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"simulate: error: {message}" in err and "Traceback" not in err
+        experiments.run_trial.assert_not_called()
+        assert not (tmp_path / "out").exists()
 
 
 def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):

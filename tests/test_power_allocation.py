@@ -235,6 +235,31 @@ class TestAllocatePower:
             wins += result.ee >= energy_efficiency(gamma_u, uniform, cfg)
         assert wins / total >= 0.95
 
+    @pytest.mark.parametrize("max_iterations", [-1, -3])
+    def test_negative_iteration_cap_rejected(self, max_iterations):
+        cfg, *_, gains = build_scenario(0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            allocate_power(gains, cfg, max_iterations=max_iterations)
+
+    def test_null_space_solved_only_where_rows_are_held(self, monkeypatch):
+        # at the reference floor no row of the box is ever held, so the
+        # ascent needs neither a null-space basis nor multipliers; an
+        # attainable draw puts rows on its polyhedron's faces and needs both
+        # (the draws are built first: the ZF beams take an SVD of their own)
+        reference = [build_scenario(seed) for seed in range(10)]
+        cfg, *_, gains = attainable_floor_scenario(0, random_beams=False)
+        calls = {"svd": 0, "lstsq": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for ref_cfg, *_, ref_gains in reference:
+            allocate_power(ref_gains, ref_cfg)
+        assert calls == {"svd": 0, "lstsq": 0}
+        allocate_power(gains, cfg)
+        assert calls["svd"] > 0 and calls["lstsq"] > 0
+
     def test_decode_order_shaping_on_unattainable_floor(self):
         # reference floor is interference-unattainable at the start: the
         # returned split must still respect the decode-order power ratio
