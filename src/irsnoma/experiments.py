@@ -51,6 +51,9 @@ class ExperimentSpec:
             raise ValueError("seed must be nonnegative")
         if not self.n_grid or not self.m_grid:
             raise ValueError("scenario grids must be nonempty")
+        if len(set(self.n_grid)) < len(self.n_grid) or len(set(self.m_grid)) < len(self.m_grid):
+            # a repeated point would run its trials twice and count them twice
+            raise ValueError("scenario grids must not repeat a value")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

@@ -51,6 +51,12 @@ class TestSpecValidation:
             ExperimentSpec(n_grid=[], m_grid=[6], num_trials=1,
                            methods=["proposed"], out_dir="x", seed=0)
 
+    @pytest.mark.parametrize("n_grid, m_grid", [([8, 8], [6]), ([8], [6, 7, 6])])
+    def test_rejects_repeated_grid_value(self, n_grid, m_grid):
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentSpec(n_grid=n_grid, m_grid=m_grid, num_trials=1,
+                           methods=["proposed"], out_dir="x", seed=0)
+
     def test_rejects_negative_seed(self):
         # the trial streams take the seed as entropy, which must be nonnegative
         with pytest.raises(ValueError, match="seed"):
@@ -325,6 +331,7 @@ class TestCli:
         (["--methods", "bogus"], "unknown methods"),
         (["--m-grid", "8,3"], "num_bs_antennas must exceed"),
         (["--n-grid", "16,0"], "counts must be positive"),
+        (["--n-grid", "16,16"], "scenario grids must not repeat a value"),
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--config", "CONFIG"], "line 1: unknown config key 'num_beams'"),
     ])
