@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import SystemConfig, load_config
@@ -48,8 +49,11 @@ def main(argv: list[str] | None = None) -> int:
             conventional_mode=args.conventional_mode,
         )
         check_grid(config, spec)
+        os.makedirs(spec.out_dir, exist_ok=True)
     except ValueError as exc:
         parser.error(str(exc))     # exits 2 with the usage line
+    except OSError as exc:         # unreadable --config, or --out not a directory
+        parser.error(f"{exc.strerror}: {exc.filename}")
     records = run_experiment(config, spec)
     paths = emit_results(records, spec, config)
     feasible = sum(1 for r in records if r.feasible)

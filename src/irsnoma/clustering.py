@@ -4,8 +4,9 @@ Users sharing a beam should be strongly correlated (so one beamformer fits
 both) while having clearly separated channel gains (so superposition-coded
 decoding works). Pairs are picked greedily by the largest gain difference
 among pairs whose correlation clears a threshold; when the gate starves,
-the threshold is relaxed in 0.05 steps and the final resort is random
-pairing, so a plan is always produced. The gated matrix is built once per
+the threshold is relaxed in 0.05 steps, and where even a zero gate admits
+no pair the two lowest-indexed available users are paired. The plan is a
+deterministic function of the channels. The gated matrix is built once per
 plan on the whole pool, and a taken user's row and column are zeroed; pool
 indices ascend, so ties break as on a matrix of the available users alone.
 """
@@ -23,15 +24,6 @@ class ClusterPlan:
 
     members: np.ndarray        # (I, K) int
     leftover: np.ndarray       # users not served this round
-
-
-def correlation(u_x: np.ndarray, u_y: np.ndarray) -> float:
-    """|<u_x, u_y>| / (||u_x|| ||u_y||), in [0, 1] by Cauchy-Schwarz."""
-    nx = np.linalg.norm(u_x)
-    ny = np.linalg.norm(u_y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("correlation undefined for a zero channel vector")
-    return float(np.abs(np.vdot(u_x, u_y)) / (nx * ny))
 
 
 def correlation_matrix(effective: np.ndarray) -> np.ndarray:
@@ -72,14 +64,15 @@ def _argmax_pair(matrix: np.ndarray) -> tuple[int, int, float]:
 
 
 def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: int,
-                  threshold: float, rng: np.random.Generator) -> ClusterPlan:
+                  threshold: float) -> ClusterPlan:
     """Greedy gain-difference clustering over the available user pool.
 
     Repeats ``num_clusters`` times: seed a cluster with the pair of largest
     gated |gain difference|, then (for K > 2) grow it with the available
-    user best correlated to the cluster's strongest member. Selected users
-    are removed from the pool. Relaxation and random fallbacks keep the
-    plan well defined on degenerate inputs.
+    user best correlated to the cluster's strongest member, the first in
+    index order on ties. Selected users are removed from the pool. Gate
+    relaxation, and pairing the two lowest-indexed available users when no
+    gate admits a pair, keep the plan well defined on degenerate inputs.
     """
     v = effective.shape[0]
     if num_clusters * users_per_cluster > v:
@@ -110,24 +103,15 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
                 diff = np.where(np.outer(available, available),
                                 _gated_differences(power, corr, gate), 0.0)
             else:
-                pick = rng.choice(np.flatnonzero(available), size=2, replace=False)
-                pair = (int(pick[0]), int(pick[1]))
+                x, y = np.flatnonzero(available)[:2]
+                pair = (int(x), int(y))
         cluster = [pair[0], pair[1]]
         available[list(cluster)] = False
 
         while len(cluster) < users_per_cluster:
             strongest = cluster[int(np.argmax(power[cluster]))]
             pool = np.flatnonzero(available)
-            grow_gate = gate
-            chosen = None
-            while chosen is None:
-                eligible = pool[corr[strongest, pool] > grow_gate]
-                if eligible.size:
-                    chosen = int(eligible[np.argmax(corr[strongest, eligible])])
-                elif grow_gate > 0.0:
-                    grow_gate = max(grow_gate - 0.05, 0.0)
-                else:
-                    chosen = int(rng.choice(pool))
+            chosen = int(pool[np.argmax(corr[strongest, pool])])
             cluster.append(chosen)
             available[chosen] = False
 

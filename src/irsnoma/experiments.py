@@ -57,6 +57,10 @@ class ExperimentSpec:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if not self.methods:
+            raise ValueError("methods must be nonempty")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.conventional_mode not in ("time-share", "single-user"):
             raise ValueError("conventional_mode must be time-share or single-user")
 
@@ -120,32 +124,20 @@ def _stream(key: list[int], index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(index,)))
 
 
-class _LazyStream:
-    """``_stream(key, index)``, built on its first attribute access.
-
-    Clustering draws only in its fallback, so most trials never build its
-    generator. A built stream is the same generator, so its draws are the
-    same.
-    """
-
-    def __init__(self, key: list[int], index: int) -> None:
-        self._key, self._index, self._rng = key, index, None
-
-    def __getattr__(self, name: str):
-        if self._rng is None:
-            self._rng = _stream(self._key, self._index)
-        return getattr(self._rng, name)
-
-
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
     """One paired-comparison trial at scenario (n, m).
 
-    Only the random streams that are drawn from are built.
+    Stage 1 runs on the main plan whatever the methods: its certificate is
+    the trial's feasibility verdict, which the CLI's feasible count and
+    ``convergence_stage1.csv`` report for every run. Stream 0 draws the
+    channels, 2 the random plan and 3 the random coefficients, each built
+    only when drawn from. Index 1 is unused: renumbering would change the
+    random baselines' draws.
     """
     cfg = replace(config, num_irs_elements=n, num_bs_antennas=m)
     key = [seed, n, m, trial]
-    rng_channel, rng_cluster = _stream(key, 0), _LazyStream(key, 1)
+    rng_channel = _stream(key, 0)
 
     geometry = draw_user_geometry(cfg, rng_channel)
     channels = synthesize_channels(cfg, geometry, rng_channel)
@@ -153,7 +145,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     effective = effective_channel(channels.cascaded, b0)
 
     plan = form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
-                         cfg.correlation_threshold, rng_cluster)
+                         cfg.correlation_threshold)
     beams = build_zf_beamformers(effective[plan.members[:, -1]])
     gains = link_gains(effective, plan.members, beams.vectors)
 

@@ -34,21 +34,6 @@ LN2 = float(np.log(2.0))
 _TOLERANCE = 1e-10
 
 
-def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tight logarithmic lower-bound coefficients at the expansion point.
-
-    Returns (zeta, omega) with zeta = g/(1+g) and
-    omega = log2(1+g) - zeta*log2(g), so that
-    zeta*log2(gamma) + omega <= log2(1+gamma) for every gamma > 0,
-    with equality at gamma = gamma0.
-    """
-    gamma0 = np.asarray(gamma0, dtype=float)
-    if (gamma0 <= 0.0).any():
-        raise ValueError("expansion point must be strictly positive")
-    zeta = gamma0 / (1.0 + gamma0)
-    return zeta, np.log2(1.0 + gamma0) - zeta * np.log2(gamma0)
-
-
 def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Restore decode-order power ratios at constant per-cluster power.
 

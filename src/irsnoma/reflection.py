@@ -35,7 +35,7 @@ from .channel import (ChannelSet, effective_channel, energy_efficiency,
                       link_gains, sinr, stronger_tail)
 from .clustering import ClusterPlan
 from .config import SystemConfig
-from .power_allocation import LN2, Stage1Result, sca_coefficients
+from .power_allocation import LN2, Stage1Result
 
 _ASCENT_TOL = 1e-12
 _PENALTY_TOL = 1e-3   # rank-one when tr(B) - ||B||_2 <= _PENALTY_TOL * tr(B)
@@ -77,6 +77,21 @@ def sinr_trace_matrices(lifts: np.ndarray, beta: np.ndarray,
             if j != i:
                 den[i] += beam_power[j] * lifts[i, :, j]
     return own, den
+
+
+def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tight logarithmic lower-bound coefficients at the expansion point.
+
+    Returns (zeta, omega) with zeta = g/(1+g) and
+    omega = log2(1+g) - zeta*log2(g), so that
+    zeta*log2(gamma) + omega <= log2(1+gamma) for every gamma > 0,
+    with equality at gamma = gamma0.
+    """
+    gamma0 = np.asarray(gamma0, dtype=float)
+    if (gamma0 <= 0.0).any():
+        raise ValueError("expansion point must be strictly positive")
+    zeta = gamma0 / (1.0 + gamma0)
+    return zeta, np.log2(1.0 + gamma0) - zeta * np.log2(gamma0)
 
 
 def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,

@@ -30,7 +30,7 @@ def build_scenario(seed, config=None, zero_forcing=True, random_beams=False):
     b0 = np.ones(cfg.num_irs_elements, dtype=complex)
     effective = effective_channel(channels.cascaded, b0)
     plan = form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
-                         cfg.correlation_threshold, rng)
+                         cfg.correlation_threshold)
     if random_beams:
         f = (rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas))
              + 1j * rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas)))

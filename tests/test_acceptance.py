@@ -19,8 +19,9 @@ from irsnoma import sdp
 from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
-from irsnoma.power_allocation import allocate_power, sca_coefficients
-from irsnoma.reflection import optimize_reflection, surrogate_problem
+from irsnoma.power_allocation import allocate_power
+from irsnoma.reflection import (optimize_reflection, sca_coefficients,
+                                surrogate_problem)
 
 from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
 from test_power_allocation import bound_split, single_cluster, weak_user_grid_optimum

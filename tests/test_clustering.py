@@ -1,31 +1,36 @@
 import numpy as np
 import pytest
 
-from irsnoma.clustering import (build_difference_matrix, correlation,
-                                correlation_matrix, form_clusters, random_plan)
+from irsnoma.clustering import (build_difference_matrix, correlation_matrix,
+                                form_clusters, random_plan)
 
 from conftest import build_scenario
+
+
+def pair_correlation(u_x, u_y):
+    """The off-diagonal entry of the two-row correlation matrix."""
+    return correlation_matrix(np.stack([u_x, u_y]))[0, 1]
 
 
 class TestCorrelation:
     def test_parallel_vectors(self):
         u = np.array([1.0 + 2j, 3.0])
-        assert correlation(u, 2.5j * u) == pytest.approx(1.0, abs=1e-12)
+        assert pair_correlation(u, 2.5j * u) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_vectors(self):
-        assert correlation(np.array([1.0, 0.0]),
-                           np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
+        assert pair_correlation(np.array([1.0, 0.0]),
+                                np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_inner_product(self):
         # |<[1, j], [1, 1]>| / 2 = |1 - j| / 2 = sqrt(2)/2
         u_x = np.array([1.0, 1.0j])
         u_y = np.array([1.0, 1.0])
-        assert correlation(u_x, u_y) == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
-        assert correlation(u_y, u_x) == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
+        assert pair_correlation(u_x, u_y) == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
+        assert pair_correlation(u_y, u_x) == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            correlation(np.zeros(3), np.ones(3))
+            pair_correlation(np.zeros(3), np.ones(3))
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(0)
@@ -82,23 +87,25 @@ class TestFormClusters:
         base = np.array([1.0, 0.5, 0.25])
         scales = np.sqrt(np.array([4.0, 3.0, 2.0, 1.0]) / np.sum(base ** 2))
         u = np.outer(scales, base).astype(complex)
-        plan = form_clusters(u, 2, 2, 0.7, np.random.default_rng(0))
+        plan = form_clusters(u, 2, 2, 0.7)
         assert sorted(plan.members[0].tolist()) == [0, 3]
         assert sorted(plan.members[1].tolist()) == [1, 2]
         # weakest first inside each cluster
         assert plan.members[0][0] == 3
         assert plan.members[1][0] == 2
 
-    def test_all_zero_matrix_falls_back_to_random(self):
-        u = np.eye(4, dtype=complex)   # all pairs orthogonal, gate never passes
-        plan = form_clusters(u, 2, 2, 0.9, np.random.default_rng(3))
-        members = plan.members.ravel()
-        assert sorted(members.tolist()) == [0, 1, 2, 3]
+    def test_all_zero_matrix_pairs_lowest_indices(self):
+        # all pairs orthogonal, so no gate passes: each cluster takes the two
+        # lowest-indexed available users, equal powers keep their order
+        u = np.eye(5, dtype=complex)
+        plan = form_clusters(u, 2, 2, 0.9)
+        assert plan.members.tolist() == [[0, 1], [2, 3]]
+        assert plan.leftover.tolist() == [4]
 
     def test_triple_cluster_growth(self):
         rng = np.random.default_rng(5)
         u = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        plan = form_clusters(u, 1, 3, 0.7, rng)
+        plan = form_clusters(u, 1, 3, 0.7)
         assert plan.members.shape == (1, 3)
         power = np.sum(np.abs(u) ** 2, axis=1)
         ordered = power[plan.members[0]]
@@ -114,7 +121,7 @@ class TestFormClusters:
     def test_not_enough_users_rejected(self):
         u = np.ones((3, 2), dtype=complex)
         with pytest.raises(ValueError):
-            form_clusters(u, 2, 2, 0.5, np.random.default_rng(0))
+            form_clusters(u, 2, 2, 0.5)
 
     def test_beats_random_pairing_on_average(self):
         from irsnoma.channel import effective_channel
@@ -131,7 +138,7 @@ class TestFormClusters:
                                   np.ones(cfg.num_irs_elements, complex))
             corr = correlation_matrix(u)
             greedy = form_clusters(u, cfg.num_clusters, cfg.users_per_cluster,
-                                   cfg.correlation_threshold, rng)
+                                   cfg.correlation_threshold)
             rand = random_plan(u, cfg.num_clusters, cfg.users_per_cluster, rng)
             mean_corr = lambda plan: np.mean(
                 [corr[m[0], m[1]] for m in plan.members])

@@ -2,9 +2,11 @@
 
 ``build_zf_beamformers`` reads every beam from one pseudo-inverse of the
 strongest-user stack, and ``form_clusters`` masks one whole-pool gated
-matrix. The reference functions below are the per-cluster loop and the
-subset rebuild they replaced, kept verbatim. The clustering must give the
-same bits; the beams agree to 1e-13, since the pseudo-inverse rounds
+matrix and grows a cluster with one argmax. The reference functions below
+are the per-cluster loop, the subset rebuild and the gate-relaxing growth
+loop they replaced, kept verbatim but for the clustering's last resorts,
+which take the lowest-indexed available users. The clustering must give
+the same bits; the beams agree to 1e-13, since the pseudo-inverse rounds
 differently from the per-cluster projections, and raise the same error.
 """
 
@@ -51,11 +53,12 @@ def _zf_reference(strong_channels):
 
 
 def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
-                        rng, counts):
-    """Greedy clustering that rebuilds the gated matrix on the pool per cluster.
+                        counts):
+    """Greedy clustering that rebuilds the gated matrix on the pool per cluster
+    and grows a cluster by relaxing the correlation gate.
 
-    ``counts`` collects how often the gate was relaxed and how often the
-    random fallback fired, so that the tests can show they cover both.
+    ``counts`` collects how often the gate was relaxed and how often a last
+    resort fired, so that the tests can show they cover both.
     """
     v = effective.shape[0]
     power = np.sum(np.abs(effective) ** 2, axis=1)
@@ -79,9 +82,8 @@ def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
                 gate = max(gate - 0.05, 0.0)
                 counts["relaxed"] += 1
             else:
-                pick = rng.choice(pool, size=2, replace=False)
-                pair = (int(pick[0]), int(pick[1]))
-                counts["random"] += 1
+                pair = (int(pool[0]), int(pool[1]))
+                counts["last_resort"] += 1
         cluster = [pair[0], pair[1]]
         available[list(cluster)] = False
         while len(cluster) < users_per_cluster:
@@ -96,7 +98,8 @@ def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
                 elif grow_gate > 0.0:
                     grow_gate = max(grow_gate - 0.05, 0.0)
                 else:
-                    chosen = int(rng.choice(pool))
+                    chosen = int(pool[0])
+                    counts["last_resort"] += 1
             cluster.append(chosen)
             available[chosen] = False
         order = np.argsort(power[cluster], kind="stable")
@@ -114,15 +117,12 @@ def _effective_draws(seeds, sizes=(16, 64)):
 
 
 def _assert_same_plan(effective, num_clusters, users_per_cluster, threshold,
-                      seed, counts):
-    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                      counts):
     members, leftover = _clusters_reference(effective, num_clusters,
-                                            users_per_cluster, threshold,
-                                            rng_ref, counts)
-    plan = form_clusters(effective, num_clusters, users_per_cluster, threshold, rng)
+                                            users_per_cluster, threshold, counts)
+    plan = form_clusters(effective, num_clusters, users_per_cluster, threshold)
     assert np.array_equal(plan.members, members)
     assert np.array_equal(plan.leftover, leftover)
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestZeroForcingOracle:
@@ -232,38 +232,79 @@ class TestZeroForcingProperties:
         assert got.value.cluster_index == want.value.cluster_index
 
 
+@st.composite
+def _cluster_inputs(draw):
+    """A channel stack of V <= 12 users, possibly degenerate, a plan that
+    fits it and a gate. Rows may repeat, fall in mutually orthogonal
+    coordinate blocks, or share one power."""
+    v, m = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    users = draw(st.sampled_from([k for k in (1, 2, 3) if k <= v]))
+    clusters = draw(st.integers(1, v // users))
+    gate = draw(st.floats(0.0, 1.0))
+    stack = _gaussian_stack((v, m), draw(st.integers(0, 2**32 - 1)))
+    stack = stack[draw(st.lists(st.integers(0, v - 1), min_size=v, max_size=v))]
+    blocks = draw(st.integers(1, m))
+    row_block = np.array(draw(st.lists(st.integers(0, blocks - 1),
+                                       min_size=v, max_size=v)))
+    stack = stack * (np.arange(m)[None, :] % blocks == row_block[:, None])
+    if draw(st.booleans()):
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    return stack, clusters, users, gate
+
+
 class TestClusteringOracle:
     def test_scenario_draws(self):
-        counts = {"relaxed": 0, "random": 0}
+        counts = {"relaxed": 0, "last_resort": 0}
         cfg = SystemConfig()
-        for k, effective in enumerate(_effective_draws(range(60))):
+        for effective in _effective_draws(range(60)):
             _assert_same_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
-                              cfg.correlation_threshold, k, counts)
+                              cfg.correlation_threshold, counts)
 
     def test_triple_growth(self):
-        counts = {"relaxed": 0, "random": 0}
-        for k, effective in enumerate(_effective_draws(range(30))):
-            _assert_same_plan(effective, 5, 3, 0.7, k, counts)
-            _assert_same_plan(effective, 10, 3, 0.9, k, counts)
+        counts = {"relaxed": 0, "last_resort": 0}
+        for effective in _effective_draws(range(30)):
+            _assert_same_plan(effective, 5, 3, 0.7, counts)
+            _assert_same_plan(effective, 10, 3, 0.9, counts)
 
     def test_relaxed_gate(self):
-        counts = {"relaxed": 0, "random": 0}
-        for k, effective in enumerate(_effective_draws(range(30))):
-            _assert_same_plan(effective, 15, 2, 0.99, k, counts)
+        counts = {"relaxed": 0, "last_resort": 0}
+        for effective in _effective_draws(range(30)):
+            _assert_same_plan(effective, 15, 2, 0.99, counts)
         assert counts["relaxed"] > 0
 
-    def test_random_fallback(self):
-        # orthogonal users pass no gate, not even a fully relaxed one
-        counts = {"relaxed": 0, "random": 0}
-        for seed in range(20):
-            _assert_same_plan(np.eye(8, dtype=complex), 3, 2, 0.9, seed, counts)
-            _assert_same_plan(np.eye(9, dtype=complex), 3, 3, 0.5, seed, counts)
-        assert counts["random"] > 0
+    def test_last_resort(self):
+        # orthogonal users pass no gate, not even a fully relaxed one: a pair
+        # is the two lowest-indexed available users, and growth takes the
+        # first available one
+        counts = {"relaxed": 0, "last_resort": 0}
+        _assert_same_plan(np.eye(8, dtype=complex), 3, 2, 0.9, counts)
+        _assert_same_plan(np.eye(9, dtype=complex), 3, 3, 0.5, counts)
+        assert counts["last_resort"] == 9
+        plan = form_clusters(np.eye(8, dtype=complex), 3, 2, 0.9)
+        assert plan.members.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert plan.leftover.tolist() == [6, 7]
+        plan = form_clusters(np.eye(9, dtype=complex), 3, 3, 0.5)
+        assert plan.members.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert plan.leftover.size == 0
 
     def test_single_user_clusters(self):
-        counts = {"relaxed": 0, "random": 0}
-        for k, effective in enumerate(_effective_draws(range(10), sizes=(16,))):
-            _assert_same_plan(effective, 5, 1, 0.7, k, counts)
+        counts = {"relaxed": 0, "last_resort": 0}
+        for effective in _effective_draws(range(10), sizes=(16,)):
+            _assert_same_plan(effective, 5, 1, 0.7, counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=_cluster_inputs())
+    def test_small_stacks(self, inputs):
+        effective, clusters, users, gate = inputs
+        _assert_same_plan(effective, clusters, users, gate,
+                          {"relaxed": 0, "last_resort": 0})
+        plan = form_clusters(effective, clusters, users, gate)
+        power = np.sum(np.abs(effective) ** 2, axis=1)
+        assert plan.members.shape == (clusters, users)
+        assert len(set(plan.members.ravel().tolist())) == plan.members.size
+        assert np.all(np.diff(power[plan.members], axis=1) >= 0.0)
+        assert np.array_equal(plan.leftover, np.setdiff1d(
+            np.arange(len(effective)), plan.members))
 
     def test_random_plan_leftover(self):
         for k, effective in enumerate(_effective_draws(range(10), sizes=(16,))):

@@ -12,10 +12,11 @@ from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.clustering import random_plan
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.power_allocation import allocate_power, sca_coefficients
+from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (evaluate_reflection, exact_rank_penalty,
                                 lift_user_matrices, optimize_reflection,
-                                sinr_trace_matrices, surrogate_problem)
+                                sca_coefficients, sinr_trace_matrices,
+                                surrogate_problem)
 
 from conftest import attainable_floor_scenario, build_scenario
 
@@ -26,6 +27,32 @@ def _random_psd(rng, n, diag_cap=1.0):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mat = g @ g.conj().T
     return mat * (diag_cap * rng.random() / np.real(np.diag(mat)).max())
+
+
+class TestScaBound:
+    def test_unit_anchor_values(self):
+        zeta, omega = sca_coefficients(np.array(1.0))
+        assert zeta == pytest.approx(0.5, abs=1e-15)
+        assert omega == pytest.approx(1.0, abs=1e-15)
+
+    def test_tight_at_anchor(self):
+        rng = np.random.default_rng(0)
+        gamma0 = 10 ** rng.uniform(-3, 5, 1000)
+        zeta, omega = sca_coefficients(gamma0)
+        bound = zeta * np.log2(gamma0) + omega
+        np.testing.assert_allclose(bound, np.log2(1 + gamma0), atol=1e-12)
+
+    def test_dominated_by_true_rate(self):
+        rng = np.random.default_rng(1)
+        gamma0 = 10 ** rng.uniform(-3, 5, 1000)
+        gamma = 10 ** rng.uniform(-3, 5, 1000)
+        zeta, omega = sca_coefficients(gamma0)
+        assert np.all(zeta * np.log2(gamma) + omega
+                      <= np.log2(1 + gamma) + 1e-12)
+
+    def test_nonpositive_anchor_rejected(self):
+        with pytest.raises(ValueError):
+            sca_coefficients(np.array([1.0, 0.0]))
 
 
 class TestLifting:
