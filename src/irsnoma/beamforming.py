@@ -48,8 +48,10 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
     tol = max(m, num_clusters) * np.finfo(float).eps * svals[0]
     if svals[-1] > tol:
         beams = (u.conj() / svals) @ vh.conj()        # row i is f_i^T
-        norms = np.linalg.norm(beams, axis=1)
-        spanned = np.flatnonzero(norms * np.linalg.norm(strong_channels, axis=1) >= 1e10)
+        # row norms with np.linalg.norm's arithmetic, without its wrapper
+        norms = np.sqrt(np.add.reduce((beams.conj() * beams).real, axis=1))
+        strong = np.sqrt(np.add.reduce((strong_channels.conj() * strong_channels).real, axis=1))
+        spanned = np.flatnonzero(norms * strong >= 1e10)
         if not spanned.size:
             return BeamformerSet(vectors=beams / norms[:, None])
     else:

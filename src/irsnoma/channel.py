@@ -165,9 +165,9 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
     cross = np.abs(proj) ** 2
     beams = np.arange(cross.shape[0])
     own = cross[beams, :, beams]
-    power = np.sum(np.abs(u) ** 2, axis=-1)
+    power = np.add.reduce(np.abs(u) ** 2, axis=-1)
     if __debug__ and check_order:
-        if np.any(np.diff(power, axis=1) < -1e-12 * np.max(power)):
+        if ((power[:, 1:] - power[:, :-1]) < -1e-12 * np.maximum.reduce(power, axis=None)).any():
             raise AssertionError("cluster members must be sorted weakest-first")
     return LinkGains(own_beam=own, cross_beam=cross, channel_power=power)
 
@@ -197,8 +197,8 @@ def cluster_rates_and_power(gamma: np.ndarray, beta: np.ndarray,
 
     Beamformers are unit norm, so the radiated part is P_i * sum(beta).
     """
-    rates = config.bandwidth_hz * np.log2(1.0 + gamma).sum(axis=1)
-    powers = config.cluster_power_w * beta.sum(axis=1) + config.circuit_power_w
+    rates = config.bandwidth_hz * np.add.reduce(np.log2(1.0 + gamma), axis=1)
+    powers = config.cluster_power_w * np.add.reduce(beta, axis=1) + config.circuit_power_w
     return rates, powers
 
 
@@ -206,4 +206,4 @@ def energy_efficiency(gamma: np.ndarray, beta: np.ndarray,
                       config: SystemConfig) -> float:
     """Network objective: sum over clusters of rate / consumed power."""
     rates, powers = cluster_rates_and_power(gamma, beta, config)
-    return float(np.sum(rates / powers))
+    return float(np.add.reduce(rates / powers))

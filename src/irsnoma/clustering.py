@@ -6,9 +6,10 @@ decoding works). Pairs are picked greedily by the largest gain difference
 among pairs whose correlation clears a threshold; when the gate starves,
 the threshold is relaxed in 0.05 steps, and where even a zero gate admits
 no pair the two lowest-indexed available users are paired. The plan is a
-deterministic function of the channels. The gated matrix is built once per
-plan on the whole pool, and a taken user's row and column are zeroed; pool
-indices ascend, so ties break as on a matrix of the available users alone.
+deterministic function of the channels. The gated pairs of the whole pool
+are ranked once per plan, by falling |difference| and row-major on ties,
+and one walk down that ranking skips the pairs with a taken user: each pair
+it takes is the first maximum of the gated matrix of the available users.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ class ClusterPlan:
 
 def correlation_matrix(effective: np.ndarray) -> np.ndarray:
     """All pairwise correlations of the (V, M) effective channel stack."""
-    norms = np.linalg.norm(effective, axis=1)
-    if np.any(norms == 0.0):
+    conj = effective.conj()
+    # row norms with np.linalg.norm's arithmetic, without its wrapper
+    norms = np.sqrt(np.add.reduce((conj * effective).real, axis=1))
+    if (norms == 0.0).any():
         raise ValueError("correlation undefined for a zero channel vector")
-    gram = effective.conj() @ effective.T
-    return np.abs(gram) / np.outer(norms, norms)
+    return np.abs(conj @ effective.T) / (norms[:, None] * norms)
 
 
 def build_difference_matrix(effective: np.ndarray, threshold: float) -> np.ndarray:
@@ -45,7 +47,7 @@ def build_difference_matrix(effective: np.ndarray, threshold: float) -> np.ndarr
     v = effective.shape[0]
     if v < 2:
         raise ValueError("need at least two users")
-    power = np.sum(np.abs(effective) ** 2, axis=1)
+    power = np.add.reduce(np.abs(effective) ** 2, axis=1)
     return _gated_differences(power, correlation_matrix(effective), threshold)
 
 
@@ -77,7 +79,7 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
     v = effective.shape[0]
     if num_clusters * users_per_cluster > v:
         raise ValueError("not enough users for the requested plan")
-    power = np.sum(np.abs(effective) ** 2, axis=1)
+    power = np.add.reduce(np.abs(effective) ** 2, axis=1)
     corr = correlation_matrix(effective)
     available = np.ones(v, dtype=bool)
     members = np.zeros((num_clusters, users_per_cluster), dtype=int)
@@ -89,19 +91,26 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
         available[order] = False
         return ClusterPlan(members=members, leftover=np.flatnonzero(available))
 
-    gated = _gated_differences(power, corr, threshold)
+    # the gated pairs by falling |difference|, row-major on ties: the order in
+    # which repeated argmax passes over the available users meet them
+    magnitude = np.abs(_gated_differences(power, corr, threshold)).ravel()
+    ranked = np.flatnonzero(magnitude)
+    walk = iter(ranked[np.argsort(-magnitude[ranked], kind="stable")].tolist())
     for i in range(num_clusters):
-        gated[~available] = 0.0
-        gated[:, ~available] = 0.0
-        diff, gate, pair = gated, threshold, None
-        while pair is None:
-            x, y, mag = _argmax_pair(diff)
-            if mag > 0.0:
+        pair = None
+        for flat in walk:
+            x, y = divmod(flat, v)
+            if available[x] and available[y]:
                 pair = (x, y)
-            elif gate > 0.0:
+                break
+        gate = threshold
+        while pair is None:
+            if gate > 0.0:
                 gate = max(gate - 0.05, 0.0)
-                diff = np.where(np.outer(available, available),
-                                _gated_differences(power, corr, gate), 0.0)
+                x, y, mag = _argmax_pair(np.where(np.outer(available, available),
+                                                  _gated_differences(power, corr, gate), 0.0))
+                if mag > 0.0:
+                    pair = (x, y)
             else:
                 x, y = np.flatnonzero(available)[:2]
                 pair = (int(x), int(y))
@@ -126,7 +135,7 @@ def random_plan(effective: np.ndarray, num_clusters: int, users_per_cluster: int
     """Uniform-random clustering baseline over the same user pool."""
     v = effective.shape[0]
     picked = rng.choice(v, size=num_clusters * users_per_cluster, replace=False)
-    power = np.sum(np.abs(effective) ** 2, axis=1)
+    power = np.add.reduce(np.abs(effective) ** 2, axis=1)
     members = picked.reshape(num_clusters, users_per_cluster)
     members = np.take_along_axis(members, np.argsort(power[members], axis=1), axis=1)
     available = np.ones(v, dtype=bool)

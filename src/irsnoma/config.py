@@ -8,6 +8,7 @@ config file or through the helpers below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -58,6 +59,11 @@ class SystemConfig:
     element_spacing_ratio: float = 0.5          # d/lambda for both ULAs
 
     def __post_init__(self) -> None:
+        # a NaN passes every range test below, and an infinite power or
+        # distance leaves the stages nothing to compute with
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.num_bs_antennas <= self.num_clusters - 1:
             raise ValueError(
                 "num_bs_antennas must exceed num_clusters - 1, got "

@@ -84,7 +84,7 @@ class TrialRecord:
 
 def _far_user_ici(psi: np.ndarray) -> float:
     # weakest member sits at index 0 of each cluster
-    return float(psi[:, 0].mean())
+    return float(np.add.reduce(psi[:, 0]) / psi.shape[0])
 
 
 def conventional_bf_ee(gains: LinkGains, config: SystemConfig,
@@ -100,13 +100,13 @@ def conventional_bf_ee(gains: LinkGains, config: SystemConfig,
     psi_full = np.einsum("ikj->ik", gains.cross_beam) * p - gains.own_beam * p
     snr = p * gains.own_beam / (psi_full + config.noise_power_w)
     if mode == "time-share":
-        rates = config.bandwidth_hz * np.log2(1.0 + snr).sum(axis=1) / snr.shape[1]
+        rates = config.bandwidth_hz * np.add.reduce(np.log2(1.0 + snr), axis=1) / snr.shape[1]
     elif mode == "single-user":
         rates = config.bandwidth_hz * np.log2(1.0 + snr[:, -1])
     else:
         raise ValueError(f"unknown conventional mode {mode!r}")
     powers = p + config.circuit_power_w
-    return float(np.sum(rates / powers)), _far_user_ici(psi_full)
+    return float(np.add.reduce(rates / powers)), _far_user_ici(psi_full)
 
 
 def random_power_coefficients(config: SystemConfig,
@@ -115,7 +115,7 @@ def random_power_coefficients(config: SystemConfig,
     draws = rng.random((config.num_clusters, config.users_per_cluster))
     draws = -np.sort(-draws, axis=1)
     budget = 0.9 * min(config.cluster_power_w, config.max_power_w) / config.cluster_power_w
-    return draws / draws.sum(axis=1, keepdims=True) * budget
+    return draws / np.add.reduce(draws, axis=1, keepdims=True) * budget
 
 
 def _stream(key: list[int], index: int) -> np.random.Generator:

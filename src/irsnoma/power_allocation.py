@@ -21,6 +21,7 @@ floor, over the totals under ``shape_for_decode_order``'s weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,56 @@ def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray
     Stage 1 searches the totals under these weights where the floor is
     unattainable. Total per-cluster power is preserved.
     """
-    ratio = config.min_sinr * 1.5
+    return _decode_order_split(beta, config.min_sinr)
+
+
+def _decode_order_split(beta: np.ndarray, min_sinr: float) -> np.ndarray:
+    ratio = min_sinr * 1.5
     users = beta.shape[1]
     weights = ratio ** np.arange(users - 1, -1, -1, dtype=float)
     weights /= weights.sum()
     return beta.sum(axis=1, keepdims=True) * weights[None, :]
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The read-only arrays of a Stage-1 problem that depend on its shape
+    (I, K) and floor alone, never on a draw. Constraint rows are ordered as
+    ``_Problem.constraints`` gives them: I budget rows, then per weaker user
+    k its floor rows and its gap rows, then the strongest users' floors."""
+
+    unit: np.ndarray     # (2, n, n): the identity, and the level shift (S_K = 0)
+    rows: np.ndarray     # (2n, n): the constraint rows without the interference
+    floor: np.ndarray    # (K, I): the row of user k's floor, per cluster
+    gap: np.ndarray      # (K - 1, I): the row of weaker user k's gap bound
+    decode: np.ndarray   # (n, I): the levels of the totals under decode-order weights
+    box: np.ndarray      # (2I, I): the rows of the totals' box at an unattainable floor
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(clusters: int, users: int, min_sinr: float) -> _Layout:
+    """The ``_Layout`` of shape (clusters, users) at floor ``min_sinr``,
+    built once per key: the key holds no draw, so every call shares it."""
+    size = clusters * users
+    floor = clusters + 2 * clusters * np.arange(users)[:, None] + np.arange(clusters)
+    gap = floor[:-1] + clusters
+    unit = np.stack((np.eye(size), np.eye(size, k=1)))
+    unit[1, users - 1::users] = 0.0
+    eye = unit[0].reshape(clusters, users, size)
+    rows = np.empty((2 * size, size))
+    rows[:clusters] = eye[:, 0]
+    for k in range(users - 1):
+        rows[floor[k]] = (1.0 + min_sinr) * eye[:, k + 1] - eye[:, k]
+        rows[gap[k]] = 2.0 * eye[:, k + 1] - eye[:, k]
+    rows[floor[-1]] = -eye[:, -1]
+    weights = _decode_order_split(np.full((1, users), 1.0 / users), min_sinr)[0]
+    tails = weights[::-1].cumsum()[::-1]                            # W_0 = 1
+    decode = (np.eye(clusters)[:, None, :] * tails[:, None]).reshape(size, -1)
+    box = np.concatenate((np.eye(clusters), -np.eye(clusters)))
+    layout = _Layout(unit=unit, rows=rows, floor=floor, gap=gap, decode=decode, box=box)
+    for array in (unit, rows, floor, gap, decode, box):
+        array.flags.writeable = False
+    return layout
 
 
 class _Problem:
@@ -56,32 +102,31 @@ class _Problem:
 
     def __init__(self, gains: LinkGains, config: SystemConfig) -> None:
         self.config = config
-        self.shape = gains.own_beam.shape                           # (I, K)
+        self.shape = clusters, users = gains.own_beam.shape          # (I, K)
+        self.layout = _layout(clusters, users, config.min_sinr)
         self.pg = config.cluster_power_w * gains.own_beam
-        cross = gains.cross_beam.copy()
-        beams = np.arange(self.shape[0])
-        cross[beams, :, beams] = 0.0
         self.inflow = np.zeros((*self.shape, self.pg.size))  # c - sigma^2 over the levels
-        self.inflow[..., ::self.shape[1]] = config.cluster_power_w * cross
+        np.multiply(config.cluster_power_w, gains.cross_beam, out=self.inflow[..., ::users])
+        beams = np.arange(clusters)
+        self.inflow[beams, :, beams * users] = 0.0
         self.high = config.max_power_w / config.cluster_power_w
 
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit rows ``a`` and bounds ``b`` of ``a @ levels <= b``, I rows
         each: the budget, per weaker user its floor then its gap bound, and
         the strongest user's floor."""
-        cfg, (clusters, users) = self.config, self.shape
-        eye, inflow = np.eye(self.pg.size).reshape(self.inflow.shape), self.inflow
-        need, gap = cfg.min_sinr / self.pg, cfg.sic_power_gap_w / self.pg[:, 1:]
-        rows, bounds = [eye[:, 0]], [np.full(clusters, self.high)]
-        for k in range(users - 1):
-            rows += [(1.0 + cfg.min_sinr) * eye[:, k + 1] - eye[:, k]
-                     + need[:, k, None] * inflow[:, k], 2.0 * eye[:, k + 1] - eye[:, k]]
-            bounds += [-need[:, k] * cfg.noise_power_w, -gap[:, k]]
-        rows.append(need[:, -1, None] * inflow[:, -1] - eye[:, -1])
-        bounds.append(-need[:, -1] * cfg.noise_power_w)
-        a, b = np.concatenate(rows), np.concatenate(bounds)
+        cfg, layout, clusters = self.config, self.layout, self.shape[0]
+        need = cfg.min_sinr / self.pg
+        a = layout.rows.copy()
+        a[layout.floor] += (need[:, :, None] * self.inflow).transpose(1, 0, 2)
+        b = np.empty(a.shape[0])
+        b[:clusters] = self.high
+        b[layout.floor] = -need.T * cfg.noise_power_w
+        b[layout.gap] = -(cfg.sic_power_gap_w / self.pg[:, 1:]).T
         norm = np.sqrt(np.add.reduce(a * a, axis=1))
-        return a / norm[:, None], b / norm
+        a /= norm[:, None]
+        b /= norm
+        return a, b
 
     def tight(self, a: np.ndarray, b: np.ndarray, first: slice) -> np.ndarray | None:
         """The levels where the rows ``first`` and, per weaker user, one of
@@ -89,11 +134,10 @@ class _Problem:
         none is broken. For the least levels (``first`` the strongest users'
         floors) each solution is a rising lower bound of the least fixed
         point; a singular system or a nonpositive total shows there is none."""
-        clusters, users = self.shape
-        floor, gap = (clusters + np.arange(2 * clusters * (users - 1))
-                      .reshape(users - 1, 2, clusters).transpose(1, 0, 2))
+        users = self.shape[1]
+        floor, gap = self.layout.floor[:-1], self.layout.gap
         fixed = np.arange(b.size)[first]
-        pick = np.zeros((users - 1, clusters), dtype=bool)     # True: the gap row
+        pick = np.zeros(gap.shape, dtype=bool)                 # True: the gap row
         while True:
             rows = np.concatenate((fixed, np.where(pick, gap, floor).ravel()))
             try:
@@ -119,47 +163,38 @@ class _Efficiency:
     """The sum of per-cluster rate / power, with its analytic gradient and
     Hessian, over ``x``: the levels, or (``bound`` False) the I totals under
     the decode-order weights. User k's rate is log2(num / den), and every
-    num, den and power is affine in the levels, so in ``x``."""
+    num, den and power is affine in the levels, so in ``x``; ``parts``
+    stacks the num and den maps, (2, n, len(x))."""
 
     def __init__(self, problem: _Problem, bound: bool) -> None:
-        (clusters, users), size = problem.shape, problem.pg.size
-        if bound:
-            level_map = np.eye(size)
-        else:
-            weights = shape_for_decode_order(np.full((1, users), 1.0 / users),
-                                             problem.config)[0]
-            tails = weights[::-1].cumsum()[::-1]                    # W_0 = 1
-            level_map = (np.eye(clusters)[:, None, :] * tails[:, None]).reshape(size, -1)
-        pg, inflow = problem.pg.ravel(), problem.inflow.reshape(size, size)
-        shift = np.eye(size, k=1)
-        shift[users - 1::users] = 0.0    # S_K = 0
-        self.num = (np.diag(pg) + inflow) @ level_map
-        self.den = (pg[:, None] * shift + inflow) @ level_map
+        layout, size, users = problem.layout, problem.pg.size, problem.shape[1]
+        level_map = layout.unit[0] if bound else layout.decode
+        inflow = problem.inflow.reshape(size, size)
+        self.parts = (problem.pg.reshape(size, 1) * layout.unit + inflow) @ level_map
         self.power = problem.config.cluster_power_w * level_map[::users]
         self.shape, self.config, self.level_map = problem.shape, problem.config, level_map
 
     def value(self, x: np.ndarray):
         """(efficiency, per-cluster ratios, terms the derivatives read)."""
         cfg = self.config
-        num = cfg.noise_power_w + self.num @ x
-        den = cfg.noise_power_w + self.den @ x
-        rates = cfg.bandwidth_hz * np.add.reduce(np.log2(num / den).reshape(self.shape), axis=1)
+        parts = cfg.noise_power_w + self.parts @ x                  # num, den
+        rates = cfg.bandwidth_hz * np.add.reduce(
+            np.log2(parts[0] / parts[1]).reshape(self.shape), axis=1)
         power = cfg.circuit_power_w + self.power @ x
         ratios = rates / power
-        return float(np.add.reduce(ratios)), ratios, (num, den, rates, power)
+        return float(np.add.reduce(ratios)), ratios, (parts, rates, power)
 
     def derivatives(self, terms) -> tuple[np.ndarray, np.ndarray]:
-        num, den, rates, power = terms
+        parts, rates, power = terms
         scale = self.config.bandwidth_hz / LN2
-        a, b = self.num / num[:, None], self.den / den[:, None]
-        rate_rows = scale * np.add.reduce((a - b).reshape(*self.shape, -1), axis=1)
+        rows = self.parts / parts[:, :, None]
+        rate_rows = scale * np.add.reduce((rows[0] - rows[1]).reshape(*self.shape, -1), axis=1)
         power_t, inverse, square = self.power.T, 1.0 / power, power ** 2
         grad = rate_rows.T @ inverse - power_t @ (rates / square)
-        weight = np.sqrt(inverse).repeat(self.shape[1])[:, None]
-        a *= weight
-        b *= weight
+        rows *= np.sqrt(inverse).repeat(self.shape[1])[:, None]
+        gram = rows.transpose(0, 2, 1) @ rows
         cross = power_t @ (rate_rows / square[:, None])
-        hess = (scale * (b.T @ b - a.T @ a) - cross - cross.T
+        hess = (scale * (gram[1] - gram[0]) - cross - cross.T
                 + power_t @ (self.power * (2.0 * rates / power ** 3)[:, None]))
         return grad, hess
 
@@ -232,7 +267,8 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
         if steps == max_iterations:
             break
         rise = a @ step
-        limits = np.full(b.size, np.inf)
+        limits = np.empty(b.size)
+        limits.fill(np.inf)
         np.divide(b - a @ x, rise, out=limits, where=~held & (rise > 0.0))
         hit = int(limits.argmin())
         reach = t = min(1.0, max(float(limits[hit]), 0.0))
@@ -287,12 +323,12 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         # every beam keeps a 1e-6 share of its budget, so no beam falls
         # silent: every user of the split reported at an unattainable floor
         # keeps a positive SINR and rate
-        a = np.concatenate((np.eye(clusters), -np.eye(clusters)))
-        b = np.concatenate((np.full(clusters, problem.high),
-                            np.full(clusters, -1e-6 * problem.high)))
+        a, b = problem.layout.box, np.empty(2 * clusters)
+        b[:clusters] = problem.high
+        b[clusters:] = -1e-6 * problem.high
     x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)
-    levels = (efficiency.level_map @ x).reshape(clusters, users)
-    beta = levels - np.concatenate((levels[:, 1:], np.zeros((clusters, 1))), axis=1)
+    beta = (efficiency.level_map @ x).reshape(clusters, users)     # the levels
+    beta[:, :-1] -= beta[:, 1:]      # NumPy reads the overlapping operand as it was
     gamma, psi = sinr(gains, beta, config)
     rates, powers = cluster_rates_and_power(gamma, beta, config)
     rho = rates / powers

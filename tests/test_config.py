@@ -36,6 +36,12 @@ def test_defaults_follow_reference_table():
     ("ref_pathloss", 0.0),       # all-zero channels
     ("rician_bs_irs", -0.5),     # NaN channels
     ("rician_irs_user", -0.5),
+    ("min_sinr", float("nan")),  # passes every range test
+    ("noise_power_w", float("inf")),
+    ("circuit_power_w", float("nan")),
+    ("bs_irs_distance_m", float("inf")),
+    ("rician_bs_irs", float("nan")),
+    ("pathloss_exp_bs_irs", float("nan")),
 ])
 def test_invalid_configs_rejected(field, value):
     with pytest.raises(ValueError):

@@ -313,6 +313,7 @@ class TestCli:
         (["--n-grid", "16,16"], "scenario grids must not repeat a value"),
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--config", "CONFIG"], "line 1: unknown config key 'num_beams'"),
+        (["--config", "NAN"], "min_sinr must be finite, got nan"),
         (["--config", "MISSING"], "No such file or directory"),
         (["--methods", ""], "methods must be nonempty"),
         (["--workers", "0"], "workers must be at least 1"),
@@ -324,7 +325,10 @@ class TestCli:
         # reported on one line with exit status 2, before any trial runs
         config_path = tmp_path / "bad.cfg"
         config_path.write_text("num_beams = 5\n")
-        paths = {"CONFIG": str(config_path), "MISSING": str(tmp_path / "none.cfg")}
+        nan_path = tmp_path / "nan.cfg"
+        nan_path.write_text("min_sinr_db = nan\n")
+        paths = {"CONFIG": str(config_path), "MISSING": str(tmp_path / "none.cfg"),
+                 "NAN": str(nan_path)}
         args = [paths.get(arg, arg) for arg in args]
         monkeypatch.setattr(experiments, "run_trial", mock.Mock())
         with pytest.raises(SystemExit) as exit_info:

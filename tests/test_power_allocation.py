@@ -10,6 +10,7 @@ from irsnoma import power_allocation
 from irsnoma.channel import (LinkGains, cluster_rates_and_power,
                              energy_efficiency, sinr, stronger_tail)
 from irsnoma.config import SystemConfig, db_to_linear
+from irsnoma.experiments import METHODS, ExperimentSpec, run_experiment
 from irsnoma.power_allocation import allocate_power
 
 from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
@@ -242,6 +243,52 @@ class TestAllocatePower:
         if not result.feasible:
             ratios = result.beta[:, 0] / result.beta[:, 1]
             assert np.all(ratios >= cfg.min_sinr)
+
+
+class TestLayoutCache:
+    """Stage 1 shares one read-only layout per shape (I, K) and floor."""
+
+    def test_cached_arrays_are_read_only(self):
+        cfg, *_, gains = build_scenario(0)
+        allocate_power(gains, cfg)
+        layout = power_allocation._layout(cfg.num_clusters, cfg.users_per_cluster,
+                                          cfg.min_sinr)
+        for field in dataclasses.fields(layout):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layout, field.name)[...] = 0
+
+    def test_other_shapes_and_floors_leave_a_result_unchanged(self):
+        # A at the reference floor and at an attainable one (both branches),
+        # then B at another (I, K) and floor, then A again
+        draws_a = [(draw[0], draw[-1]) for draw in (
+            build_scenario(0), attainable_floor_scenario(0, random_beams=False))]
+        base = dataclasses.replace(SystemConfig(), num_clusters=9, num_bs_antennas=10,
+                                   users_per_cluster=3, min_sinr=db_to_linear(-5.0))
+        cfg_b, *_, gains_b = build_scenario(1, config=base)
+
+        def digests():
+            out = []
+            for cfg, gains in draws_a:
+                digest = hashlib.sha256()
+                _digest_result(digest, allocate_power(gains, cfg))
+                out.append(digest.hexdigest())
+            return out
+
+        power_allocation._layout.cache_clear()
+        first = digests()
+        allocate_power(gains_b, cfg_b)
+        assert digests() == first
+        assert power_allocation._layout.cache_info().currsize == 3
+
+    def test_reference_grid_builds_one_layout(self, tmp_path):
+        # the key holds no draw: every trial of a grid with one (I, K, floor)
+        # shares one layout
+        power_allocation._layout.cache_clear()
+        spec = ExperimentSpec(n_grid=[16, 32], m_grid=[8], num_trials=3,
+                              methods=list(METHODS), out_dir=str(tmp_path), seed=4243)
+        run_experiment(SystemConfig(), spec)
+        info = power_allocation._layout.cache_info()
+        assert info.currsize == info.misses == 1 and info.hits > 0
 
 
 class TestStopRule:
