@@ -313,12 +313,12 @@ class TestCli:
         (["--n-grid", "16,16"], "scenario grids must not repeat a value"),
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--config", "CONFIG"], "line 1: unknown config key 'num_beams'"),
-        (["--config", "NAN"], "min_sinr must be finite, got nan"),
         (["--config", "MISSING"], "No such file or directory"),
         (["--methods", ""], "methods must be nonempty"),
         (["--workers", "0"], "workers must be at least 1"),
         (["--workers", "-2"], "workers must be at least 1"),
         (["--out", "CONFIG"], "File exists"),
+        (["--config", "NAN"], "min_sinr must be finite, got nan"),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                         args, message):
