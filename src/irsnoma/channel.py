@@ -29,9 +29,8 @@ class UserGeometry:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-user channel draws; immutable and safe to share across workers."""
+    """Per-user channel draws; read-only and safe to share across workers."""
 
-    bs_irs: np.ndarray     # (V, N, M)
     irs_user: np.ndarray   # (V, N)
     cascaded: np.ndarray   # (V, N, M), row n = conj(h_n) * H[n, :]
 
@@ -82,11 +81,12 @@ def _rician(rng: np.random.Generator, los: np.ndarray, factor: float,
     Part by part in real arithmetic, with the complex expression's bits:
     NumPy divides by sqrt(2) + 0j with Smith's method, which scales each
     part by fl(1/sqrt(2)), and a real factor adds only signed-zero cross
-    terms. ``a`` is drawn before ``b``.
+    terms. ``a`` is drawn before ``b``, both through one float buffer.
     """
     out = np.empty(shape, dtype=complex)
-    draws = rng.standard_normal(shape), rng.standard_normal(shape)
-    for draw, los_part, part in zip(draws, (los.real, los.imag), (out.real, out.imag)):
+    draw = np.empty(shape)
+    for los_part, part in zip((los.real, los.imag), (out.real, out.imag)):
+        rng.standard_normal(out=draw)
         draw *= 1.0 / np.sqrt(2.0)
         draw *= np.sqrt(1.0 / (1.0 + factor))
         draw += np.sqrt(factor / (1.0 + factor)) * los_part
@@ -101,7 +101,9 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     Each link mixes a deterministic ULA outer-product line-of-sight term
     (weight delta/(1+delta)) with unit-variance complex Gaussian scatter
     (weight 1/(1+delta)), scaled by the distance path gain; the normal
-    draws are most of the cost.
+    draws are most of the cost. The BS-surface draw is scaled by conj(h)
+    in place, so a trial holds one (V, N, M) array; both arrays returned
+    are read-only.
     """
     n, m, v = config.num_irs_elements, config.num_bs_antennas, config.total_users
     sr = config.element_spacing_ratio
@@ -111,7 +113,7 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     los_bs_irs = np.outer(a_irs_rx.conj(), a_bs_tx)
     gain_bs_irs = path_gain(config.ref_pathloss, config.bs_irs_distance_m,
                             config.ref_distance_m, config.pathloss_exp_bs_irs)
-    bs_irs = _rician(rng, los_bs_irs, config.rician_bs_irs, gain_bs_irs, (v, n, m))
+    cascaded = _rician(rng, los_bs_irs, config.rician_bs_irs, gain_bs_irs, (v, n, m))
 
     los_irs_user = array_response(geometry.irs_user_aod_rad, n, sr)
     gain_irs_user = path_gain(
@@ -121,8 +123,12 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     irs_user = _rician(rng, los_irs_user, config.rician_irs_user,
                        gain_irs_user[:, None], (v, n))
 
-    cascaded = irs_user.conj()[:, :, None] * bs_irs
-    return ChannelSet(bs_irs=bs_irs, irs_user=irs_user, cascaded=cascaded)
+    # conj(h) stays the first operand: NumPy rounds the complex product's
+    # imaginary part asymmetrically, so swapping the operands moves bits
+    np.multiply(irs_user.conj()[:, :, None], cascaded, out=cascaded)
+    irs_user.flags.writeable = False
+    cascaded.flags.writeable = False
+    return ChannelSet(irs_user=irs_user, cascaded=cascaded)
 
 
 def effective_channel(cascaded: np.ndarray, reflection: np.ndarray) -> np.ndarray:

@@ -111,12 +111,14 @@ _INT_FIELDS = {
 def parse_config_text(text: str) -> SystemConfig:
     """Parse flat ``key = value`` text into a SystemConfig.
 
-    ``#`` starts a comment. Unknown keys are rejected. Keys with a ``_db`` /
-    ``_dbm`` suffix are converted to linear units here, so the rest of the
-    library never sees decibels.
+    ``#`` starts a comment. Unknown keys are rejected, and so is a field set
+    twice, under either spelling. Keys with a ``_db`` / ``_dbm`` suffix are
+    converted to linear units here, so the rest of the library never sees
+    decibels.
     """
     field_names = {f.name for f in fields(SystemConfig)}
     overrides: dict[str, float | int] = {}
+    set_at: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,13 +128,22 @@ def parse_config_text(text: str) -> SystemConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _DB_KEYS:
-            target, convert = _DB_KEYS[key]
-            overrides[target] = convert(float(value))
-        elif key in field_names:
-            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
-        else:
+        target = _DB_KEYS[key][0] if key in _DB_KEYS else key
+        if target not in field_names:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if target in set_at:
+            first_line, first_key = set_at[target]
+            raise ValueError(f"line {lineno}: {key} sets {target} again, "
+                             f"already set by {first_key} on line {first_line}")
+        set_at[target] = (lineno, key)
+        if key in _DB_KEYS:
+            try:
+                overrides[target] = _DB_KEYS[key][1](float(value))
+            except OverflowError:
+                raise ValueError(f"line {lineno}: {key} = {value} overflows "
+                                 "a float in linear units") from None
+        else:
+            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
     return SystemConfig(**overrides)
 
 

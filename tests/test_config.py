@@ -78,6 +78,27 @@ def test_parse_config_rejects_out_of_range_values():
         parse_config_text("num_irs_elements = 16\nmin_sinr = 0\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("min_sinr = 2\nmin_sinr_db = 3\n",
+     "line 2: min_sinr_db sets min_sinr again, already set by min_sinr on line 1"),
+    ("num_clusters = 5\n# comment\nnum_clusters = 4\n",
+     "line 3: num_clusters sets num_clusters again, already set by num_clusters on line 1"),
+    ("noise_power_dbm = -114\nnoise_power_w = 1e-14\n",
+     "line 2: noise_power_w sets noise_power_w again, already set by noise_power_dbm on line 1"),
+])
+def test_parse_config_rejects_a_field_set_twice(text, message):
+    # the second line used to overwrite the first without a word
+    with pytest.raises(ValueError, match=message):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("key", ["min_sinr_db", "cluster_power_dbm"])
+def test_parse_config_rejects_an_overflowing_db_value(key):
+    # 10 ** (1e5 / 10) raises OverflowError in the conversion
+    with pytest.raises(ValueError, match=f"line 2: {key} = 100000 overflows"):
+        parse_config_text(f"num_irs_elements = 16\n{key} = 100000\n")
+
+
 def test_parse_config_rejects_rng_seed():
     # simulate --seed seeds every run; a seed in the scenario file would be
     # ignored, so it is refused like any other unknown key

@@ -319,6 +319,7 @@ class TestCli:
         (["--workers", "-2"], "workers must be at least 1"),
         (["--out", "CONFIG"], "File exists"),
         (["--config", "NAN"], "min_sinr must be finite, got nan"),
+        (["--config", "HUGE"], "line 1: min_sinr_db = 100000 overflows"),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                         args, message):
@@ -327,8 +328,10 @@ class TestCli:
         config_path.write_text("num_beams = 5\n")
         nan_path = tmp_path / "nan.cfg"
         nan_path.write_text("min_sinr_db = nan\n")
+        huge_path = tmp_path / "huge.cfg"
+        huge_path.write_text("min_sinr_db = 100000\n")
         paths = {"CONFIG": str(config_path), "MISSING": str(tmp_path / "none.cfg"),
-                 "NAN": str(nan_path)}
+                 "NAN": str(nan_path), "HUGE": str(huge_path)}
         args = [paths.get(arg, arg) for arg in args]
         monkeypatch.setattr(experiments, "run_trial", mock.Mock())
         with pytest.raises(SystemExit) as exit_info:
