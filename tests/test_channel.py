@@ -69,10 +69,10 @@ class TestSynthesis:
                          cfg.ref_distance_m, cfg.pathloss_exp_bs_irs)
         los = np.outer(array_response(geo.irs_aoa_rad, cfg.num_irs_elements).conj(),
                        array_response(geo.bs_aod_rad, cfg.num_bs_antennas))
-        h = _rician(rng, los, cfg.rician_bs_irs, gain,
-                    (cfg.total_users, *los.shape))
+        bs_irs = _rician(rng, los, cfg.rician_bs_irs, gain,
+                         (cfg.total_users, *los.shape))
         scale = np.sqrt(gain)
-        dev = np.abs(h - scale * los).max() / np.abs(scale * los).max()
+        dev = np.abs(bs_irs - scale * los).max() / np.abs(scale * los).max()
         assert dev < 1e-4
 
     def test_scatter_energy_matches_unit_variance(self):
@@ -80,8 +80,8 @@ class TestSynthesis:
         # over 1e4 channel draws
         rng = np.random.default_rng(5)
         los = np.outer(array_response(0.4, 8).conj(), array_response(-0.2, 6))
-        h = _rician(rng, los, 1e-12, 1.0, (10_000, 8, 6))
-        energies = np.sum(np.abs(h) ** 2, axis=(1, 2))
+        bs_irs = _rician(rng, los, 1e-12, 1.0, (10_000, 8, 6))
+        energies = np.sum(np.abs(bs_irs) ** 2, axis=(1, 2))
         assert energies.mean() == pytest.approx(8 * 6, rel=0.02)
 
     def test_cascaded_rows_match_definition(self):
@@ -117,9 +117,9 @@ class TestSynthesis:
 
     def test_synthesis_bytes_pinned(self):
         # every byte of the two channel arrays over 90 draws; the digest
-        # was recorded before the BS-surface draw was cascaded in place, and
-        # the bytes match the earlier three-array pin's. A change that moves
-        # these bytes on purpose updates it
+        # was computed on the code from before the BS-surface draw was
+        # cascaded in place, so that change moved no byte. A change that
+        # moves these bytes on purpose updates it
         digest = hashlib.sha256()
         for n in (16, 32, 64):
             cfg = dataclasses.replace(SystemConfig(), num_irs_elements=n)
