@@ -14,6 +14,7 @@ it takes is the first maximum of the gated matrix of the available users.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,18 @@ def build_difference_matrix(effective: np.ndarray, threshold: float) -> np.ndarr
     return _gated_differences(power, correlation_matrix(effective), threshold)
 
 
+@functools.lru_cache(maxsize=16)
+def _upper(v: int) -> np.ndarray:
+    """The read-only strict upper triangle of a (v, v) pool, built once per v."""
+    mask = np.triu(np.ones((v, v), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _gated_differences(power: np.ndarray, corr: np.ndarray,
                        threshold: float) -> np.ndarray:
     diff = power[:, None] - power[None, :]
-    gated = np.where(corr > threshold, diff, 0.0)
-    return np.triu(gated, k=1)
+    return np.where(_upper(power.size) & (corr > threshold), diff, 0.0)
 
 
 def _argmax_pair(matrix: np.ndarray) -> tuple[int, int, float]:
@@ -81,41 +89,40 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
         raise ValueError("not enough users for the requested plan")
     power = np.add.reduce(np.abs(effective) ** 2, axis=1)
     corr = correlation_matrix(effective)
-    available = np.ones(v, dtype=bool)
-    members = np.zeros((num_clusters, users_per_cluster), dtype=int)
 
     if users_per_cluster == 1:
         # degenerate: no pairing, serve the strongest users one per beam
-        order = np.argsort(-power, kind="stable")[:num_clusters]
-        members[:, 0] = np.sort(order)
+        order = np.sort(np.argsort(-power, kind="stable")[:num_clusters])
+        available = np.ones(v, dtype=bool)
         available[order] = False
-        return ClusterPlan(members=members, leftover=np.flatnonzero(available))
+        return ClusterPlan(members=order[:, None], leftover=np.flatnonzero(available))
 
     # the gated pairs by falling |difference|, row-major on ties: the order in
     # which repeated argmax passes over the available users meet them
     magnitude = np.abs(_gated_differences(power, corr, threshold)).ravel()
     ranked = np.flatnonzero(magnitude)
     walk = iter(ranked[np.argsort(-magnitude[ranked], kind="stable")].tolist())
-    for i in range(num_clusters):
-        pair = None
+    available = [True] * v
+    clusters = []
+    for _ in range(num_clusters):
+        cluster = None
         for flat in walk:
             x, y = divmod(flat, v)
             if available[x] and available[y]:
-                pair = (x, y)
+                cluster = [x, y]
                 break
         gate = threshold
-        while pair is None:
+        while cluster is None:
             if gate > 0.0:
                 gate = max(gate - 0.05, 0.0)
-                x, y, mag = _argmax_pair(np.where(np.outer(available, available),
+                free = np.array(available)
+                x, y, mag = _argmax_pair(np.where(np.outer(free, free),
                                                   _gated_differences(power, corr, gate), 0.0))
                 if mag > 0.0:
-                    pair = (x, y)
+                    cluster = [x, y]
             else:
-                x, y = np.flatnonzero(available)[:2]
-                pair = (int(x), int(y))
-        cluster = [pair[0], pair[1]]
-        available[list(cluster)] = False
+                cluster = np.flatnonzero(available)[:2].tolist()
+        available[cluster[0]] = available[cluster[1]] = False
 
         while len(cluster) < users_per_cluster:
             strongest = cluster[int(np.argmax(power[cluster]))]
@@ -123,10 +130,11 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
             chosen = int(pool[np.argmax(corr[strongest, pool])])
             cluster.append(chosen)
             available[chosen] = False
+        clusters.append(cluster)
 
-        order = np.argsort(power[cluster], kind="stable")
-        members[i] = np.asarray(cluster)[order]
-
+    members = np.array(clusters)
+    members = np.take_along_axis(members, np.argsort(power[members], axis=1, kind="stable"),
+                                 axis=1)
     return ClusterPlan(members=members, leftover=np.flatnonzero(available))
 
 

@@ -136,14 +136,20 @@ def parse_config_text(text: str) -> SystemConfig:
             raise ValueError(f"line {lineno}: {key} sets {target} again, "
                              f"already set by {first_key} on line {first_line}")
         set_at[target] = (lineno, key)
+        kind = int if key in _INT_FIELDS else float
+        try:
+            number = kind(value)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"line {lineno}: {key} = {value} is not {noun}") from None
         if key in _DB_KEYS:
             try:
-                overrides[target] = _DB_KEYS[key][1](float(value))
+                overrides[target] = _DB_KEYS[key][1](number)
             except OverflowError:
                 raise ValueError(f"line {lineno}: {key} = {value} overflows "
                                  "a float in linear units") from None
         else:
-            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+            overrides[key] = number
     return SystemConfig(**overrides)
 
 

@@ -12,6 +12,7 @@ count changes the rounding of the SDP solver's matrix products).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
@@ -124,6 +125,13 @@ def _stream(key: list[int], index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(index,)))
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_config(config: SystemConfig, n: int, m: int) -> SystemConfig:
+    """``config`` at grid point (n, m), validated and built once per key: a
+    trial at a point already built pays no ``replace``."""
+    return replace(config, num_irs_elements=n, num_bs_antennas=m)
+
+
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
     """One paired-comparison trial at scenario (n, m).
@@ -135,7 +143,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     only when drawn from. Index 1 is unused: renumbering would change the
     random baselines' draws.
     """
-    cfg = replace(config, num_irs_elements=n, num_bs_antennas=m)
+    cfg = _grid_config(config, n, m)
     key = [seed, n, m, trial]
     rng_channel = _stream(key, 0)
 
@@ -203,7 +211,7 @@ def check_grid(config: SystemConfig, spec: ExperimentSpec) -> None:
     """Raise ValueError if the config at any (n, m) grid point is invalid."""
     for n in spec.n_grid:
         for m in spec.m_grid:
-            replace(config, num_irs_elements=n, num_bs_antennas=m)
+            _grid_config(config, n, m)
 
 
 def run_experiment(config: SystemConfig, spec: ExperimentSpec) -> list[TrialRecord]:

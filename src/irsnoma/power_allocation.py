@@ -68,6 +68,8 @@ class _Layout:
     gap: np.ndarray      # (K - 1, I): the row of weaker user k's gap bound
     decode: np.ndarray   # (n, I): the levels of the totals under decode-order weights
     box: np.ndarray      # (2I, I): the rows of the totals' box at an unattainable floor
+    start: np.ndarray    # (2, n): ``tight``'s first rows, from the budgets or the top floors
+    others: np.ndarray   # (I, 1, I): False where a user's interference is its own beam
 
 
 @functools.lru_cache(maxsize=64)
@@ -90,8 +92,13 @@ def _layout(clusters: int, users: int, min_sinr: float) -> _Layout:
     tails = weights[::-1].cumsum()[::-1]                            # W_0 = 1
     decode = (np.eye(clusters)[:, None, :] * tails[:, None]).reshape(size, -1)
     box = np.concatenate((np.eye(clusters), -np.eye(clusters)))
-    layout = _Layout(unit=unit, rows=rows, floor=floor, gap=gap, decode=decode, box=box)
-    for array in (unit, rows, floor, gap, decode, box):
+    weaker = floor[:-1].ravel()
+    start = np.stack((np.concatenate((np.arange(clusters), weaker)),
+                      np.concatenate((floor[-1], weaker))))
+    others = ~np.eye(clusters, dtype=bool)[:, None, :]
+    layout = _Layout(unit=unit, rows=rows, floor=floor, gap=gap, decode=decode, box=box,
+                     start=start, others=others)
+    for array in (unit, rows, floor, gap, decode, box, start, others):
         array.flags.writeable = False
     return layout
 
@@ -106,9 +113,8 @@ class _Problem:
         self.layout = _layout(clusters, users, config.min_sinr)
         self.pg = config.cluster_power_w * gains.own_beam
         self.inflow = np.zeros((*self.shape, self.pg.size))  # c - sigma^2 over the levels
-        np.multiply(config.cluster_power_w, gains.cross_beam, out=self.inflow[..., ::users])
-        beams = np.arange(clusters)
-        self.inflow[beams, :, beams * users] = 0.0
+        np.multiply(config.cluster_power_w, gains.cross_beam, out=self.inflow[..., ::users],
+                    where=self.layout.others)
         self.high = config.max_power_w / config.cluster_power_w
 
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,34 +134,35 @@ class _Problem:
         b /= norm
         return a, b
 
-    def tight(self, a: np.ndarray, b: np.ndarray, first: slice) -> np.ndarray | None:
-        """The levels where the rows ``first`` and, per weaker user, one of
-        its floor and gap rows are tight, swapping in broken partners until
-        none is broken. For the least levels (``first`` the strongest users'
-        floors) each solution is a rising lower bound of the least fixed
-        point; a singular system or a nonpositive total shows there is none."""
-        users = self.shape[1]
+    def tight(self, a: np.ndarray, b: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+        """The levels where the rows ``start`` (a row of ``layout.start``:
+        I fixed rows, then every weaker user's floor) are tight, swapping
+        in a weaker user's gap row for its floor, and back, while the row
+        left out is broken. For the least levels (the strongest users'
+        floors fixed) each solution is a rising lower bound of the least
+        fixed point; a singular system or a nonpositive total shows there
+        is none."""
+        clusters, users = self.shape
         floor, gap = self.layout.floor[:-1], self.layout.gap
-        fixed = np.arange(b.size)[first]
-        pick = np.zeros(gap.shape, dtype=bool)                 # True: the gap row
+        rows, other, pick = start, gap, False                  # pick True: the gap row
         while True:
-            rows = np.concatenate((fixed, np.where(pick, gap, floor).ravel()))
             try:
                 levels = np.linalg.solve(a[rows], b[rows])
             except np.linalg.LinAlgError:
                 return None
             if not (levels[::users] > 0.0).all():
                 return None
-            other = np.where(pick, floor, gap)
             broken = a[other] @ levels > b[other] + 1e-12 * self.high
             if not broken.any():
                 return levels
-            pick ^= broken
+            pick = pick ^ broken
+            rows = np.concatenate((start[:clusters], np.where(pick, gap, floor).ravel()))
+            other = np.where(pick, floor, gap)
 
     def certify(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """The least levels in ``a @ levels <= b`` (rows as ``constraints``
         gives them), or None: no fixed point, or one above the budget."""
-        levels = self.tight(a, b, slice(-self.shape[0], None))
+        levels = self.tight(a, b, self.layout.start[1])
         return None if levels is None or (levels[::self.shape[1]] > self.high).any() else levels
 
 
@@ -170,26 +177,30 @@ class _Efficiency:
         layout, size, users = problem.layout, problem.pg.size, problem.shape[1]
         level_map = layout.unit[0] if bound else layout.decode
         inflow = problem.inflow.reshape(size, size)
+        cfg = problem.config
         self.parts = (problem.pg.reshape(size, 1) * layout.unit + inflow) @ level_map
-        self.power = problem.config.cluster_power_w * level_map[::users]
-        self.shape, self.config, self.level_map = problem.shape, problem.config, level_map
+        self.power = cfg.cluster_power_w * level_map[::users]
+        self.power_t = self.power.T
+        self.noise, self.bandwidth, self.circuit = (
+            cfg.noise_power_w, cfg.bandwidth_hz, cfg.circuit_power_w)
+        self.scale = cfg.bandwidth_hz / LN2
+        self.shape, self.level_map = problem.shape, level_map
 
     def value(self, x: np.ndarray):
         """(efficiency, per-cluster ratios, terms the derivatives read)."""
-        cfg = self.config
-        parts = cfg.noise_power_w + self.parts @ x                  # num, den
-        rates = cfg.bandwidth_hz * np.add.reduce(
+        parts = self.noise + self.parts @ x                         # num, den
+        rates = self.bandwidth * np.add.reduce(
             np.log2(parts[0] / parts[1]).reshape(self.shape), axis=1)
-        power = cfg.circuit_power_w + self.power @ x
+        power = self.circuit + self.power @ x
         ratios = rates / power
         return float(np.add.reduce(ratios)), ratios, (parts, rates, power)
 
     def derivatives(self, terms) -> tuple[np.ndarray, np.ndarray]:
         parts, rates, power = terms
-        scale = self.config.bandwidth_hz / LN2
+        scale, power_t = self.scale, self.power_t
         rows = self.parts / parts[:, :, None]
         rate_rows = scale * np.add.reduce((rows[0] - rows[1]).reshape(*self.shape, -1), axis=1)
-        power_t, inverse, square = self.power.T, 1.0 / power, power ** 2
+        inverse, square = 1.0 / power, power ** 2
         grad = rate_rows.T @ inverse - power_t @ (rates / square)
         rows *= np.sqrt(inverse).repeat(self.shape[1])[:, None]
         gram = rows.transpose(0, 2, 1) @ rows
@@ -316,7 +327,7 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
         # linear in them, noise is not), so the second lift always does
         totals = least[::users]
         for lift in (np.maximum(x, totals), totals * (problem.high / totals.max())):
-            x = problem.tight(a, np.concatenate((lift, b[clusters:])), slice(clusters))
+            x = problem.tight(a, np.concatenate((lift, b[clusters:])), problem.layout.start[0])
             if x is not None and (a @ x - b <= 1e-12 * problem.high).all():
                 break
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irsnoma import clustering
 from irsnoma.clustering import (build_difference_matrix, correlation_matrix,
                                 form_clusters, random_plan)
 
@@ -78,6 +79,15 @@ class TestDifferenceMatrix:
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
             build_difference_matrix(np.ones((1, 3), dtype=complex), 0.5)
+
+    def test_pool_mask_is_the_read_only_strict_upper_triangle(self):
+        # one mask per pool size is shared by every plan of that size
+        u = np.ones((7, 2), dtype=complex) * np.arange(1, 8)[:, None]
+        build_difference_matrix(u, 0.5)
+        mask = clustering._upper(7)
+        assert np.array_equal(mask, np.triu(np.ones((7, 7), dtype=bool), k=1))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = False
 
 
 class TestFormClusters:

@@ -18,7 +18,7 @@ from irsnoma import experiments, sdp
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _stream,
-                                 conventional_bf_ee, emit_results,
+                                 check_grid, conventional_bf_ee, emit_results,
                                  random_power_coefficients, run_experiment,
                                  run_trial)
 
@@ -219,6 +219,33 @@ class TestRunExperiment:
         assert len(serial) == 4
         assert untimed(pooled) == untimed(serial)
 
+    def test_grid_builds_each_point_config_once(self, tmp_path):
+        # check_grid fills one entry per (n, m); the trials only read them
+        cfg = small_config()
+        spec = ExperimentSpec(n_grid=[4, 8], m_grid=[6, 8], num_trials=3,
+                              methods=["conventional"], out_dir=str(tmp_path), seed=7)
+        experiments._grid_config.cache_clear()
+        check_grid(cfg, spec)
+        info = experiments._grid_config.cache_info()
+        assert info.misses == info.currsize == 4 and info.hits == 0
+        records = run_experiment(cfg, spec)
+        info = experiments._grid_config.cache_info()
+        assert info.misses == info.currsize == 4 and info.hits == 4 + len(records)
+        for n in (4, 8):
+            for m in (6, 8):
+                assert experiments._grid_config(cfg, n, m) == dataclasses.replace(
+                    cfg, num_irs_elements=n, num_bs_antennas=m)
+
+    def test_grid_configs_of_two_bases_never_share_an_entry(self):
+        base = small_config()
+        other = dataclasses.replace(base, min_sinr=db_to_linear(-5.0))
+        experiments._grid_config.cache_clear()
+        first = experiments._grid_config(base, 8, 6)
+        second = experiments._grid_config(other, 8, 6)
+        assert first.min_sinr == base.min_sinr and second.min_sinr == other.min_sinr
+        assert (first.num_irs_elements, first.num_bs_antennas) == (8, 6)
+        assert experiments._grid_config.cache_info().currsize == 2
+
 
 class TestEmitResults:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -320,6 +347,7 @@ class TestCli:
         (["--out", "CONFIG"], "File exists"),
         (["--config", "NAN"], "min_sinr must be finite, got nan"),
         (["--config", "HUGE"], "line 1: min_sinr_db = 100000 overflows"),
+        (["--config", "FLOAT"], "line 1: num_clusters = 5.0 is not an integer"),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                         args, message):
@@ -330,8 +358,10 @@ class TestCli:
         nan_path.write_text("min_sinr_db = nan\n")
         huge_path = tmp_path / "huge.cfg"
         huge_path.write_text("min_sinr_db = 100000\n")
+        float_path = tmp_path / "float.cfg"
+        float_path.write_text("num_clusters = 5.0\n")
         paths = {"CONFIG": str(config_path), "MISSING": str(tmp_path / "none.cfg"),
-                 "NAN": str(nan_path), "HUGE": str(huge_path)}
+                 "NAN": str(nan_path), "HUGE": str(huge_path), "FLOAT": str(float_path)}
         args = [paths.get(arg, arg) for arg in args]
         monkeypatch.setattr(experiments, "run_trial", mock.Mock())
         with pytest.raises(SystemExit) as exit_info:

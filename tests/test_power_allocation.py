@@ -29,7 +29,7 @@ def bound_split(gains, cfg, totals):
     problem = power_allocation._Problem(gains, cfg)
     a, b = problem.constraints()
     clusters = problem.shape[0]
-    return split_of(problem.tight(a, np.r_[totals, b[clusters:]], slice(clusters)),
+    return split_of(problem.tight(a, np.r_[totals, b[clusters:]], problem.layout.start[0]),
                     problem.shape)
 
 
