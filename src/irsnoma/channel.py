@@ -146,14 +146,13 @@ def effective_channel(cascaded: np.ndarray, reflection: np.ndarray) -> np.ndarra
 class LinkGains:
     """Squared effective gains for a clustered, beamformed scenario.
 
-    ``own_beam[i, k]`` is |u_{i,k} f_i|^2, ``cross_beam[i, k, j]`` is
-    |u_{i,k} f_j|^2 and ``channel_power[i, k]`` is ||u_{i,k}||^2. Users are
-    indexed weakest-first inside each cluster.
+    ``own_beam[i, k]`` is |u_{i,k} f_i|^2 and ``cross_beam[i, k, j]`` is
+    |u_{i,k} f_j|^2. Users are indexed weakest-first inside each cluster.
+    A stack of plans puts its plan axes first.
     """
 
-    own_beam: np.ndarray       # (I, K)
-    cross_beam: np.ndarray     # (I, K, I)
-    channel_power: np.ndarray  # (I, K)
+    own_beam: np.ndarray       # (..., I, K)
+    cross_beam: np.ndarray     # (..., I, K, I)
 
 
 def link_gains(effective: np.ndarray, members: np.ndarray,
@@ -162,20 +161,21 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
 
     ``effective`` is the (V, M) stack of effective channels, ``members``
     the (I, K) user indices sorted ascending by channel power, and
-    ``beamformers`` the (I, M) beam vectors. ``check_order=False`` skips
+    ``beamformers`` the (I, M) beam vectors; a stack of plans passes
+    (..., I, K) members and (..., I, M) beams. ``check_order=False`` skips
     the sort contract check, for re-evaluation at a reflection other than
-    the one the decode order was fixed at.
+    the one the decode order was fixed at. The check reads each plan
+    against its own strongest member.
     """
-    u = effective[members]                       # (I, K, M)
-    proj = np.einsum("ikm,jm->ikj", u, beamformers)
-    cross = np.abs(proj) ** 2
-    beams = np.arange(cross.shape[0])
-    own = cross[beams, :, beams]
-    power = np.add.reduce(np.abs(u) ** 2, axis=-1)
+    u = effective[members]                       # (..., I, K, M)
+    cross = np.abs(np.einsum("...ikm,...jm->...ikj", u, beamformers)) ** 2
+    own = np.einsum("...iki->...ik", cross).copy()
     if __debug__ and check_order:
-        if ((power[:, 1:] - power[:, :-1]) < -1e-12 * np.maximum.reduce(power, axis=None)).any():
+        power = np.add.reduce(np.abs(u) ** 2, axis=-1)
+        scale = np.maximum.reduce(power, axis=(-2, -1), keepdims=True)
+        if ((power[..., 1:] - power[..., :-1]) < -1e-12 * scale).any():
             raise AssertionError("cluster members must be sorted weakest-first")
-    return LinkGains(own_beam=own, cross_beam=cross, channel_power=power)
+    return LinkGains(own_beam=own, cross_beam=cross)
 
 
 def stronger_tail(beta: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .beamforming import build_zf_beamformers
+from .beamforming import BeamformerSet, build_zf_beamformers
 from .channel import (LinkGains, draw_user_geometry, effective_channel,
                       energy_efficiency, link_gains, sinr, synthesize_channels)
 from .clustering import form_clusters, random_plan
@@ -132,6 +132,17 @@ def _grid_config(config: SystemConfig, n: int, m: int) -> SystemConfig:
     return replace(config, num_irs_elements=n, num_bs_antennas=m)
 
 
+def _plan_views(beams: BeamformerSet, gains: LinkGains,
+                count: int) -> list[tuple[BeamformerSet, LinkGains]]:
+    """Each plan's beams and gains: views into a stack of ``count`` plans,
+    or a lone plan's own 2-D arrays."""
+    if count == 1:
+        return [(beams, gains)]
+    return [(BeamformerSet(vectors=beams.vectors[p]),
+             LinkGains(own_beam=gains.own_beam[p], cross_beam=gains.cross_beam[p]))
+            for p in range(count)]
+
+
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
     """One paired-comparison trial at scenario (n, m).
@@ -141,7 +152,9 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     ``convergence_stage1.csv`` report for every run. Stream 0 draws the
     channels, 2 the random plan and 3 the random coefficients, each built
     only when drawn from. Index 1 is unused: renumbering would change the
-    random baselines' draws.
+    random baselines' draws. Both plans are drawn before either is built:
+    one call builds every plan's beams and one more its gains, bit for bit
+    the per-plan results.
     """
     cfg = _grid_config(config, n, m)
     key = [seed, n, m, trial]
@@ -152,10 +165,18 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     b0 = np.ones(cfg.num_irs_elements, dtype=complex)
     effective = effective_channel(channels.cascaded, b0)
 
-    plan = form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
-                         cfg.correlation_threshold)
-    beams = build_zf_beamformers(effective[plan.members[:, -1]])
-    gains = link_gains(effective, plan.members, beams.vectors)
+    plans = [form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
+                           cfg.correlation_threshold)]
+    if "random-clustering" in methods:
+        plans.append(random_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
+                                 _stream(key, 2)))
+    # every plan's beams in one call and its gains in one more; a lone plan
+    # passes its own (I, K) members, so a one-plan trial stacks nothing
+    members = (plans[0].members if len(plans) == 1
+               else np.stack([p.members for p in plans]))
+    beams = build_zf_beamformers(effective[members[..., -1]])
+    views = _plan_views(beams, link_gains(effective, members, beams.vectors), len(plans))
+    plan, (beams, gains) = plans[0], views[0]
 
     record = TrialRecord(n=n, m=m, trial=trial)
     t0 = time.perf_counter()
@@ -184,10 +205,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["conventional"] = ici_c
 
     if "random-clustering" in methods:
-        plan_r = random_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
-                             _stream(key, 2))
-        beams_r = build_zf_beamformers(effective[plan_r.members[:, -1]])
-        gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
+        plan_r, (beams_r, gains_r) = plans[1], views[1]
         stage1_r = allocate_power(gains_r, cfg)
         record.random_plan_feasible = stage1_r.feasible
         stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg)

@@ -120,15 +120,18 @@ class _Problem:
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit rows ``a`` and bounds ``b`` of ``a @ levels <= b``, I rows
         each: the budget, per weaker user its floor then its gap bound, and
-        the strongest user's floor."""
-        cfg, layout, clusters = self.config, self.layout, self.shape[0]
+        the strongest user's floor. So in K blocks of 2I rows, block k holds
+        user k - 1's gap rows (the budgets for k = 0), then user k's floors."""
+        cfg, clusters, users = self.config, *self.shape
         need = cfg.min_sinr / self.pg
-        a = layout.rows.copy()
-        a[layout.floor] += (need[:, :, None] * self.inflow).transpose(1, 0, 2)
+        a = self.layout.rows.copy()
         b = np.empty(a.shape[0])
-        b[:clusters] = self.high
-        b[layout.floor] = -need.T * cfg.noise_power_w
-        b[layout.gap] = -(cfg.sic_power_gap_w / self.pg[:, 1:]).T
+        blocks_a = a.reshape(users, 2 * clusters, -1)
+        blocks_b = b.reshape(users, 2 * clusters)
+        blocks_a[:, clusters:] += (need[:, :, None] * self.inflow).transpose(1, 0, 2)
+        blocks_b[0, :clusters] = self.high
+        blocks_b[:, clusters:] = -need.T * cfg.noise_power_w
+        blocks_b[1:, :clusters] = -(cfg.sic_power_gap_w / self.pg[:, 1:]).T
         norm = np.sqrt(np.add.reduce(a * a, axis=1))
         a /= norm[:, None]
         b /= norm

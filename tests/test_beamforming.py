@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from irsnoma.beamforming import NullSpaceError, build_zf_beamformers
-from irsnoma.channel import sinr
+from irsnoma.channel import effective_channel, link_gains, sinr
+from irsnoma.clustering import random_plan
+from irsnoma.config import SystemConfig
 
 from conftest import build_scenario
 
@@ -78,3 +82,76 @@ def test_beam_invariant_under_channel_scaling():
     again = build_zf_beamformers(scaled)
     assert abs(np.vdot(base.vectors[0], again.vectors[0])) == pytest.approx(
         1.0, abs=1e-10)
+
+
+def _plan_stacks():
+    """Per draw: the effective channels and three plans' (I, K) members, the
+    clustered plan first, for ZF draws at N = 16, 32, 64, K = 1 and 3, and
+    I = 9 with M = 12."""
+    configs = [dataclasses.replace(SystemConfig(), num_irs_elements=n) for n in (16, 32, 64)]
+    configs += [dataclasses.replace(SystemConfig(), users_per_cluster=k) for k in (1, 3)]
+    configs.append(dataclasses.replace(SystemConfig(), num_clusters=9, num_bs_antennas=12))
+    for cfg in configs:
+        for seed in range(3):
+            _, rng, channels, plan, _, _ = build_scenario(seed, config=cfg)
+            effective = effective_channel(channels.cascaded,
+                                          np.ones(cfg.num_irs_elements, dtype=complex))
+            members = [plan.members] + [
+                random_plan(effective, cfg.num_clusters, cfg.users_per_cluster, rng).members
+                for _ in range(2)]
+            yield effective, np.stack(members), rng
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPlanAxis:
+    def test_stacks_give_each_plans_own_bytes(self):
+        # a 2- and a 3-plan stack of ZF beams and gains, and of gains on
+        # random beams, read plan by plan the bytes of per-plan calls
+        for effective, members, rng in _plan_stacks():
+            strong = effective[members[..., -1]]
+            shape = strong.shape
+            random_beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            random_beams /= np.linalg.norm(random_beams, axis=-1, keepdims=True)
+            for plans in (2, 3):
+                zf = build_zf_beamformers(strong[:plans]).vectors
+                for beams in (zf, random_beams[:plans]):
+                    gains = link_gains(effective, members[:plans], beams)
+                    for p in range(plans):
+                        alone = link_gains(effective, members[p], beams[p])
+                        _same_bytes(gains.own_beam[p], alone.own_beam)
+                        _same_bytes(gains.cross_beam[p], alone.cross_beam)
+                for p in range(plans):
+                    _same_bytes(zf[p], build_zf_beamformers(strong[p]).vectors)
+
+    def test_stack_raises_its_first_failing_plans_error(self):
+        rng = np.random.default_rng(14)
+        good, rank_two, rank_zero, tilted = (
+            rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)) for _ in range(4))
+        rank_two[3] = 2.0 * rank_two[2]            # rank-deficient: cluster 2 alone
+        rank_zero[1] = 3.0 * rank_zero[0]          # rank-deficient: cluster 0 alone
+        tilted[1] = tilted[3] + 1e-12 * tilted[1]  # full rank, but beam 1 is no beam
+        alone = {}
+        for name, strong in (("rank_two", rank_two), ("rank_zero", rank_zero),
+                             ("tilted", tilted)):
+            with pytest.raises(NullSpaceError) as err:
+                build_zf_beamformers(strong)
+            alone[name] = err.value
+        assert [e.cluster_index for e in alone.values()] == [2, 0, 1]
+        for stack, first in (((good, rank_two, rank_zero), "rank_two"),
+                             ((good, rank_zero, rank_two), "rank_zero"),
+                             ((tilted, good, rank_zero), "tilted"),
+                             ((good, good, rank_zero, tilted), "rank_zero")):
+            for strong in (np.stack(stack), np.stack(stack + stack).reshape(2, -1, 4, 6)):
+                with pytest.raises(NullSpaceError) as err:
+                    build_zf_beamformers(strong)
+                assert type(err.value) is NullSpaceError
+                assert err.value.cluster_index == alone[first].cluster_index
+                assert str(err.value) == str(alone[first])
+        with pytest.raises(NullSpaceError) as err:
+            build_zf_beamformers(np.ones((2, 3, 2), dtype=complex))   # M <= I - 1
+        assert (err.value.cluster_index, str(err.value)) == (
+            0, "cluster 0: need M > I - 1, got M=2, I=3")

@@ -205,8 +205,7 @@ def _scalar_sinr_oracle(k, i, beta, own, cross, p, noise):
 class TestSinr:
     def test_single_user_single_cluster(self):
         gains = LinkGains(own_beam=np.array([[2.0]]),
-                          cross_beam=np.array([[[2.0]]]),
-                          channel_power=np.array([[2.0]]))
+                          cross_beam=np.array([[[2.0]]]))
         cfg = dataclasses.replace(SystemConfig(), num_clusters=1,
                                   users_per_cluster=1, total_users=1,
                                   num_bs_antennas=2)
@@ -230,8 +229,7 @@ class TestSinr:
         cross[0, :, 0] = own[0]
         cross[1, :, 1] = own[1]
         beta = np.array([[0.6, 0.2], [0.5, 0.3]])
-        gains = LinkGains(own_beam=own, cross_beam=cross,
-                          channel_power=np.array([[1.0, 2.0], [1.0, 2.0]]))
+        gains = LinkGains(own_beam=own, cross_beam=cross)
         cfg = dataclasses.replace(SystemConfig(), num_clusters=2,
                                   users_per_cluster=2, total_users=4,
                                   num_bs_antennas=4)
@@ -257,6 +255,31 @@ class TestSinr:
         flipped = plan.members[:, ::-1]
         with pytest.raises(AssertionError):
             link_gains(effective, flipped, beams.vectors)
+
+    def test_sorting_contract_is_checked_plan_by_plan(self):
+        # plan 0 misorders users 0 and 1 by 1e-9 of its own largest power;
+        # plan 1's users carry 1e6 times the power. A tolerance scaled by
+        # the stack's largest power (1e-12 of plan 1's) would pass plan 0
+        rng = np.random.default_rng(15)
+        effective = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        effective[4:] *= 1e3
+        power = np.sum(np.abs(effective) ** 2, axis=1)
+        scale = power[[0, 2, 3]].max()
+        effective[1] = effective[0] * np.sqrt(1.0 - 1e-9 * scale / power[0])
+        power = np.sum(np.abs(effective) ** 2, axis=1)
+        members = np.arange(8).reshape(2, 2, 2)
+        members = np.take_along_axis(members, np.argsort(power[members], axis=-1), axis=-1)
+        assert members[0, 0].tolist() == [1, 0]
+        members[0, 0] = [0, 1]
+        beams = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
+        link_gains(effective, members[1], beams[1])
+        with pytest.raises(AssertionError):
+            link_gains(effective, members[0], beams[0])
+        with pytest.raises(AssertionError):
+            link_gains(effective, members, beams)
+        link_gains(effective, members, beams, check_order=False)
+        members[0, 0] = [1, 0]
+        link_gains(effective, members, beams)
 
 
 class TestRatesAndPower:

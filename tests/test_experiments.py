@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import filecmp
 import hashlib
@@ -200,6 +201,29 @@ class TestRunTrial:
         assert any(r.random_plan_feasible for r in records)
         assert any(r.stage2_iterations for r in records)
 
+    def test_random_clustering_leaves_the_main_plan_bytes(self):
+        # random-clustering's plan is stacked with the main plan's in one
+        # beams call and one gains call; the main plan's results keep the
+        # bytes of a trial without it, at an infeasible and a feasible floor
+        others = ["proposed", "conventional", "random-pac", "stage1-only"]
+
+        def main_plan(record):
+            values = ([record.ee[m] for m in others] + [record.ici[m] for m in others]
+                      + record.stage1_ee_trace + record.stage2_ee_trace)
+            return np.array(values).tobytes(), record.feasible, record.stage1_iterations
+
+        feasible = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
+        verdicts = []
+        for cfg, seed, n in ((SystemConfig(), 4243, 16), (SystemConfig(), 4243, 64),
+                             (feasible, 1, 8)):
+            for trial in range(3):
+                alone = run_trial(cfg, others, seed=seed, n=n, m=8, trial=trial)
+                stacked = run_trial(cfg, others + ["random-clustering"], seed=seed,
+                                    n=n, m=8, trial=trial)
+                assert main_plan(alone) == main_plan(stacked)
+                verdicts.append(alone.feasible)
+        assert any(verdicts) and not all(verdicts)
+
 
 class TestRunExperiment:
     def test_worker_count_does_not_change_records(self, tmp_path):
@@ -373,15 +397,20 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
-def test_bench_tracer_finds_every_layer(monkeypatch):
-    # bench/tracing.py skips a name it cannot find without a word, and its
-    # trial id reads run_trial's n and trial by position: a rename here
-    # would drop a layer from the per-layer metrics
+def _bench_tracing(monkeypatch):
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)   # for its dataclasses
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_tracer_finds_every_layer(monkeypatch):
+    # bench/tracing.py skips a name it cannot find without a word, and its
+    # trial id reads run_trial's n and trial by position: a rename here
+    # would drop a layer from the per-layer metrics
+    tracing = _bench_tracing(monkeypatch)
     assert [attr for _, attr, *_ in tracing.targets(experiments, sdp)] == [
         "run_experiment", "emit_results", "run_trial", "draw_user_geometry",
         "synthesize_channels", "effective_channel", "link_gains",
@@ -389,6 +418,24 @@ def test_bench_tracer_finds_every_layer(monkeypatch):
         "allocate_power", "optimize_reflection", "solve", "_phase_one"]
     params = list(inspect.signature(experiments.run_trial).parameters)
     assert (params[3], params[5]) == ("n", "trial")
+
+
+def test_bench_tracer_reads_a_traced_trial(monkeypatch):
+    # the bench's --trace 1 pass reads each Stage-1 result and fails a trial
+    # on a span's error: one all-methods trial, traced as the bench traces
+    # it, has no error, a rising Stage-1 trace per call, and one span per
+    # call the trial makes (both plans' beams and gains in one call each)
+    tracing = _bench_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, experiments, sdp):
+        experiments.run_trial(SystemConfig(), list(METHODS), 4243, 16, 8, 0)
+    assert not [span.name for span in tracer.spans if span.error]
+    stage1 = [span for span in tracer.spans if span.layer == "power_allocation"]
+    assert len(stage1) == 2 and all(span.attrs["trace_ok"] for span in stage1)
+    assert collections.Counter(span.layer for span in tracer.spans) == {
+        "experiments": 1, "channel": 4, "clustering": 2, "beamforming": 1,
+        "power_allocation": 2, "reflection": 2}
+    assert not tracing.failed_trials(tracer.spans)
 
 
 def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):

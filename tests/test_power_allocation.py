@@ -41,8 +41,7 @@ def single_cluster(seed):
         SystemConfig(), num_clusters=1, users_per_cluster=2, total_users=2,
         num_bs_antennas=2, num_irs_elements=4,
         min_sinr=db_to_linear(rng.uniform(-20.0, 5.0)))
-    gains = LinkGains(own_beam=g[None, :], cross_beam=g[None, :, None],
-                      channel_power=g[None, :])
+    gains = LinkGains(own_beam=g[None, :], cross_beam=g[None, :, None])
     return cfg, gains, rng.uniform(0.2, 1.0)
 
 
