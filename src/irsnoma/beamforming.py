@@ -11,8 +11,6 @@ inverses", IEEE TSP 2008).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -24,24 +22,20 @@ class NullSpaceError(ValueError):
         self.cluster_index = cluster_index
 
 
-@dataclass(frozen=True)
-class BeamformerSet:
-    vectors: np.ndarray                 # (..., I, M), each row unit norm
-
-
-def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
+def build_zf_beamformers(strong_channels: np.ndarray) -> np.ndarray:
     """Build one unit-norm ZF beam per cluster, for one plan or a stack.
 
     ``strong_channels`` stacks the strongest-user rows u_i as the (I, M)
-    matrix S, or one such matrix per plan, (..., I, M); the beams keep its
-    shape. One SVD, S = U diag(s) V^H, gives the pseudo-inverse
-    F = V diag(1/s) U^H, whose column f_i meets u_j f_i = 1 if j = i, else
-    0. Beam i is f_i / ||f_i|| = P u_i^* / ||P u_i^*||, with P the projector
-    onto the null space of the other rows, so u_i f_i is real and positive.
-    Raises at the first u_i in the span of the others: on a rank-deficient
-    S (s_min <= max(M, I) eps s_max), the first row whose removal keeps the
-    rank; else the first with ||P u_i^*|| = 1 / ||f_i|| <= 1e-10 ||u_i||.
-    A stack raises the error that its first failing plan raises alone.
+    matrix S, or one such matrix per plan, (..., I, M); the beams, one
+    unit-norm row each, keep its shape. One SVD, S = U diag(s) V^H, gives
+    the pseudo-inverse F = V diag(1/s) U^H, whose column f_i meets
+    u_j f_i = 1 if j = i, else 0. Beam i is f_i / ||f_i|| =
+    P u_i^* / ||P u_i^*||, with P the projector onto the null space of the
+    other rows, so u_i f_i is real and positive. Raises at the first u_i in
+    the span of the others: on a rank-deficient S (s_min <= max(M, I) eps
+    s_max), the first row whose removal keeps the rank; else the first with
+    ||P u_i^*|| = 1 / ||f_i|| <= 1e-10 ||u_i||. A stack raises the error
+    that its first failing plan raises alone.
     """
     num_clusters, m = strong_channels.shape[-2:]
     if m <= num_clusters - 1:
@@ -57,7 +51,7 @@ def build_zf_beamformers(strong_channels: np.ndarray) -> BeamformerSet:
                                        axis=-1))
         spanned = norms * strong >= 1e10
         if not np.count_nonzero(spanned):
-            return BeamformerSet(vectors=beams / norms[..., None])
+            return beams / norms[..., None]
     if strong_channels.ndim > 2:
         # a plan's bits do not depend on its stack, so the plans called
         # alone, in order, raise the first failing plan's error

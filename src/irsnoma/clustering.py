@@ -15,17 +15,8 @@ it takes is the first maximum of the gated matrix of the available users.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ClusterPlan:
-    """Cluster membership: (I, K) user indices, weakest channel first."""
-
-    members: np.ndarray        # (I, K) int
-    leftover: np.ndarray       # users not served this round
 
 
 def correlation_matrix(effective: np.ndarray) -> np.ndarray:
@@ -74,7 +65,7 @@ def _argmax_pair(matrix: np.ndarray) -> tuple[int, int, float]:
 
 
 def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: int,
-                  threshold: float) -> ClusterPlan:
+                  threshold: float) -> np.ndarray:
     """Greedy gain-difference clustering over the available user pool.
 
     Repeats ``num_clusters`` times: seed a cluster with the pair of largest
@@ -83,6 +74,7 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
     index order on ties. Selected users are removed from the pool. Gate
     relaxation, and pairing the two lowest-indexed available users when no
     gate admits a pair, keep the plan well defined on degenerate inputs.
+    Returns the (I, K) members, each cluster weakest channel first.
     """
     v = effective.shape[0]
     if num_clusters * users_per_cluster > v:
@@ -92,10 +84,7 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
 
     if users_per_cluster == 1:
         # degenerate: no pairing, serve the strongest users one per beam
-        order = np.sort(np.argsort(-power, kind="stable")[:num_clusters])
-        available = np.ones(v, dtype=bool)
-        available[order] = False
-        return ClusterPlan(members=order[:, None], leftover=np.flatnonzero(available))
+        return np.sort(np.argsort(-power, kind="stable")[:num_clusters])[:, None]
 
     # the gated pairs by falling |difference|, row-major on ties: the order in
     # which repeated argmax passes over the available users meet them
@@ -133,19 +122,16 @@ def form_clusters(effective: np.ndarray, num_clusters: int, users_per_cluster: i
         clusters.append(cluster)
 
     members = np.array(clusters)
-    members = np.take_along_axis(members, np.argsort(power[members], axis=1, kind="stable"),
-                                 axis=1)
-    return ClusterPlan(members=members, leftover=np.flatnonzero(available))
+    return np.take_along_axis(members, np.argsort(power[members], axis=1, kind="stable"),
+                              axis=1)
 
 
 def random_plan(effective: np.ndarray, num_clusters: int, users_per_cluster: int,
-                rng: np.random.Generator) -> ClusterPlan:
-    """Uniform-random clustering baseline over the same user pool."""
+                rng: np.random.Generator) -> np.ndarray:
+    """Uniform-random clustering baseline over the same user pool: the
+    (I, K) members, each cluster weakest channel first."""
     v = effective.shape[0]
     picked = rng.choice(v, size=num_clusters * users_per_cluster, replace=False)
     power = np.add.reduce(np.abs(effective) ** 2, axis=1)
     members = picked.reshape(num_clusters, users_per_cluster)
-    members = np.take_along_axis(members, np.argsort(power[members], axis=1), axis=1)
-    available = np.ones(v, dtype=bool)
-    available[picked] = False
-    return ClusterPlan(members=members, leftover=np.flatnonzero(available))
+    return np.take_along_axis(members, np.argsort(power[members], axis=1), axis=1)

@@ -102,10 +102,8 @@ _DB_KEYS = {
     "min_sinr_db": ("min_sinr", db_to_linear),
 }
 
-_INT_FIELDS = {
-    "num_bs_antennas", "num_irs_elements", "users_per_cluster",
-    "num_clusters", "total_users",
-}
+# the integer fields, read from the annotations (strings under postponed evaluation)
+_INT_FIELDS = {f.name for f in fields(SystemConfig) if f.type == "int"}
 
 
 def parse_config_text(text: str) -> SystemConfig:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .beamforming import BeamformerSet, build_zf_beamformers
+from .beamforming import build_zf_beamformers
 from .channel import (LinkGains, draw_user_geometry, effective_channel,
                       energy_efficiency, link_gains, sinr, synthesize_channels)
 from .clustering import form_clusters, random_plan
@@ -75,10 +74,6 @@ class TrialRecord:
     ici: dict[str, float] = field(default_factory=dict)
     stage1_ee_trace: list[float] = field(default_factory=list)
     stage2_ee_trace: list[float] = field(default_factory=list)
-    stage1_iterations: int = 0
-    stage2_iterations: int = 0
-    wall_stage1_s: float = 0.0
-    wall_stage2_s: float = 0.0
     feasible: bool = True               # Stage 1 on the main plan
     random_plan_feasible: bool = True   # Stage 1 on random-clustering's plan
 
@@ -132,14 +127,13 @@ def _grid_config(config: SystemConfig, n: int, m: int) -> SystemConfig:
     return replace(config, num_irs_elements=n, num_bs_antennas=m)
 
 
-def _plan_views(beams: BeamformerSet, gains: LinkGains,
-                count: int) -> list[tuple[BeamformerSet, LinkGains]]:
+def _plan_views(beams: np.ndarray, gains: LinkGains,
+                count: int) -> list[tuple[np.ndarray, LinkGains]]:
     """Each plan's beams and gains: views into a stack of ``count`` plans,
     or a lone plan's own 2-D arrays."""
     if count == 1:
         return [(beams, gains)]
-    return [(BeamformerSet(vectors=beams.vectors[p]),
-             LinkGains(own_beam=gains.own_beam[p], cross_beam=gains.cross_beam[p]))
+    return [(beams[p], LinkGains(own_beam=gains.own_beam[p], cross_beam=gains.cross_beam[p]))
             for p in range(count)]
 
 
@@ -172,30 +166,23 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
                                  _stream(key, 2)))
     # every plan's beams in one call and its gains in one more; a lone plan
     # passes its own (I, K) members, so a one-plan trial stacks nothing
-    members = (plans[0].members if len(plans) == 1
-               else np.stack([p.members for p in plans]))
+    members = plans[0] if len(plans) == 1 else np.stack(plans)
     beams = build_zf_beamformers(effective[members[..., -1]])
-    views = _plan_views(beams, link_gains(effective, members, beams.vectors), len(plans))
-    plan, (beams, gains) = plans[0], views[0]
+    views = _plan_views(beams, link_gains(effective, members, beams), len(plans))
+    beams, gains = views[0]
 
     record = TrialRecord(n=n, m=m, trial=trial)
-    t0 = time.perf_counter()
     stage1 = allocate_power(gains, cfg)
-    record.wall_stage1_s = time.perf_counter() - t0
     record.feasible = stage1.feasible
     record.stage1_ee_trace = [tp.ee for tp in stage1.trace]
-    record.stage1_iterations = stage1.iterations
 
     if "stage1-only" in methods:
         record.ee["stage1-only"] = stage1.ee
         record.ici["stage1-only"] = _far_user_ici(stage1.psi)
 
     if "proposed" in methods:
-        t0 = time.perf_counter()
-        stage2 = optimize_reflection(channels, plan, beams, stage1, cfg)
-        record.wall_stage2_s = time.perf_counter() - t0
+        stage2 = optimize_reflection(channels, plans[0], beams, stage1, cfg)
         record.stage2_ee_trace = [tp.ee for tp in stage2.trace]
-        record.stage2_iterations = stage2.iterations
         record.ee["proposed"] = stage2.ee
         record.ici["proposed"] = _far_user_ici(stage2.psi)
 
@@ -205,10 +192,10 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["conventional"] = ici_c
 
     if "random-clustering" in methods:
-        plan_r, (beams_r, gains_r) = plans[1], views[1]
+        beams_r, gains_r = views[1]
         stage1_r = allocate_power(gains_r, cfg)
         record.random_plan_feasible = stage1_r.feasible
-        stage2_r = optimize_reflection(channels, plan_r, beams_r, stage1_r, cfg)
+        stage2_r = optimize_reflection(channels, plans[1], beams_r, stage1_r, cfg)
         record.ee["random-clustering"] = stage2_r.ee
         record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
 
@@ -219,10 +206,6 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici["random-pac"] = _far_user_ici(psi_rp)
 
     return record
-
-
-def _trial_task(args: tuple) -> TrialRecord:
-    return run_trial(*args)
 
 
 def check_grid(config: SystemConfig, spec: ExperimentSpec) -> None:
@@ -245,9 +228,9 @@ def run_experiment(config: SystemConfig, spec: ExperimentSpec) -> list[TrialReco
         # imported here: a serial run need not load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_trial_task, tasks, chunksize=1))
+            records = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
     else:
-        records = [_trial_task(task) for task in tasks]
+        records = [run_trial(*task) for task in tasks]
     records.sort(key=lambda r: (r.n, r.m, r.trial))
     return records
 

@@ -16,7 +16,7 @@ branches; the floor is attainable exactly when they fit the budget. One
 active-set Newton ascent then maximizes the sum of per-cluster rate /
 power: over the levels within the floor's polyhedron, whose faces are the
 kinks of the efficiency over the totals alone, or, at an unattainable
-floor, over the totals under ``shape_for_decode_order``'s weights.
+floor, over the totals under ``decode_order_split``'s weights.
 """
 
 from __future__ import annotations
@@ -35,19 +35,15 @@ LN2 = float(np.log(2.0))
 _TOLERANCE = 1e-10
 
 
-def shape_for_decode_order(beta: np.ndarray, config: SystemConfig) -> np.ndarray:
+def decode_order_split(beta: np.ndarray, min_sinr: float) -> np.ndarray:
     """Restore decode-order power ratios at constant per-cluster power.
 
     Re-splits each cluster so the weakest-first coefficients decrease
-    geometrically by 1.5 times the floor: with two users, the weaker one's
-    SINR against the stronger one's power alone is 1.5 times the floor.
-    Stage 1 searches the totals under these weights where the floor is
-    unattainable. Total per-cluster power is preserved.
+    geometrically by 1.5 times the floor ``min_sinr``: with two users, the
+    weaker one's SINR against the stronger one's power alone is 1.5 times
+    the floor. Stage 1 searches the totals under these weights where the
+    floor is unattainable. Total per-cluster power is preserved.
     """
-    return _decode_order_split(beta, config.min_sinr)
-
-
-def _decode_order_split(beta: np.ndarray, min_sinr: float) -> np.ndarray:
     ratio = min_sinr * 1.5
     users = beta.shape[1]
     weights = ratio ** np.arange(users - 1, -1, -1, dtype=float)
@@ -88,7 +84,7 @@ def _layout(clusters: int, users: int, min_sinr: float) -> _Layout:
         rows[floor[k]] = (1.0 + min_sinr) * eye[:, k + 1] - eye[:, k]
         rows[gap[k]] = 2.0 * eye[:, k + 1] - eye[:, k]
     rows[floor[-1]] = -eye[:, -1]
-    weights = _decode_order_split(np.full((1, users), 1.0 / users), min_sinr)[0]
+    weights = decode_order_split(np.full((1, users), 1.0 / users), min_sinr)[0]
     tails = weights[::-1].cumsum()[::-1]                            # W_0 = 1
     decode = (np.eye(clusters)[:, None, :] * tails[:, None]).reshape(size, -1)
     box = np.concatenate((np.eye(clusters), -np.eye(clusters)))
@@ -215,10 +211,9 @@ class _Efficiency:
 
 @dataclass
 class TracePoint:
-    """The running-best per-cluster ratios and efficiency after ``iteration``
-    ascent steps; ``rho`` arrays are shared between points and read-only."""
+    """The running-best per-cluster ratios and efficiency after t ascent
+    steps, t the point's trace index; ``rho`` arrays are shared, read-only."""
 
-    iteration: int
     rho: np.ndarray
     ee: float
 
@@ -257,7 +252,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
     none left the ascent has converged."""
     ee, ratios, terms = efficiency.value(x)
     held = b - a @ x <= 1e-12 * np.maximum.reduce(np.abs(x))
-    run_rho, trace = ratios, [TracePoint(0, ratios, ee)]
+    run_rho, trace = ratios, [TracePoint(ratios, ee)]
     steps, converged, residual = 0, False, np.inf
     basis = _null_space(a, held)
     for _ in range(max_iterations + b.size):
@@ -300,7 +295,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
         x, ee, terms = trial, ee_new, terms_new
         steps += 1
         run_rho = np.maximum(run_rho, ratios)
-        trace.append(TracePoint(steps, run_rho, ee))
+        trace.append(TracePoint(run_rho, ee))
     return x, steps, converged, residual, trace
 
 

@@ -30,10 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .beamforming import BeamformerSet
 from .channel import (ChannelSet, effective_channel, energy_efficiency,
                       link_gains, sinr, stronger_tail)
-from .clustering import ClusterPlan
 from .config import SystemConfig
 from .power_allocation import LN2, Stage1Result
 
@@ -47,15 +45,16 @@ def _traces(mats: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     return np.einsum("ikab,ba->ik", mats, b_mat).real
 
 
-def lift_user_matrices(channels: ChannelSet, plan: ClusterPlan,
-                       beamformers: BeamformerSet) -> np.ndarray:
-    """Per-user, per-beam lifted matrices (I, K, I, N, N).
+def lift_user_matrices(channels: ChannelSet, members: np.ndarray,
+                       beams: np.ndarray) -> np.ndarray:
+    """Per-user, per-beam lifted matrices (I, K, I, N, N) of the (I, K)
+    ``members`` under the (I, M) ``beams``.
 
     Entry [i, k, j] is w w^H with w = W_{i,k} f_j, the cascaded channel of
     cluster i's user k through beam j, so |b^H w|^2 = tr(B w w^H).
     """
-    cascaded = channels.cascaded[plan.members]            # (I, K, N, M)
-    omega = np.einsum("iknm,jm->ikjn", cascaded, beamformers.vectors)
+    cascaded = channels.cascaded[members]                 # (I, K, N, M)
+    omega = np.einsum("iknm,jm->ikjn", cascaded, beams)
     return omega[..., :, None] * omega[..., None, :].conj()
 
 
@@ -149,7 +148,9 @@ def exact_rank_penalty(b_mat: np.ndarray) -> float:
 
 @dataclass
 class Stage2TracePoint:
-    iteration: int
+    """The relaxed efficiency and penalty weight after iteration t + 1, t
+    the point's trace index."""
+
     ee: float
     eta: float
 
@@ -159,7 +160,6 @@ class ReflectionResult:
     reflection: np.ndarray
     lifted: np.ndarray
     ee: float
-    ee_initial: float
     psi: np.ndarray     # (I, K) inter-cluster interference at the reflection, W
     fallback: bool
     converged: bool
@@ -168,14 +168,13 @@ class ReflectionResult:
     trace: list[Stage2TracePoint] = field(default_factory=list)
 
 
-def evaluate_reflection(channels: ChannelSet, plan: ClusterPlan,
-                        beamformers: BeamformerSet, beta: np.ndarray,
+def evaluate_reflection(channels: ChannelSet, members: np.ndarray,
+                        beams: np.ndarray, beta: np.ndarray,
                         reflection: np.ndarray,
                         config: SystemConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """True vector-domain efficiency, SINRs and interference at a reflection."""
     effective = effective_channel(channels.cascaded, reflection)
-    gains = link_gains(effective, plan.members, beamformers.vectors,
-                       check_order=False)
+    gains = link_gains(effective, members, beams, check_order=False)
     gamma, psi = sinr(gains, beta, config)
     return energy_efficiency(gamma, beta, config), gamma, psi
 
@@ -207,8 +206,8 @@ def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
     return energy_efficiency(num / dval, beta, config)
 
 
-def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
-                        beamformers: BeamformerSet, stage1: Stage1Result,
+def optimize_reflection(channels: ChannelSet, members: np.ndarray,
+                        beams: np.ndarray, stage1: Stage1Result,
                         config: SystemConfig) -> ReflectionResult:
     """Run the Stage-2 loop and extract a unit-modulus reflection vector.
 
@@ -229,7 +228,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     Stage-1 split.
 
     ``stage1`` must be solved at the all-ones reflection b0 with these
-    beams and this plan: its ``ee`` and ``psi`` are taken as the values at
+    ``beams`` and ``members``: its ``ee`` and ``psi`` are taken as the values at
     b0 (``evaluate_reflection`` at b0 gives them bitwise), and its
     ``feasible`` certificate is the only gate of the loop.
     """
@@ -239,12 +238,11 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     anchor = np.outer(b0, b0.conj())
     if not stage1.feasible:
         # the surrogate ascent needs a floor-respecting split; keep b0
-        return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0,
-                                ee_initial=ee0, psi=psi0, fallback=True,
-                                converged=False, iterations=0,
+        return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0, psi=psi0,
+                                fallback=True, converged=False, iterations=0,
                                 exact_penalty=0.0, trace=[])
 
-    lifts = lift_user_matrices(channels, plan, beamformers)
+    lifts = lift_user_matrices(channels, members, beams)
     own, den = sinr_trace_matrices(lifts, stage1.beta, config)
     num = config.cluster_power_w * stage1.beta[:, :, None, None] * own
     constraints = floor_constraints(num, den, config)
@@ -282,7 +280,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
             warm = solution.matrix
         pen = exact_rank_penalty(anchor)
         ee_rel = _relaxed_ee(own, den, anchor, stage1.beta, config)
-        trace.append(Stage2TracePoint(iteration=iterations, ee=ee_rel, eta=eta))
+        trace.append(Stage2TracePoint(ee=ee_rel, eta=eta))
         ee_stalled = stalled or (prev_ee is not None and abs(ee_rel - prev_ee)
                                  <= 1e-4 * max(1.0, abs(prev_ee)))
         # penalty weight grows only once the surrogate ascent has stalled at
@@ -307,7 +305,7 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
     # it must meet the floor, and efficiency may never drop below ee0
     eigvals, eigvecs = np.linalg.eigh(anchor)
     reflection = np.exp(1j * np.angle(eigvecs[:, -1]))
-    ee, gamma, psi = evaluate_reflection(channels, plan, beamformers, stage1.beta,
+    ee, gamma, psi = evaluate_reflection(channels, members, beams, stage1.beta,
                                          reflection, config)
     violation = float(np.max(1.0 - gamma / config.min_sinr, initial=0.0))
     fallback = not (violation <= 1e-9 and ee >= ee0)
@@ -315,8 +313,8 @@ def optimize_reflection(channels: ChannelSet, plan: ClusterPlan,
         reflection, ee, psi = b0, ee0, psi0
     # exact_rank_penalty(anchor), from the extraction's decomposition
     penalty = float(np.real(np.trace(anchor)) - eigvals[-1])
-    return ReflectionResult(reflection=reflection, lifted=anchor, ee=ee,
-                            ee_initial=ee0, psi=psi, fallback=fallback,
-                            converged=converged, iterations=iterations,
-                            exact_penalty=penalty, trace=trace)
+    return ReflectionResult(reflection=reflection, lifted=anchor, ee=ee, psi=psi,
+                            fallback=fallback, converged=converged,
+                            iterations=iterations, exact_penalty=penalty,
+                            trace=trace)
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from irsnoma.beamforming import BeamformerSet, build_zf_beamformers
+from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import (draw_user_geometry, effective_channel, link_gains,
                              sinr, synthesize_channels)
 from irsnoma.clustering import form_clusters
 from irsnoma.config import SystemConfig
-from irsnoma.power_allocation import shape_for_decode_order
+from irsnoma.power_allocation import decode_order_split
 
 # the same examples on every run, and no example database on disk
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -21,7 +21,7 @@ def config():
     return SystemConfig()
 
 
-def build_scenario(seed, config=None, zero_forcing=True, random_beams=False):
+def build_scenario(seed, config=None, random_beams=False):
     """Draw one clustered, beamformed scenario at the initial reflection."""
     cfg = config or SystemConfig()
     rng = np.random.default_rng(seed)
@@ -34,11 +34,10 @@ def build_scenario(seed, config=None, zero_forcing=True, random_beams=False):
     if random_beams:
         f = (rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas))
              + 1j * rng.standard_normal((cfg.num_clusters, cfg.num_bs_antennas)))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        beams = BeamformerSet(vectors=f)
+        beams = f / np.linalg.norm(f, axis=1, keepdims=True)
     else:
-        beams = build_zf_beamformers(effective[plan.members[:, -1]])
-    gains = link_gains(effective, plan.members, beams.vectors)
+        beams = build_zf_beamformers(effective[plan[:, -1]])
+    gains = link_gains(effective, plan, beams)
     return cfg, rng, channels, plan, beams, gains
 
 
@@ -47,7 +46,7 @@ def solver_free_floor(gains, cfg):
     budget: a floor that split meets, set without running Stage 1."""
     full = np.full(gains.own_beam.shape, cfg.max_power_w / cfg.cluster_power_w
                    / gains.own_beam.shape[1])
-    gamma, _ = sinr(gains, shape_for_decode_order(full, cfg), cfg)
+    gamma, _ = sinr(gains, decode_order_split(full, cfg.min_sinr), cfg)
     return 0.5 * float(gamma.min())
 
 

@@ -14,7 +14,7 @@ from conftest import build_scenario
 def test_orthogonal_channels_keep_their_directions():
     strong = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     beams = build_zf_beamformers(strong)
-    np.testing.assert_allclose(np.abs(beams.vectors), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(np.abs(beams), np.eye(2), atol=1e-12)
 
 
 def test_zero_forcing_residual_and_norms():
@@ -22,9 +22,9 @@ def test_zero_forcing_residual_and_norms():
     for _ in range(20):
         strong = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
         beams = build_zf_beamformers(strong)
-        np.testing.assert_allclose(np.linalg.norm(beams.vectors, axis=1), 1.0,
+        np.testing.assert_allclose(np.linalg.norm(beams, axis=1), 1.0,
                                    atol=1e-12)
-        cross = strong @ beams.vectors.T        # (j, i) = u_j f_i
+        cross = strong @ beams.T        # (j, i) = u_j f_i
         off = cross - np.diag(np.diag(cross))
         assert np.abs(off).max() < 1e-9
 
@@ -40,7 +40,7 @@ def test_rank_one_projector_oracle():
         expected = projector @ strong[0].conj()
         expected /= np.linalg.norm(expected)
         # equal up to a global phase
-        alignment = abs(np.vdot(expected, beams.vectors[0]))
+        alignment = abs(np.vdot(expected, beams[0]))
         assert alignment == pytest.approx(1.0, abs=1e-10)
 
 
@@ -80,7 +80,7 @@ def test_beam_invariant_under_channel_scaling():
     scaled = strong.copy()
     scaled[0] *= 7.5
     again = build_zf_beamformers(scaled)
-    assert abs(np.vdot(base.vectors[0], again.vectors[0])) == pytest.approx(
+    assert abs(np.vdot(base[0], again[0])) == pytest.approx(
         1.0, abs=1e-10)
 
 
@@ -96,8 +96,8 @@ def _plan_stacks():
             _, rng, channels, plan, _, _ = build_scenario(seed, config=cfg)
             effective = effective_channel(channels.cascaded,
                                           np.ones(cfg.num_irs_elements, dtype=complex))
-            members = [plan.members] + [
-                random_plan(effective, cfg.num_clusters, cfg.users_per_cluster, rng).members
+            members = [plan] + [
+                random_plan(effective, cfg.num_clusters, cfg.users_per_cluster, rng)
                 for _ in range(2)]
             yield effective, np.stack(members), rng
 
@@ -117,7 +117,7 @@ class TestPlanAxis:
             random_beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             random_beams /= np.linalg.norm(random_beams, axis=-1, keepdims=True)
             for plans in (2, 3):
-                zf = build_zf_beamformers(strong[:plans]).vectors
+                zf = build_zf_beamformers(strong[:plans])
                 for beams in (zf, random_beams[:plans]):
                     gains = link_gains(effective, members[:plans], beams)
                     for p in range(plans):
@@ -125,7 +125,7 @@ class TestPlanAxis:
                         _same_bytes(gains.own_beam[p], alone.own_beam)
                         _same_bytes(gains.cross_beam[p], alone.cross_beam)
                 for p in range(plans):
-                    _same_bytes(zf[p], build_zf_beamformers(strong[p]).vectors)
+                    _same_bytes(zf[p], build_zf_beamformers(strong[p]))
 
     def test_stack_raises_its_first_failing_plans_error(self):
         rng = np.random.default_rng(14)

@@ -252,9 +252,9 @@ class TestSinr:
         cfg, _, channels, plan, beams, _ = build_scenario(2)
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
         effective = effective_channel(channels.cascaded, b0)
-        flipped = plan.members[:, ::-1]
+        flipped = plan[:, ::-1]
         with pytest.raises(AssertionError):
-            link_gains(effective, flipped, beams.vectors)
+            link_gains(effective, flipped, beams)
 
     def test_sorting_contract_is_checked_plan_by_plan(self):
         # plan 0 misorders users 0 and 1 by 1e-9 of its own largest power;
@@ -310,7 +310,7 @@ class TestRatesAndPower:
         for theta in (0.0, 1.1):
             b = np.exp(1j * theta) * np.ones(cfg.num_irs_elements)
             eff = effective_channel(channels.cascaded, b)
-            gains = link_gains(eff, plan.members, beams.vectors)
+            gains = link_gains(eff, plan, beams)
             gamma, _ = sinr(gains, beta, cfg)
             values.append(energy_efficiency(gamma, beta, cfg))
         assert values[0] == pytest.approx(values[1], rel=1e-10)

@@ -98,35 +98,33 @@ class TestFormClusters:
         scales = np.sqrt(np.array([4.0, 3.0, 2.0, 1.0]) / np.sum(base ** 2))
         u = np.outer(scales, base).astype(complex)
         plan = form_clusters(u, 2, 2, 0.7)
-        assert sorted(plan.members[0].tolist()) == [0, 3]
-        assert sorted(plan.members[1].tolist()) == [1, 2]
+        assert sorted(plan[0].tolist()) == [0, 3]
+        assert sorted(plan[1].tolist()) == [1, 2]
         # weakest first inside each cluster
-        assert plan.members[0][0] == 3
-        assert plan.members[1][0] == 2
+        assert plan[0][0] == 3
+        assert plan[1][0] == 2
 
     def test_all_zero_matrix_pairs_lowest_indices(self):
         # all pairs orthogonal, so no gate passes: each cluster takes the two
         # lowest-indexed available users, equal powers keep their order
         u = np.eye(5, dtype=complex)
         plan = form_clusters(u, 2, 2, 0.9)
-        assert plan.members.tolist() == [[0, 1], [2, 3]]
-        assert plan.leftover.tolist() == [4]
+        assert plan.tolist() == [[0, 1], [2, 3]]
 
     def test_triple_cluster_growth(self):
         rng = np.random.default_rng(5)
         u = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         plan = form_clusters(u, 1, 3, 0.7)
-        assert plan.members.shape == (1, 3)
+        assert plan.shape == (1, 3)
         power = np.sum(np.abs(u) ** 2, axis=1)
-        ordered = power[plan.members[0]]
+        ordered = power[plan[0]]
         assert np.all(np.diff(ordered) >= 0)
 
     def test_plan_invariants(self):
         cfg, _, channels, plan, _, _ = build_scenario(6)
-        members = plan.members.ravel()
+        members = plan.ravel()
         assert len(set(members.tolist())) == members.size
         assert members.size == cfg.num_clusters * cfg.users_per_cluster
-        assert plan.leftover.size == cfg.total_users - members.size
 
     def test_not_enough_users_rejected(self):
         u = np.ones((3, 2), dtype=complex)
@@ -151,7 +149,7 @@ class TestFormClusters:
                                    cfg.correlation_threshold)
             rand = random_plan(u, cfg.num_clusters, cfg.users_per_cluster, rng)
             mean_corr = lambda plan: np.mean(
-                [corr[m[0], m[1]] for m in plan.members])
+                [corr[m[0], m[1]] for m in plan])
             wins.append(mean_corr(greedy) - mean_corr(rand))
         assert np.mean(wins) > 0.0
 
@@ -161,7 +159,7 @@ class TestRandomPlan:
         rng = np.random.default_rng(7)
         u = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
         plan = random_plan(u, 3, 2, rng)
-        assert plan.members.shape == (3, 2)
+        assert plan.shape == (3, 2)
         power = np.sum(np.abs(u) ** 2, axis=1)
-        for row in plan.members:
+        for row in plan:
             assert power[row[0]] <= power[row[1]]

@@ -100,15 +100,20 @@ def test_parse_config_rejects_an_overflowing_db_value(key):
         parse_config_text(f"num_irs_elements = 16\n{key} = 100000\n")
 
 
+_INTEGER_FIELDS = ("num_bs_antennas", "num_irs_elements", "users_per_cluster",
+                   "num_clusters", "total_users")
+
+
 @pytest.mark.parametrize("line,message", [
-    ("num_clusters = 5.0", "line 2: num_clusters = 5.0 is not an integer"),
+    *((f"{name} = 5.0", f"line 2: {name} = 5.0 is not an integer")
+      for name in _INTEGER_FIELDS),
     ("min_sinr_db = high", "line 2: min_sinr_db = high is not a number"),
     ("noise_power_w = 1e-14 W", "line 2: noise_power_w = 1e-14 W is not a number"),
 ])
 def test_parse_config_names_a_value_that_does_not_parse(line, message):
     # int() and float() name neither the line nor the key
     with pytest.raises(ValueError, match=re.escape(message)):
-        parse_config_text(f"num_irs_elements = 16\n{line}\n")
+        parse_config_text(f"# scenario\n{line}\n")
 
 
 def test_parse_config_rejects_rng_seed():

@@ -121,8 +121,8 @@ def _assert_same_plan(effective, num_clusters, users_per_cluster, threshold,
     members, leftover = _clusters_reference(effective, num_clusters,
                                             users_per_cluster, threshold, counts)
     plan = form_clusters(effective, num_clusters, users_per_cluster, threshold)
-    assert np.array_equal(plan.members, members)
-    assert np.array_equal(plan.leftover, leftover)
+    assert np.array_equal(plan, members)
+    assert np.array_equal(np.setdiff1d(np.arange(len(effective)), plan), leftover)
 
 
 class TestZeroForcingOracle:
@@ -131,7 +131,7 @@ class TestZeroForcingOracle:
         shapes = [(5, 8)] * 250 + [(1, 3)] * 20 + [(2, 3)] * 20
         for shape in shapes:
             strong = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            np.testing.assert_allclose(build_zf_beamformers(strong).vectors,
+            np.testing.assert_allclose(build_zf_beamformers(strong),
                                        _zf_reference(strong), rtol=0.0, atol=1e-13)
 
     def test_scenario_draws_within_1e_13(self):
@@ -141,8 +141,8 @@ class TestZeroForcingOracle:
                 _, _, channels, plan, beams, _ = build_scenario(seed, config=base)
                 effective = effective_channel(channels.cascaded,
                                               np.ones(n, dtype=complex))
-                strong = effective[plan.members[:, -1]]
-                np.testing.assert_allclose(beams.vectors, _zf_reference(strong),
+                strong = effective[plan[:, -1]]
+                np.testing.assert_allclose(beams, _zf_reference(strong),
                                            rtol=0.0, atol=1e-13)
 
     def test_degenerate_stacks_same_error_or_close_beams(self):
@@ -162,7 +162,7 @@ class TestZeroForcingOracle:
                     build_zf_beamformers(strong)
                 assert got.value.cluster_index == err.cluster_index
                 continue
-            np.testing.assert_allclose(build_zf_beamformers(strong).vectors, want,
+            np.testing.assert_allclose(build_zf_beamformers(strong), want,
                                        rtol=0.0, atol=1e-12)
         hand = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                         dtype=complex)
@@ -200,7 +200,7 @@ class TestZeroForcingProperties:
     @given(stack=_stacks(1))
     def test_contract(self, stack):
         strong = _gaussian_stack(*stack)
-        beams = build_zf_beamformers(strong).vectors
+        beams = build_zf_beamformers(strong)
         np.testing.assert_allclose(np.linalg.norm(beams, axis=1), 1.0,
                                    rtol=0.0, atol=1e-12)
         gain = strong @ beams.T                  # (j, i) = u_j f_i
@@ -281,11 +281,11 @@ class TestClusteringOracle:
         _assert_same_plan(np.eye(9, dtype=complex), 3, 3, 0.5, counts)
         assert counts["last_resort"] == 9
         plan = form_clusters(np.eye(8, dtype=complex), 3, 2, 0.9)
-        assert plan.members.tolist() == [[0, 1], [2, 3], [4, 5]]
-        assert plan.leftover.tolist() == [6, 7]
+        assert plan.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert np.setdiff1d(np.arange(8), plan).tolist() == [6, 7]
         plan = form_clusters(np.eye(9, dtype=complex), 3, 3, 0.5)
-        assert plan.members.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-        assert plan.leftover.size == 0
+        assert plan.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert np.setdiff1d(np.arange(9), plan).size == 0
 
     def test_single_user_clusters(self):
         counts = {"relaxed": 0, "last_resort": 0}
@@ -300,16 +300,14 @@ class TestClusteringOracle:
                           {"relaxed": 0, "last_resort": 0})
         plan = form_clusters(effective, clusters, users, gate)
         power = np.sum(np.abs(effective) ** 2, axis=1)
-        assert plan.members.shape == (clusters, users)
-        assert len(set(plan.members.ravel().tolist())) == plan.members.size
-        assert np.all(np.diff(power[plan.members], axis=1) >= 0.0)
-        assert np.array_equal(plan.leftover, np.setdiff1d(
-            np.arange(len(effective)), plan.members))
+        assert plan.shape == (clusters, users)
+        assert len(set(plan.ravel().tolist())) == plan.size
+        assert np.all(np.diff(power[plan], axis=1) >= 0.0)
 
     def test_random_plan_leftover(self):
         for k, effective in enumerate(_effective_draws(range(10), sizes=(16,))):
             plan = random_plan(effective, 5, 2, np.random.default_rng(k))
             picked = np.random.default_rng(k).choice(effective.shape[0], size=10,
                                                      replace=False)
-            assert np.array_equal(plan.leftover,
+            assert np.array_equal(np.setdiff1d(np.arange(effective.shape[0]), plan),
                                   np.setdiff1d(np.arange(effective.shape[0]), picked))

@@ -296,7 +296,7 @@ class TestOptimizeReflection:
         stage1 = allocate_power(gains, cfg2)
         result = optimize_reflection(channels, plan, beams, stage1, cfg2)
         assert abs(abs(result.reflection[0]) - 1.0) <= ULP
-        assert result.ee == pytest.approx(result.ee_initial, rel=1e-9)
+        assert result.ee == pytest.approx(stage1.ee, rel=1e-9)
 
     def test_never_worse_than_start(self):
         for seed in range(6):
@@ -304,7 +304,7 @@ class TestOptimizeReflection:
                 seed, random_beams=True)
             stage1 = allocate_power(gains, cfg)
             result = optimize_reflection(channels, plan, beams, stage1, cfg)
-            assert result.ee >= result.ee_initial * (1 - 1e-12)
+            assert result.ee >= stage1.ee * (1 - 1e-12)
             assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
 
     def test_penalty_driven_to_rank_one_when_floor_attainable(self):
@@ -349,7 +349,7 @@ class TestOptimizeReflection:
         assert stage1.feasible and stage1.gamma.min() <= cfg.min_sinr
         result = optimize_reflection(channels, plan, beams, stage1, cfg)
         assert result.iterations > 0
-        assert result.ee >= result.ee_initial
+        assert result.ee >= stage1.ee
 
     def test_floor_breaking_start_returned_without_solving(self):
         # at the reference floor b0 breaks the SINR floor on every draw;
@@ -369,9 +369,9 @@ class TestOptimizeReflection:
             assert result.fallback and result.iterations == 0
             assert np.array_equal(result.reflection, b0)
             assert np.array_equal(result.lifted, np.outer(b0, b0.conj()))
-            assert result.ee == result.ee_initial
+            assert result.ee == stage1.ee
             gains0 = link_gains(effective_channel(channels.cascaded, b0),
-                                plan.members, beams.vectors, check_order=False)
+                                plan, beams, check_order=False)
             _, psi0 = sinr(gains0, stage1.beta, cfg)
             assert np.array_equal(result.psi, psi0)
 
@@ -385,9 +385,9 @@ class TestOptimizeReflection:
         assert result.iterations > 0 and result.fallback
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
         assert np.array_equal(result.reflection, b0)
-        assert result.ee == result.ee_initial
+        assert result.ee == stage1.ee
         gains0 = link_gains(effective_channel(channels.cascaded, b0),
-                            plan.members, beams.vectors, check_order=False)
+                            plan, beams, check_order=False)
         _, psi0 = sinr(gains0, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi0)
 
@@ -404,8 +404,8 @@ class TestOptimizeReflection:
             # the random-clustering baseline's plan and beams, as run_trial
             plan_r = random_plan(effective, cfg.num_clusters,
                                  cfg.users_per_cluster, rng)
-            beams_r = build_zf_beamformers(effective[plan_r.members[:, -1]])
-            gains_r = link_gains(effective, plan_r.members, beams_r.vectors)
+            beams_r = build_zf_beamformers(effective[plan_r[:, -1]])
+            gains_r = link_gains(effective, plan_r, beams_r)
             for plan_, beams_, gains_ in ((plan, beams, gains),
                                           (plan_r, beams_r, gains_r)):
                 stage1 = allocate_power(gains_, cfg)
@@ -431,8 +431,9 @@ class TestOptimizeReflection:
                 digest.update(repr((repr(result.ee), result.iterations,
                                     result.fallback, result.converged,
                                     repr(result.exact_penalty))).encode())
-                digest.update(repr([(p.iteration, repr(p.ee), repr(p.eta))
-                                    for p in result.trace]).encode())
+                digest.update(repr([(iteration, repr(p.ee), repr(p.eta))
+                                    for iteration, p in enumerate(result.trace, 1)]
+                                   ).encode())
         assert digest.hexdigest() == (
             "b13cfecb6e971217634edfebdac66b5b6dcc6371e018389fad4eeb4555726fc9")
 
@@ -470,12 +471,12 @@ class TestStage2Properties:
         stage1 = allocate_power(gains, cfg)
         result = optimize_reflection(channels, plan, beams, stage1, cfg)
         effective = effective_channel(channels.cascaded, result.reflection)
-        gains_at = link_gains(effective, plan.members, beams.vectors,
+        gains_at = link_gains(effective, plan, beams,
                               check_order=False)
         _, psi = sinr(gains_at, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi)
         assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
-        assert result.ee >= result.ee_initial * (1 - 1e-12)
+        assert result.ee >= stage1.ee * (1 - 1e-12)
         # a second call on the same inputs returns the same bits
         again = optimize_reflection(channels, plan, beams, stage1, cfg)
         for name in ("reflection", "lifted", "psi"):

@@ -14,7 +14,7 @@ import pytest
 from irsnoma import power_allocation
 from irsnoma.channel import energy_efficiency, sinr
 from irsnoma.config import SystemConfig, db_to_linear
-from irsnoma.power_allocation import allocate_power, shape_for_decode_order
+from irsnoma.power_allocation import allocate_power, decode_order_split
 
 from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
 
@@ -78,8 +78,8 @@ def efficiency_at(gains, cfg, totals, columns, attainable):
         if beta is None:
             return -np.inf
     else:
-        beta = shape_for_decode_order(totals[:, None] * np.ones(gains.own_beam.shape)
-                                      / gains.own_beam.shape[1], cfg)
+        beta = decode_order_split(totals[:, None] * np.ones(gains.own_beam.shape)
+                                  / gains.own_beam.shape[1], cfg.min_sinr)
     gamma, _ = sinr(gains, beta, cfg)
     return energy_efficiency(gamma, beta, cfg)
 
