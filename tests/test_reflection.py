@@ -471,8 +471,7 @@ class TestStage2Properties:
         stage1 = allocate_power(gains, cfg)
         result = optimize_reflection(channels, plan, beams, stage1, cfg)
         effective = effective_channel(channels.cascaded, result.reflection)
-        gains_at = link_gains(effective, plan, beams,
-                              check_order=False)
+        gains_at = link_gains(effective, plan, beams, check_order=False)
         _, psi = sinr(gains_at, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi)
         assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
