@@ -45,37 +45,40 @@ def _traces(mats: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     return np.einsum("ikab,ba->ik", mats, b_mat).real
 
 
-def lift_user_matrices(channels: ChannelSet, members: np.ndarray,
-                       beams: np.ndarray) -> np.ndarray:
-    """Per-user, per-beam lifted matrices (I, K, I, N, N) of the (I, K)
-    ``members`` under the (I, M) ``beams``.
+def _unit_frobenius(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An (I, K, N, N) stack as (I K, N, N) matrices of unit Frobenius norm,
+    and the norms they were divided by (at least 1e-300)."""
+    n = mats.shape[-1]
+    mats = mats.reshape(-1, n, n)
+    scale = np.array([max(float(np.linalg.norm(mat)), 1e-300) for mat in mats])
+    return mats / scale[:, None, None], scale
 
-    Entry [i, k, j] is w w^H with w = W_{i,k} f_j, the cascaded channel of
-    cluster i's user k through beam j, so |b^H w|^2 = tr(B w w^H).
+
+def sinr_lifts(channels: ChannelSet, members: np.ndarray, beams: np.ndarray,
+               beta: np.ndarray,
+               config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lifted SINR of every user of the (I, K) ``members`` under the
+    (I, M) ``beams`` and the split ``beta``, as (I, K, N, N) stacks.
+
+    With w = W_{i,k} f_j, the cascaded channel of cluster i's user k
+    through beam j, |b^H w|^2 = tr(B w w^H). Returns (own, num, den):
+    ``own[i, k]`` is the own-beam lift, ``num`` is P beta own, and
+    ``den[i, k]`` collects the stronger-user tail plus all other beams'
+    leakage, so that gamma = tr(B num) / (tr(B den) + sigma^2).
     """
+    p = config.cluster_power_w
     cascaded = channels.cascaded[members]                 # (I, K, N, M)
     omega = np.einsum("iknm,jm->ikjn", cascaded, beams)
-    return omega[..., :, None] * omega[..., None, :].conj()
-
-
-def sinr_trace_matrices(lifts: np.ndarray, beta: np.ndarray,
-                        config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator/denominator matrices of every user's lifted SINR.
-
-    Returns (own, den): ``own[i, k]`` is the user's own-beam lift and
-    ``den[i, k]`` collects the stronger-user tail plus all other beams'
-    leakage, so that gamma = P beta tr(B own) / (tr(B den) + sigma^2).
-    """
-    num_clusters, users = beta.shape
-    p = config.cluster_power_w
-    own = np.stack([lifts[i, :, i] for i in range(num_clusters)])
+    lifts = omega[..., :, None] * omega[..., None, :].conj()   # (I, K, I, N, N)
+    clusters = np.arange(beta.shape[0])
+    own = lifts[clusters, :, clusters]
     beam_power = p * beta.sum(axis=1)
     den = p * stronger_tail(beta)[:, :, None, None] * own
-    for i in range(num_clusters):
-        for j in range(num_clusters):
-            if j != i:
-                den[i] += beam_power[j] * lifts[i, :, j]
-    return own, den
+    # one beam at a time, so each den[i] adds its leakage in the order j = 0, 1, ...
+    for j in clusters:
+        others = clusters != j
+        den[others] += beam_power[j] * lifts[others, :, j]
+    return own, p * beta[:, :, None, None] * own, den
 
 
 def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +97,7 @@ def sca_coefficients(gamma0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,
-                      constraints: list[tuple[np.ndarray, float]],
+                      constraints: tuple[np.ndarray, np.ndarray] | None,
                       config: SystemConfig,
                       eta: float) -> tuple[sdp.SdpProblem, np.ndarray]:
     """This iteration's problem: the penalized rate's minorant at B_t.
@@ -106,7 +109,8 @@ def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,
     ``sca_coefficients`` at the anchor SINRs, linearizes each denominator
     log at B_t and bounds ||B||_2 below by Re tr(kappa kappa^H B), with
     kappa the anchor's leading eigenvector; it is tight at B_t. In the
-    returned problem, under the floors ``constraints``, the numerator logs
+    returned problem, under the floors ``constraints`` (the pair that
+    ``floor_constraints`` returns, or None for no floor), the numerator logs
     are weighted log terms on unit-Frobenius matrices and the rest is the
     linear objective. Its value differs from the minorant by a constant
     that does not depend on B. Also returns the Hermitian gradient of the
@@ -129,14 +133,11 @@ def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,
     gradient *= bandwidth
     linear = -bandwidth * den_part
     linear -= eta * (np.eye(anchor.shape[0]) - np.outer(kappa, kappa.conj()))
-    logs = []
+    logs, _ = _unit_frobenius(num)
     weights = bandwidth * zeta / LN2
-    for i in range(num.shape[0]):
-        for k in range(num.shape[1]):
-            scale = max(float(np.linalg.norm(num[i, k])), 1e-300)
-            logs.append((num[i, k] / scale, float(weights[i, k])))
     problem = sdp.SdpProblem(objective=0.5 * (linear + linear.conj().T),
-                             constraints=constraints, log_terms=logs)
+                             constraints=constraints,
+                             log_terms=(logs, weights.reshape(-1)))
     return problem, 0.5 * (gradient + gradient.conj().T)
 
 
@@ -180,22 +181,17 @@ def evaluate_reflection(channels: ChannelSet, members: np.ndarray,
 
 
 def floor_constraints(num: np.ndarray, den: np.ndarray,
-                      config: SystemConfig) -> list[tuple[np.ndarray, float]]:
-    """Lifted SINR floors Re tr(A B) >= c, one per user.
+                      config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lifted SINR floors Re tr(A_s B) >= c_s, one per user s = (i, k).
 
     With ``num`` the numerator lifts P beta own, gamma >= gamma_min is
-    tr(B num) - gamma_min tr(B den) >= gamma_min sigma^2; each pair is
-    normalized to unit Frobenius scale for solver conditioning. A has rank
-    <= I: the own-beam lift plus the I - 1 other beams' leakage lifts.
+    tr(B num) - gamma_min tr(B den) >= gamma_min sigma^2; each floor is
+    normalized to unit Frobenius scale for solver conditioning. Returns the
+    (I K, N, N) stack A and the (I K,) bounds c. Each A_s has rank <= I:
+    the own-beam lift plus the I - 1 other beams' leakage lifts.
     """
-    constraints = []
-    for i in range(num.shape[0]):
-        for k in range(num.shape[1]):
-            a_mat = num[i, k] - config.min_sinr * den[i, k]
-            scale = max(float(np.linalg.norm(a_mat)), 1e-300)
-            constraints.append((a_mat / scale,
-                                config.min_sinr * config.noise_power_w / scale))
-    return constraints
+    mats, scale = _unit_frobenius(num - config.min_sinr * den)
+    return mats, config.min_sinr * config.noise_power_w / scale
 
 
 def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
@@ -242,9 +238,7 @@ def optimize_reflection(channels: ChannelSet, members: np.ndarray,
                                 fallback=True, converged=False, iterations=0,
                                 exact_penalty=0.0, trace=[])
 
-    lifts = lift_user_matrices(channels, members, beams)
-    own, den = sinr_trace_matrices(lifts, stage1.beta, config)
-    num = config.cluster_power_w * stage1.beta[:, :, None, None] * own
+    own, num, den = sinr_lifts(channels, members, beams, stage1.beta, config)
     constraints = floor_constraints(num, den, config)
 
     eta = 0.0
@@ -254,11 +248,8 @@ def optimize_reflection(channels: ChannelSet, members: np.ndarray,
     converged = False
     iterations = 0
     for iterations in range(1, 21):
-        try:
-            problem, gradient = surrogate_problem(anchor, num, den, constraints,
-                                                  config, eta)
-        except ValueError:
-            break
+        problem, gradient = surrogate_problem(anchor, num, den, constraints,
+                                              config, eta)
         if iterations == 1:
             # start the penalty at a few percent of the rate-gradient scale,
             # then rebuild the problem at that weight

@@ -24,7 +24,7 @@ gap estimate nu / t clears the requested tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,16 +39,6 @@ DIAG_BOUND = 1.0   # diag(B) <= 1: the unit-modulus relaxation |b_n|^2 <= 1
 def frob(x: np.ndarray, y: np.ndarray) -> float:
     """Re tr(X Y) for Hermitian arguments."""
     return float(np.real(np.einsum("ij,ji->", x, y)))
-
-
-def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    scale = max(float(np.abs(mat).max()), 1.0)
-    if float(np.abs(mat - mat.conj().T).max()) > _HERM_TOL * scale:
-        raise ValueError(f"{name} is not Hermitian")
-    return 0.5 * (mat + mat.conj().T)
 
 
 def _real_rows(mats: np.ndarray) -> np.ndarray:
@@ -82,48 +72,51 @@ class SdpProblem:
     """maximize Re tr(C B) + sum_l w_l ln(Re tr(M_l B))
     subject to Re tr(A_m B) >= c_m, diag(B) <= DIAG_BOUND, B >= 0.
 
-    ``log_terms`` is empty for the plain linear-objective problem class;
-    weighted concave logs of positive traces share the Newton structure of
-    the constraint barriers, so they come at no extra solver machinery.
-    The matrices are validated and stacked once, at construction, and
-    factored once, on first use; the ``constraints`` and ``log_terms``
-    lists hold views into that stack, so a problem is not edited after it
-    is built.
+    ``constraints`` is the pair (A, c) of an (m, N, N) matrix stack and its
+    (m,) bounds, ``log_terms`` the pair (M, w) of an (l, N, N) stack and its
+    positive weights; None stands for an empty pair. Every matrix must be
+    Hermitian to 1e-9 of its largest entry (at least 1). Weighted concave
+    logs of positive traces share the Newton structure of the constraint
+    barriers, so they come at no extra solver machinery. The matrices are
+    validated, symmetrized and stacked once, at construction, and factored
+    once, on first use; both pairs then hold views into that one stack, so
+    a problem is not edited after it is built.
     """
 
     objective: np.ndarray
-    constraints: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    log_terms: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    constraints: tuple[np.ndarray, np.ndarray] | None = None
+    log_terms: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self.objective = _check_hermitian(self.objective, "objective")
-        n = self.objective.shape[0]
-        if n > 128:
-            raise ValueError("dense solver is limited to N <= 128")
-        checked = []
-        for idx, (mat, bound) in enumerate(self.constraints):
-            mat = _check_hermitian(mat, f"constraint {idx}")
-            if mat.shape[0] != n:
-                raise ValueError(f"constraint {idx} has mismatched dimension")
-            checked.append((mat, float(bound)))
-        logs = []
-        for idx, (mat, weight) in enumerate(self.log_terms):
-            mat = _check_hermitian(mat, f"log term {idx}")
-            if mat.shape[0] != n:
-                raise ValueError(f"log term {idx} has mismatched dimension")
-            if weight <= 0.0:
-                raise ValueError(f"log term {idx} needs a positive weight")
-            logs.append((mat, float(weight)))
-        # constraint matrices, then log-term matrices, as one (m, N, N) stack
-        count = len(checked)
-        stack = np.array([mat for mat, _ in checked + logs],
-                         dtype=complex).reshape(-1, n, n)
-        self.constraints = [(stack[s], c) for s, (_, c) in enumerate(checked)]
-        self.log_terms = [(stack[count + s], w) for s, (_, w) in enumerate(logs)]
-        self._stack = stack
-        self._rows = _real_rows(stack)
-        self._bounds = np.array([c for _, c in checked])
-        self._weights = np.array([w for _, w in logs])
+        objective = np.asarray(self.objective, dtype=complex)
+        n = objective.shape[0]
+        empty = (np.zeros((0, n, n)), np.zeros(0))
+        a, c = self.constraints or empty
+        m, w = self.log_terms or empty
+        # the objective, the constraint matrices, then the log-term matrices
+        stacks = [np.asarray(x, dtype=complex) for x in (objective[None], a, m)]
+        bounds = np.asarray(c, dtype=float)
+        weights = np.asarray(w, dtype=float)
+        if (any(x.shape[1:] != (n, n) for x in stacks)
+                or (bounds.shape, weights.shape) != (stacks[1].shape[:1],
+                                                     stacks[2].shape[:1])):
+            raise ValueError("mismatched dimension: the objective must be N x N, "
+                             "and each stack hold N x N matrices, one value each")
+        if np.any(weights <= 0.0):
+            raise ValueError("every log term needs a positive weight")
+        stack = np.concatenate(stacks)
+        adjoint = stack.conj().transpose(0, 2, 1)
+        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+        skew = np.abs(stack - adjoint).max(axis=(1, 2))
+        bad = np.flatnonzero(skew > _HERM_TOL * scale)
+        if bad.size:
+            raise ValueError(f"matrices {bad.tolist()} of (objective, constraints, "
+                             "log terms) are not Hermitian")
+        stack = 0.5 * (stack + adjoint)
+        self.objective, self._stack = stack[0], stack[1:]
+        self.constraints = (self._stack[:bounds.size], bounds)
+        self.log_terms = (self._stack[bounds.size:], weights)
+        self._rows = _real_rows(self._stack)
 
     @property
     def dim(self) -> int:
@@ -155,12 +148,12 @@ class SdpProblem:
     def value(self, b: np.ndarray) -> float:
         """Objective value (linear plus weighted logs) at a feasible point."""
         total = frob(self.objective, b)
-        for mat, weight in self.log_terms:
+        for mat, weight in zip(*self.log_terms):
             trace = frob(mat, b)
             if trace <= 0.0:
                 return -np.inf
             total += weight * float(np.log(trace))
-        return total
+        return float(total)
 
 
 @dataclass
@@ -174,15 +167,15 @@ class SdpSolution:
 def _slacks_and_traces(problem: SdpProblem,
                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     traces = problem._traces(b)
-    count = len(problem.constraints)
+    _, bounds = problem.constraints
     diag = DIAG_BOUND - np.real(np.diag(b))
-    return traces[:count] - problem._bounds, diag, traces[count:]
+    return traces[:bounds.size] - bounds, diag, traces[bounds.size:]
 
 
 def strictly_feasible(problem: SdpProblem, b: np.ndarray) -> bool:
     """True when ``b`` sits strictly inside every constraint of ``problem``."""
     lin, diag, traces = _slacks_and_traces(problem, b)
-    scale = 1.0 + max((abs(c) for _, c in problem.constraints), default=0.0)
+    scale = 1.0 + float(np.abs(problem.constraints[1]).max(initial=0.0))
     if lin.size and lin.min() <= _STRICT_MARGIN * scale:
         return False
     if diag.min() <= _STRICT_MARGIN * DIAG_BOUND:
@@ -220,7 +213,7 @@ def barrier_point(problem: SdpProblem, b: np.ndarray, t: float) -> BarrierPoint 
         return None
     logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     value = -t * frob(problem.objective, b) - logdet
-    for trace, weight in zip(traces, problem._weights):
+    for trace, weight in zip(traces, problem.log_terms[1]):
         value -= t * weight * float(np.log(trace))
     if lin.size:
         value -= float(np.sum(np.log(lin)))
@@ -248,7 +241,7 @@ def newton_direction(problem: SdpProblem, point: BarrierPoint,
     linv = np.linalg.inv(point.chol)
     # every stacked matrix enters the barrier as -scale_s log(slack_s)
     slack = np.concatenate([point.lin, point.traces])
-    scale = np.concatenate([np.ones(point.lin.size), t * problem._weights])
+    scale = np.concatenate([np.ones(point.lin.size), t * problem.log_terms[1]])
     resid = t * problem.objective + linv.conj().T @ linv
     resid += (scale / slack @ problem._rows).view(complex).reshape(n, n)
     resid[np.diag_indices(n)] -= 1.0 / point.diag
@@ -352,7 +345,7 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
                            status="infeasible", objective=np.nan,
                            newton_steps=0)
 
-    nu = float(2 * n + len(problem.constraints))
+    nu = float(2 * n + problem.constraints[1].size)
     obj0 = problem.value(b)
     t = max(1.0, nu / (1.0 + abs(obj0)))
     total_steps = 0
@@ -382,21 +375,19 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
     tightened by it, and its own value is maximized. The recovered block
     maximizes the minimum slack; None when that maximum is nonpositive.
     """
-    if not problem.constraints:
+    mats, bounds = problem.constraints
+    if not bounds.size:
         return None
     n = problem.dim
     lin0, _, _ = _slacks_and_traces(problem, start)
     offset = max(0.0, -float(lin0.min())) + 1.0
     scale = 2.0 * offset / DIAG_BOUND  # slack level = scale * last diagonal entry
-    aug_cons = []
-    for a, c in problem.constraints:
-        a_aug = np.zeros((n + 1, n + 1), dtype=complex)
-        a_aug[:n, :n] = a
-        a_aug[n, n] = -scale
-        aug_cons.append((a_aug, c - offset))
+    a_aug = np.zeros((bounds.size, n + 1, n + 1), dtype=complex)
+    a_aug[:, :n, :n] = mats
+    a_aug[:, n, n] = -scale
     c_aug = np.zeros((n + 1, n + 1), dtype=complex)
     c_aug[n, n] = 1.0
-    aug = SdpProblem(objective=c_aug, constraints=aug_cons)
+    aug = SdpProblem(objective=c_aug, constraints=(a_aug, bounds - offset))
     b_aug0 = np.zeros((n + 1, n + 1), dtype=complex)
     b_aug0[:n, :n] = start
     b_aug0[n, n] = 1e-3 * DIAG_BOUND

@@ -21,11 +21,11 @@ from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
 from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (optimize_reflection, sca_coefficients,
-                                surrogate_problem)
+                                sinr_lifts, surrogate_problem)
 
 from conftest import attainable_floor_scenario, build_scenario, solver_free_floor
 from test_power_allocation import bound_split, single_cluster, weak_user_grid_optimum
-from test_reflection import sinr_lifts, summed_rate
+from test_reflection import summed_rate
 from test_sdp import brute_force_objective, random_problem
 
 ULP = np.finfo(float).eps
@@ -156,14 +156,14 @@ def test_criterion_5_dc_gradient_and_majorization():
             seed % 20, random_beams=bool(seed % 2))
         seed += 1
         stage1 = allocate_power(gains, cfg)
-        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
         n = cfg.num_irs_elements
         for _ in range(5):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             anchor = g @ g.conj().T
             anchor *= rng.random() / np.real(np.diag(anchor)).max()
             anchor += 1e-3 * np.eye(n)
-            problem, grad = surrogate_problem(anchor, num, den, [], cfg, eta=0.0)
+            problem, grad = surrogate_problem(anchor, num, den, None, cfg, eta=0.0)
             delta = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             delta = 0.5 * (delta + delta.conj().T)
             delta /= np.linalg.norm(delta)
@@ -180,10 +180,10 @@ def test_criterion_5_dc_gradient_and_majorization():
     # from its anchor, over 1e3 random feasible points
     cfg, _, channels, plan, beams, gains = build_scenario(0)
     stage1 = allocate_power(gains, cfg)
-    num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+    _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
     n = cfg.num_irs_elements
     anchor = np.outer(np.ones(n), np.ones(n)).astype(complex)
-    problem, _ = surrogate_problem(anchor, num, den, [], cfg, eta=0.0)
+    problem, _ = surrogate_problem(anchor, num, den, None, cfg, eta=0.0)
     at_anchor = problem.value(anchor)
     rate_anchor = summed_rate(num, den, anchor, cfg)
     violations = 0

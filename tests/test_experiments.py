@@ -142,6 +142,14 @@ class TestRunTrial:
             first = run_trial(cfg, list(METHODS), 4243, 16, 8, trial)
             assert run_trial(cfg, list(METHODS), 4243, 16, 8, trial) == first
 
+    def test_stage2_runs_above_128_elements(self):
+        # Stage 1 certifies this N = 136 draw, so Stage 2 must run its loop;
+        # no solver size cap may end it before the first iteration
+        cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
+        record = run_trial(cfg, ["proposed"], 0, 136, 8, 0)
+        assert record.feasible
+        assert record.stage2_ee_trace
+
     def test_paired_methods_share_channels(self):
         cfg = small_config()
         record = run_trial(cfg, ["proposed", "conventional", "stage1-only"],

@@ -14,9 +14,8 @@ from irsnoma.clustering import random_plan
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.power_allocation import allocate_power
 from irsnoma.reflection import (evaluate_reflection, exact_rank_penalty,
-                                lift_user_matrices, optimize_reflection,
-                                sca_coefficients, sinr_trace_matrices,
-                                surrogate_problem)
+                                floor_constraints, optimize_reflection,
+                                sca_coefficients, sinr_lifts, surrogate_problem)
 
 from conftest import attainable_floor_scenario, build_scenario
 
@@ -68,26 +67,30 @@ class TestLifting:
 
     def test_lift_shapes_and_rank(self):
         cfg, _, channels, plan, beams, _ = build_scenario(1)
-        lifts = lift_user_matrices(channels, plan, beams)
-        i_cl, k_us = cfg.num_clusters, cfg.users_per_cluster
-        assert lifts.shape == (i_cl, k_us, i_cl, cfg.num_irs_elements,
-                               cfg.num_irs_elements)
-        svals = np.linalg.svd(lifts[0, 0, 0], compute_uv=False)
+        beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
+        lifted = sinr_lifts(channels, plan, beams, beta, cfg)
+        n = cfg.num_irs_elements
+        for stack in lifted:
+            assert stack.shape == (cfg.num_clusters, cfg.users_per_cluster, n, n)
+        svals = np.linalg.svd(lifted[0][0, 0], compute_uv=False)
         assert svals[1] <= 1e-12 * svals[0]
 
     def test_null_user_gives_zero_matrix(self):
+        # a user whose cascaded channel is zero sees nothing through any
+        # beam: its own, numerator and denominator lifts are all zero
         cfg, _, channels, plan, beams, _ = build_scenario(2)
-        lifts = lift_user_matrices(channels, plan, beams)
-        # strongest users' lifts through foreign beams are ZF-nulled at b0
-        # only in the b0 direction, not as matrices; check an actual zero
-        zero = np.zeros(cfg.num_irs_elements, dtype=complex)
-        assert not np.outer(zero, zero.conj()).any()
+        beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
+        cascaded = channels.cascaded.copy()
+        cascaded[plan[1, 0]] = 0.0
+        nulled = dataclasses.replace(channels, cascaded=cascaded)
+        for stack in sinr_lifts(nulled, plan, beams, beta, cfg):
+            assert not stack[1, 0].any()
+            assert stack[0, 0].any()
 
     def test_trace_sinr_matches_vector_sinr(self):
         cfg, _, channels, plan, beams, gains = build_scenario(3)
         beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, beta, cfg)
+        own, _, den = sinr_lifts(channels, plan, beams, beta, cfg)
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
         b_mat = np.outer(b0, b0.conj())
         num = (cfg.cluster_power_w * beta
@@ -106,8 +109,7 @@ class TestLifting:
         rng = np.random.default_rng(draw_seed)
         b = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         beta = rng.uniform(0.01, 1.0, (cfg.num_clusters, cfg.users_per_cluster))
-        lifts = lift_user_matrices(channels, plan, beams)
-        own, den = sinr_trace_matrices(lifts, beta, cfg)
+        own, _, den = sinr_lifts(channels, plan, beams, beta, cfg)
         b_mat = np.outer(b, b.conj())
         num = (cfg.cluster_power_w * beta
                * np.einsum("ikab,ba->ik", own, b_mat).real)
@@ -115,13 +117,28 @@ class TestLifting:
         _, gamma_vec, _ = evaluate_reflection(channels, plan, beams, beta, b, cfg)
         np.testing.assert_allclose(num / dval, gamma_vec, rtol=1e-9)
 
-
-def sinr_lifts(channels, plan, beams, stage1, cfg):
-    """The numerator lifts P beta own and the denominator lifts of every
-    user's SINR at the Stage-1 split."""
-    lifts = lift_user_matrices(channels, plan, beams)
-    own, den = sinr_trace_matrices(lifts, stage1.beta, cfg)
-    return cfg.cluster_power_w * stage1.beta[:, :, None, None] * own, den
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.sampled_from([4, 8, 16]),
+           draw_seed=st.integers(0, 10**6), quantile=st.floats(0.05, 0.95))
+    def test_floor_stack_holds_exactly_where_the_sinr_floor_does(
+            self, seed, n, draw_seed, quantile):
+        # every floor matrix has unit Frobenius norm, and b b^H meets floor s
+        # exactly when user s's vector-domain SINR at b meets the floor; the
+        # floor sits among the users' SINRs so that both verdicts occur
+        base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
+        cfg, _, channels, plan, beams, _ = build_scenario(seed, config=base)
+        rng = np.random.default_rng(draw_seed)
+        b = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        beta = rng.uniform(0.01, 1.0, (cfg.num_clusters, cfg.users_per_cluster))
+        _, gamma, _ = evaluate_reflection(channels, plan, beams, beta, b, cfg)
+        gamma = gamma.reshape(-1)
+        cfg = dataclasses.replace(cfg, min_sinr=float(np.quantile(gamma, quantile)))
+        _, num, den = sinr_lifts(channels, plan, beams, beta, cfg)
+        mats, bounds = floor_constraints(num, den, cfg)
+        np.testing.assert_allclose(np.linalg.norm(mats, axis=(1, 2)), 1.0, rtol=1e-12)
+        met = np.einsum("sab,ba->s", mats, np.outer(b, b.conj())).real >= bounds
+        away = np.abs(gamma / cfg.min_sinr - 1.0) > 1e-9
+        assert np.array_equal(met[away], (gamma >= cfg.min_sinr)[away])
 
 
 def summed_rate(num, den, b_mat, cfg):
@@ -141,11 +158,11 @@ class TestDcLinearization:
     def _surrogate(self, seed, eta=0.0):
         cfg, rng, channels, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
         n = cfg.num_irs_elements
         anchor = _random_psd(np.random.default_rng(seed + 1), n) + 0.05 * np.eye(n)
         anchor *= 1.0 / max(np.real(np.diag(anchor)).max(), 1.0)
-        problem, grad = surrogate_problem(anchor, num, den, [], cfg, eta)
+        problem, grad = surrogate_problem(anchor, num, den, None, cfg, eta)
         return cfg, anchor, num, den, problem, grad
 
     def test_tight_at_anchor(self):
@@ -196,7 +213,7 @@ class TestDcLinearization:
     def test_infeasible_anchor_rejected(self):
         cfg, anchor, num, den, _, _ = self._surrogate(3)
         with pytest.raises(ValueError, match="anchor"):
-            surrogate_problem(np.zeros_like(anchor), num, den, [], cfg, 0.0)
+            surrogate_problem(np.zeros_like(anchor), num, den, None, cfg, 0.0)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.sampled_from([8, 16]),
@@ -212,7 +229,7 @@ class TestDcLinearization:
         cfg, _, channels, plan, beams, gains = build_scenario(
             seed, config=base, random_beams=random_beams)
         stage1 = allocate_power(gains, cfg)
-        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
 
         def objective(b_mat):
             return (summed_rate(num, den, b_mat, cfg)
@@ -220,7 +237,7 @@ class TestDcLinearization:
 
         rng = np.random.default_rng(draw_seed)
         anchor = _random_psd(rng, n)
-        problem, rate_grad = surrogate_problem(anchor, num, den, [], cfg, eta)
+        problem, rate_grad = surrogate_problem(anchor, num, den, None, cfg, eta)
         kappa = np.linalg.eigh(anchor)[1][:, -1]
         grad = rate_grad - eta * (np.eye(n) - np.outer(kappa, kappa.conj()))
         at_anchor = problem.value(anchor)
@@ -263,11 +280,11 @@ class TestRankOnePenalty:
         """
         cfg, _, channels, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
 
         def penalty(anchor):
-            free, _ = surrogate_problem(anchor, num, den, [], cfg, 0.0)
-            weighted, _ = surrogate_problem(anchor, num, den, [], cfg, 1.0)
+            free, _ = surrogate_problem(anchor, num, den, None, cfg, 0.0)
+            weighted, _ = surrogate_problem(anchor, num, den, None, cfg, 1.0)
             return lambda b_mat: sdp.frob(free.objective - weighted.objective, b_mat)
 
         return cfg.num_irs_elements, penalty

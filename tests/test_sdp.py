@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import build_scenario
-from test_reflection import sinr_lifts
 from irsnoma import sdp
 from irsnoma.power_allocation import allocate_power
-from irsnoma.reflection import floor_constraints
+from irsnoma.reflection import floor_constraints, sinr_lifts
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -16,12 +15,9 @@ def _random_hermitian(rng, n, scale=1.0):
 def random_problem(rng, n, num_constraints=2, margin=0.5):
     """Random instance strictly feasible at B = I/2."""
     objective = _random_hermitian(rng, n)
-    constraints = []
-    for _ in range(num_constraints):
-        a = _random_hermitian(rng, n)
-        bound = sdp.frob(a, 0.5 * np.eye(n)) - margin
-        constraints.append((a, bound))
-    return sdp.SdpProblem(objective=objective, constraints=constraints)
+    mats = np.array([_random_hermitian(rng, n) for _ in range(num_constraints)])
+    bounds = np.array([sdp.frob(a, 0.5 * np.eye(n)) - margin for a in mats])
+    return sdp.SdpProblem(objective=objective, constraints=(mats, bounds))
 
 
 def brute_force_objective(problem, rng, samples=200_000, polish=2000):
@@ -36,7 +32,7 @@ def brute_force_objective(problem, rng, samples=200_000, polish=2000):
     def score(mats):
         vals = np.real(np.einsum("ij,bji->b", problem.objective, mats))
         ok = np.ones(len(mats), dtype=bool)
-        for a, c in problem.constraints:
+        for a, c in zip(*problem.constraints):
             ok &= np.real(np.einsum("ij,bji->b", a, mats)) >= c
         vals[~ok] = -np.inf
         return vals
@@ -79,14 +75,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             sdp.SdpProblem(objective=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError, match="N <= 128"):
-            sdp.SdpProblem(objective=np.eye(129))
-
     def test_rejects_mismatched_constraint(self):
         with pytest.raises(ValueError, match="dimension"):
             sdp.SdpProblem(objective=np.eye(3),
-                           constraints=[(np.eye(2), 0.0)])
+                           constraints=(np.eye(2)[None], np.zeros(1)))
 
 
 class TestAnalyticOptima:
@@ -107,7 +99,7 @@ class TestAnalyticOptima:
         c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         free = sdp.solve(sdp.SdpProblem(objective=c), tolerance=1e-6)
         gated = sdp.solve(sdp.SdpProblem(
-            objective=c, constraints=[(np.eye(2, dtype=complex), 0.0)]),
+            objective=c, constraints=(np.eye(2, dtype=complex)[None], np.zeros(1))),
             tolerance=1e-6)
         assert gated.objective == pytest.approx(free.objective, abs=1e-5)
 
@@ -124,7 +116,7 @@ class TestSolutionQuality:
         eigvals = np.linalg.eigvalsh(b)
         assert eigvals.min() >= -1e-8 * np.real(np.trace(b))
         assert np.real(np.diag(b)).max() <= 1.0 + 1e-8
-        for a, c in problem.constraints:
+        for a, c in zip(*problem.constraints):
             assert sdp.frob(a, b) >= c - 1e-6 * (1 + abs(c))
 
     def test_objective_improves_along_path(self):
@@ -154,14 +146,15 @@ class TestSolutionQuality:
     def test_infeasible_problem_reported(self):
         # tr(-B) >= 1 impossible on the PSD cone
         problem = sdp.SdpProblem(objective=np.eye(3, dtype=complex),
-                                 constraints=[(-np.eye(3, dtype=complex), 1.0)])
+                                 constraints=(-np.eye(3, dtype=complex)[None],
+                                              np.ones(1)))
         solution = sdp.solve(problem, tolerance=1e-6)
         assert solution.status == "infeasible"
 
     def test_phase_one_reaches_strict_interior(self):
         # 0.5 I violates this constraint; the repair must still find a point
         problem = _phase_one_problem()
-        (a, bound), = problem.constraints
+        (a,), (bound,) = problem.constraints
         solution = sdp.solve(problem, tolerance=1e-5)
         assert solution.status == "optimal"
         assert sdp.frob(a, solution.matrix) >= bound - 1e-5 * (1 + abs(bound))
@@ -185,7 +178,7 @@ def _phase_one_problem():
     a = _random_hermitian(rng, 6)
     bound = sdp.frob(a, 0.5 * np.eye(6)) + 0.5
     return sdp.SdpProblem(objective=_random_hermitian(rng, 6),
-                          constraints=[(a, bound)])
+                          constraints=(a[None], np.array([bound])))
 
 
 def _random_vectors(rng, n, count):
@@ -200,25 +193,23 @@ def _low_rank(rng, n, signs):
 
 def _interior_problem(rng, n, mats, log_mats=()):
     """Constraints Re tr(A B) >= Re tr(A B0) - 0.5 around B0 = I/2."""
-    constraints = [(a, sdp.frob(a, 0.5 * np.eye(n)) - 0.5) for a in mats]
-    logs = [(mat, float(w)) for mat, w in zip(log_mats, rng.uniform(0.5, 2.0, len(log_mats)))]
+    bounds = np.array([sdp.frob(a, 0.5 * np.eye(n)) - 0.5 for a in mats])
+    logs = (np.array(log_mats, dtype=complex).reshape(-1, n, n),
+            rng.uniform(0.5, 2.0, len(log_mats)))
     return sdp.SdpProblem(objective=_random_hermitian(rng, n),
-                          constraints=constraints, log_terms=logs)
+                          constraints=(np.array(mats), bounds), log_terms=logs)
 
 
 def _phase_one_lift(problem, offset=3.0):
     """Phase-one problem: one extra diagonal coordinate tightens every constraint."""
     n = problem.dim
-    scale = 2.0 * offset / sdp.DIAG_BOUND
-    aug_cons = []
-    for a, c in problem.constraints:
-        a_aug = np.zeros((n + 1, n + 1), dtype=complex)
-        a_aug[:n, :n] = a
-        a_aug[n, n] = -scale
-        aug_cons.append((a_aug, c - offset))
+    mats, bounds = problem.constraints
+    a_aug = np.zeros((bounds.size, n + 1, n + 1), dtype=complex)
+    a_aug[:, :n, :n] = mats
+    a_aug[:, n, n] = -2.0 * offset / sdp.DIAG_BOUND
     c_aug = np.zeros((n + 1, n + 1), dtype=complex)
     c_aug[n, n] = 1.0
-    return sdp.SdpProblem(objective=c_aug, constraints=aug_cons)
+    return sdp.SdpProblem(objective=c_aug, constraints=(a_aug, bounds - offset))
 
 
 def _newton_problems():
@@ -252,8 +243,8 @@ class TestNewtonSystem:
 
         # dense oracle: gradient and Hessian of phi_t written out term by term
         binv = np.linalg.inv(b)
-        terms = [(a, 1.0, sdp.frob(a, b) - c) for a, c in problem.constraints]
-        terms += [(m, t * w, sdp.frob(m, b)) for m, w in problem.log_terms]
+        terms = [(a, 1.0, sdp.frob(a, b) - c) for a, c in zip(*problem.constraints)]
+        terms += [(m, t * w, sdp.frob(m, b)) for m, w in zip(*problem.log_terms)]
         diag = sdp.DIAG_BOUND - np.real(np.diag(b))
         grad = -t * problem.objective - binv + np.diag(1.0 / diag)
         hess = binv @ delta @ binv + np.diag(np.real(np.diag(delta)) / diag**2)
@@ -289,14 +280,13 @@ class TestLowRankFactors:
     def test_reflection_floor_constraints_are_low_rank(self):
         cfg, _, channels, plan, beams, gains = build_scenario(0)
         stage1 = allocate_power(gains, cfg)
-        num, den = sinr_lifts(channels, plan, beams, stage1, cfg)
+        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
         constraints = floor_constraints(num, den, cfg)
         n = cfg.num_irs_elements
         problem = sdp.SdpProblem(objective=np.zeros((n, n)), constraints=constraints)
         lifted = _phase_one_lift(problem)
-        for stack, cap in (([a for a, _ in problem.constraints], cfg.num_clusters),
-                           ([a for a, _ in lifted.constraints], cfg.num_clusters + 1)):
-            mats = np.array(stack)
+        for (mats, _), cap in ((problem.constraints, cfg.num_clusters),
+                               (lifted.constraints, cfg.num_clusters + 1)):
             vecs, vals = sdp.low_rank_factors(mats)
             assert np.count_nonzero(vals, axis=1).max() <= cap
             rebuilt = self._rebuild(vecs, vals)
