@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkGains, cluster_rates_and_power, sinr
+from .channel import LinkGains, energy_efficiency, sinr
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -186,13 +186,12 @@ class _Efficiency:
         self.shape, self.level_map = problem.shape, level_map
 
     def value(self, x: np.ndarray):
-        """(efficiency, per-cluster ratios, terms the derivatives read)."""
+        """(efficiency, terms the derivatives read)."""
         parts = self.noise + self.parts @ x                         # num, den
         rates = self.bandwidth * np.add.reduce(
             np.log2(parts[0] / parts[1]).reshape(self.shape), axis=1)
         power = self.circuit + self.power @ x
-        ratios = rates / power
-        return float(np.add.reduce(ratios)), ratios, (parts, rates, power)
+        return float(np.add.reduce(rates / power)), (parts, rates, power)
 
     def derivatives(self, terms) -> tuple[np.ndarray, np.ndarray]:
         parts, rates, power = terms
@@ -211,18 +210,14 @@ class _Efficiency:
 
 @dataclass
 class TracePoint:
-    """The running-best per-cluster ratios and efficiency after t ascent
-    steps, t the point's trace index; ``rho`` arrays are shared, read-only."""
+    """The efficiency after t ascent steps, t the point's trace index."""
 
-    rho: np.ndarray
     ee: float
 
 
 @dataclass
 class Stage1Result:
     beta: np.ndarray
-    rho: np.ndarray          # (I,) per-cluster rate / consumed power at beta
-    gamma: np.ndarray        # (I, K) SINRs at beta
     psi: np.ndarray          # (I, K) inter-cluster interference at beta, W
     iterations: int          # ascent steps taken
     converged: bool          # the stop test held within max_iterations
@@ -250,9 +245,9 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
     halved until it gains (Armijo). Below ``_TOLERANCE`` predicted relative
     gain the held row with the most negative multiplier is let go; with
     none left the ascent has converged."""
-    ee, ratios, terms = efficiency.value(x)
+    ee, terms = efficiency.value(x)
     held = b - a @ x <= 1e-12 * np.maximum.reduce(np.abs(x))
-    run_rho, trace = ratios, [TracePoint(ratios, ee)]
+    trace = [TracePoint(ee)]
     steps, converged, residual = 0, False, np.inf
     basis = _null_space(a, held)
     for _ in range(max_iterations + b.size):
@@ -283,7 +278,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
         reach = t = min(1.0, max(float(limits[hit]), 0.0))
         for _ in range(50):
             trial = x + t * step
-            ee_new, ratios, terms_new = efficiency.value(trial)
+            ee_new, terms_new = efficiency.value(trial)
             if ee_new >= ee + 1e-4 * t * residual * ee:
                 break
             t *= 0.5
@@ -294,8 +289,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
             basis = _null_space(a, held)
         x, ee, terms = trial, ee_new, terms_new
         steps += 1
-        run_rho = np.maximum(run_rho, ratios)
-        trace.append(TracePoint(run_rho, ee))
+        trace.append(TracePoint(ee))
     return x, steps, converged, residual, trace
 
 
@@ -339,8 +333,6 @@ def allocate_power(gains: LinkGains, config: SystemConfig, *,
     beta = (efficiency.level_map @ x).reshape(clusters, users)     # the levels
     beta[:, :-1] -= beta[:, 1:]      # NumPy reads the overlapping operand as it was
     gamma, psi = sinr(gains, beta, config)
-    rates, powers = cluster_rates_and_power(gamma, beta, config)
-    rho = rates / powers
-    return Stage1Result(beta=beta, rho=rho, gamma=gamma, psi=psi,
-                        iterations=steps, converged=converged, feasible=feasible,
-                        residual=residual, ee=float(np.add.reduce(rho)), trace=trace)
+    return Stage1Result(beta=beta, psi=psi, iterations=steps, converged=converged,
+                        feasible=feasible, residual=residual,
+                        ee=energy_efficiency(gamma, beta, config), trace=trace)

@@ -17,6 +17,7 @@ import pytest
 
 from irsnoma import sdp
 from irsnoma.beamforming import build_zf_beamformers
+from irsnoma.channel import cluster_rates_and_power, sinr
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
 from irsnoma.power_allocation import allocate_power
@@ -126,24 +127,38 @@ def test_criterion_3_closed_form_against_oracles():
                    f"grid-optimum gap {100 * worst_gap:.2f}%, {elapsed:.1f}s")
 
 
+def _cluster_ratios(gains, beta, cfg):
+    """Each cluster's rate / consumed power at the split ``beta``."""
+    gamma, _ = sinr(gains, beta, cfg)
+    rates, powers = cluster_rates_and_power(gamma, beta, cfg)
+    return rates / powers
+
+
 def test_criterion_4_dinkelbach_monotonicity():
     # the floor is set per instance below the SINRs of a solver-free split
-    # (the reference floor is interference-unattainable)
-    monotone = 0
+    # (the reference floor is interference-unattainable). The ascent
+    # maximizes the sum of the cluster ratios, not each one, so the verdict
+    # also counts the draws whose returned split lowers some cluster's ratio
+    # below its value at the split the ascent starts from
+    rising = 0
     residual_ok = 0
+    trades = 0
     trials = 200
     for seed in range(trials):
         cfg, _, _, _, _, gains = build_scenario(seed)
         cfg = dataclasses.replace(cfg, min_sinr=solver_free_floor(gains, cfg))
         result = allocate_power(gains, cfg)
-        rhos = np.array([tp.rho for tp in result.trace])
         ees = np.array([tp.ee for tp in result.trace])
-        monotone += bool(np.all(np.diff(rhos, axis=0) >= -1e-9)
-                         and np.all(np.diff(ees) >= -1e-9))
+        rising += bool(np.all(np.diff(ees) >= -1e-9))
         residual_ok += result.residual <= 1e-4
-    ok = monotone == trials and residual_ok == trials
-    verdict(4, ok, f"monotone traces {monotone}/{trials}, "
-                   f"terminal residual ok {residual_ok}/{trials}")
+        start = allocate_power(gains, cfg, max_iterations=0)
+        trades += bool((_cluster_ratios(gains, result.beta, cfg)
+                        < _cluster_ratios(gains, start.beta, cfg)).any())
+    ok = rising == trials and residual_ok == trials
+    verdict(4, ok, f"rising efficiency traces {rising}/{trials}, "
+                   f"terminal residual ok {residual_ok}/{trials}; "
+                   f"{trades}/{trials} draws end with some cluster's "
+                   f"rate/power below its value at the start split")
 
 
 def test_criterion_5_dc_gradient_and_majorization():
@@ -266,9 +281,17 @@ def test_criterion_8_alternating_monotonicity(trend_records,
     for stage1, result in floor_attainable_runs:
         if result.ee < stage1.ee - 1e-6 * max(1.0, abs(stage1.ee)):
             fails += 1
+    # Stage 2 keeps b0, so its comparison is equal by construction, where
+    # Stage 1 did not certify the floor (the gate) and where the extracted
+    # vector breaks the floor or loses efficiency (the fallback)
+    gated = sum(not record.feasible for record in records)
+    fallbacks = sum(result.fallback for _, result in floor_attainable_runs)
     total = len(records) + len(floor_attainable_runs)
     verdict(8, fails == 0, f"stage-2 never below stage-1 on {total - fails}"
-                           f"/{total} runs")
+                           f"/{total} runs; {gated + fallbacks} of them keep b0 "
+                           f"({gated}/{len(records)} trend records at the Stage-1 "
+                           f"gate, {fallbacks}/{len(floor_attainable_runs)} "
+                           f"attainable runs through the fallback)")
 
 
 @pytest.mark.slow

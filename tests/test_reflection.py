@@ -363,7 +363,8 @@ class TestOptimizeReflection:
         cfg, _, channels, plan, beams, gains = build_scenario(
             38, config=base, random_beams=True)
         stage1 = allocate_power(gains, cfg)
-        assert stage1.feasible and stage1.gamma.min() <= cfg.min_sinr
+        gamma, _ = sinr(gains, stage1.beta, cfg)
+        assert stage1.feasible and gamma.min() <= cfg.min_sinr
         result = optimize_reflection(channels, plan, beams, stage1, cfg)
         assert result.iterations > 0
         assert result.ee >= stage1.ee
@@ -409,8 +410,9 @@ class TestOptimizeReflection:
         assert np.array_equal(result.psi, psi0)
 
     def test_stage1_values_are_those_at_start(self):
-        # Stage 2 takes ee, gamma and psi at b0 from Stage 1 instead of
-        # recomputing them; they must be the b0 values bitwise
+        # Stage 2 takes ee and psi at b0 from Stage 1 instead of recomputing
+        # them; they, and the SINRs at Stage 1's split, must be the b0
+        # values bitwise
         base = dataclasses.replace(SystemConfig(), num_irs_elements=16)
         draws = [build_scenario(seed, config=base) for seed in range(3)]
         draws += [attainable_floor_scenario(seed, random_beams=rb)
@@ -429,7 +431,7 @@ class TestOptimizeReflection:
                 ee0, gamma0, psi0 = evaluate_reflection(
                     channels, plan_, beams_, stage1.beta, b0, cfg)
                 assert stage1.ee == ee0
-                assert np.array_equal(stage1.gamma, gamma0)
+                assert np.array_equal(sinr(gains_, stage1.beta, cfg)[0], gamma0)
                 assert np.array_equal(stage1.psi, psi0)
 
     def test_stage2_attainable_bytes_pinned(self):
