@@ -29,8 +29,15 @@ from .reflection import optimize_reflection
 
 METHODS = ("proposed", "conventional", "random-clustering", "random-pac",
            "stage1-only")
-# baselines that never run Stage 1: its infeasibility drops none of their trials
-_WITHOUT_STAGE1 = ("conventional", "random-pac")
+# the plan whose Stage-1 run each method builds on, by its index in a trial's
+# plan stack; the baselines absent here run no Stage 1, so its infeasibility
+# drops none of their trials
+_PLAN = {"proposed": 0, "stage1-only": 0, "random-clustering": 1}
+# the methods that run Stage 2 on their plan's Stage-1 split
+_STAGE2 = ("proposed", "random-clustering")
+# the record field that holds each plan's Stage-1 verdict, by plan index; a
+# trial without the random plan keeps that field's default, True
+_VERDICT = ("feasible", "random_plan_feasible")
 
 
 @dataclass
@@ -127,28 +134,20 @@ def _grid_config(config: SystemConfig, n: int, m: int) -> SystemConfig:
     return replace(config, num_irs_elements=n, num_bs_antennas=m)
 
 
-def _plan_views(beams: np.ndarray, gains: LinkGains,
-                count: int) -> list[tuple[np.ndarray, LinkGains]]:
-    """Each plan's beams and gains: views into a stack of ``count`` plans,
-    or a lone plan's own 2-D arrays."""
-    if count == 1:
-        return [(beams, gains)]
-    return [(beams[p], LinkGains(own_beam=gains.own_beam[p], cross_beam=gains.cross_beam[p]))
-            for p in range(count)]
-
-
 def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: int,
               trial: int, conventional_mode: str = "time-share") -> TrialRecord:
     """One paired-comparison trial at scenario (n, m).
 
-    Stage 1 runs on the main plan whatever the methods: its certificate is
-    the trial's feasibility verdict, which the CLI's feasible count and
-    ``convergence_stage1.csv`` report for every run. Stream 0 draws the
-    channels, 2 the random plan and 3 the random coefficients, each built
-    only when drawn from. Index 1 is unused: renumbering would change the
-    random baselines' draws. Both plans are drawn before either is built:
-    one call builds every plan's beams and one more its gains, bit for bit
-    the per-plan results.
+    Every plan the trial evaluates is drawn first: the clustered plan, and
+    random clustering's when requested. Their (P, I, K) stack, P = 1 or 2,
+    gets every plan's beams in one call and its gains in one more, bit for
+    bit the per-plan results, and each plan's gains are viewed apart once.
+    Stage 1 runs on every plan whatever the methods: the clustered plan's
+    certificate is the trial's feasibility verdict, which the CLI's feasible
+    count and ``convergence_stage1.csv`` report for every run. Each method
+    reads its plan from ``_PLAN``. Stream 0 draws the channels, 2 the random
+    plan and 3 the random coefficients, each built only when drawn from.
+    Index 1 is unused: renumbering would change the random baselines' draws.
     """
     cfg = _grid_config(config, n, m)
     key = [seed, n, m, trial]
@@ -164,44 +163,39 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     if "random-clustering" in methods:
         plans.append(random_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
                                  _stream(key, 2)))
-    # every plan's beams in one call and its gains in one more; a lone plan
-    # passes its own (I, K) members, so a one-plan trial stacks nothing
-    members = plans[0] if len(plans) == 1 else np.stack(plans)
+    members = np.array(plans)
     beams = build_zf_beamformers(effective[members[..., -1]])
-    views = _plan_views(beams, link_gains(effective, members, beams), len(plans))
-    beams, gains = views[0]
+    stacked = link_gains(effective, members, beams)
+    gains = [LinkGains(own_beam=stacked.own_beam[p], cross_beam=stacked.cross_beam[p])
+             for p in range(len(plans))]
+    stage1 = [allocate_power(plan_gains, cfg) for plan_gains in gains]
 
     record = TrialRecord(n=n, m=m, trial=trial)
-    stage1 = allocate_power(gains, cfg)
-    record.feasible = stage1.feasible
-    record.stage1_ee_trace = [tp.ee for tp in stage1.trace]
+    for name, result in zip(_VERDICT, stage1):
+        setattr(record, name, result.feasible)
+    record.stage1_ee_trace = [tp.ee for tp in stage1[0].trace]
 
     if "stage1-only" in methods:
-        record.ee["stage1-only"] = stage1.ee
-        record.ici["stage1-only"] = _far_user_ici(stage1.psi)
+        record.ee["stage1-only"] = stage1[0].ee
+        record.ici["stage1-only"] = _far_user_ici(stage1[0].psi)
 
-    if "proposed" in methods:
-        stage2 = optimize_reflection(channels, plans[0], beams, stage1, cfg)
-        record.stage2_ee_trace = [tp.ee for tp in stage2.trace]
-        record.ee["proposed"] = stage2.ee
-        record.ici["proposed"] = _far_user_ici(stage2.psi)
+    for method in [name for name in _STAGE2 if name in methods]:
+        plan = _PLAN[method]
+        stage2 = optimize_reflection(channels, members[plan], beams[plan],
+                                     stage1[plan], cfg)
+        record.ee[method] = stage2.ee
+        record.ici[method] = _far_user_ici(stage2.psi)
+        if method == "proposed":
+            record.stage2_ee_trace = [tp.ee for tp in stage2.trace]
 
     if "conventional" in methods:
-        ee_c, ici_c = conventional_bf_ee(gains, cfg, conventional_mode)
+        ee_c, ici_c = conventional_bf_ee(gains[0], cfg, conventional_mode)
         record.ee["conventional"] = ee_c
         record.ici["conventional"] = ici_c
 
-    if "random-clustering" in methods:
-        beams_r, gains_r = views[1]
-        stage1_r = allocate_power(gains_r, cfg)
-        record.random_plan_feasible = stage1_r.feasible
-        stage2_r = optimize_reflection(channels, plans[1], beams_r, stage1_r, cfg)
-        record.ee["random-clustering"] = stage2_r.ee
-        record.ici["random-clustering"] = _far_user_ici(stage2_r.psi)
-
     if "random-pac" in methods:
         beta_r = random_power_coefficients(cfg, _stream(key, 3))
-        gamma_r, psi_rp = sinr(gains, beta_r, cfg)
+        gamma_r, psi_rp = sinr(gains[0], beta_r, cfg)
         record.ee["random-pac"] = energy_efficiency(gamma_r, beta_r, cfg)
         record.ici["random-pac"] = _far_user_ici(psi_rp)
 
@@ -241,11 +235,7 @@ def _fmt(value: float) -> str:
 
 def _stage1_feasible(record: TrialRecord, method: str) -> bool:
     """Whether the Stage-1 run that ``method`` builds on met its constraints."""
-    if method in _WITHOUT_STAGE1:
-        return True
-    if method == "random-clustering":
-        return record.random_plan_feasible
-    return record.feasible
+    return method not in _PLAN or getattr(record, _VERDICT[_PLAN[method]])
 
 
 def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,

@@ -432,25 +432,40 @@ def test_bench_tracer_finds_every_layer(monkeypatch):
     assert (params[3], params[5]) == ("n", "trial")
 
 
-def test_bench_tracer_reads_a_traced_trial(monkeypatch):
-    # the bench's --trace 1 pass reads each Stage-1 result and fails a trial
-    # on a span's error: one all-methods trial, traced as the bench traces
-    # it, has no error, a rising Stage-1 trace per call, and one span per
-    # call the trial makes (both plans' beams and gains in one call each);
-    # tracing leaves the trial's record as an untraced run gives it
+def _traced_trial(monkeypatch, methods):
+    """The spans of one trial (seed 4243, N = 16) traced as the bench's
+    --trace 1 pass traces it, after checking that the bench reads no error
+    and no failed trial in them, and that tracing leaves the record as an
+    untraced run gives it."""
     tracing = _bench_tracing(monkeypatch)
     tracer = tracing.Tracer()
-    args = (SystemConfig(), list(METHODS), 4243, 16, 8, 0)
+    args = (SystemConfig(), methods, 4243, 16, 8, 0)
     with tracing.installed(tracer, experiments, sdp):
         traced = experiments.run_trial(*args)
     assert traced == run_trial(*args)
     assert not [span.name for span in tracer.spans if span.error]
-    stage1 = [span for span in tracer.spans if span.layer == "power_allocation"]
+    assert not tracing.failed_trials(tracer.spans)
+    return tracer.spans
+
+
+def test_bench_tracer_reads_a_traced_trial(monkeypatch):
+    # an all-methods trial has a rising Stage-1 trace per call and one span
+    # per call it makes (both plans' beams and gains in one call each)
+    spans = _traced_trial(monkeypatch, list(METHODS))
+    stage1 = [span for span in spans if span.layer == "power_allocation"]
     assert len(stage1) == 2 and all(span.attrs["trace_ok"] for span in stage1)
-    assert collections.Counter(span.layer for span in tracer.spans) == {
+    assert collections.Counter(span.layer for span in spans) == {
         "experiments": 1, "channel": 4, "clustering": 2, "beamforming": 1,
         "power_allocation": 2, "reflection": 2}
-    assert not tracing.failed_trials(tracer.spans)
+
+
+def test_bench_tracer_reads_a_traced_one_plan_trial(monkeypatch):
+    # the no-reflection workload's methods stack one plan: one Stage-1 run
+    # and no Stage 2
+    spans = _traced_trial(monkeypatch, ["stage1-only", "conventional", "random-pac"])
+    assert collections.Counter(span.layer for span in spans) == {
+        "experiments": 1, "channel": 4, "clustering": 1, "beamforming": 1,
+        "power_allocation": 1}
 
 
 def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):

@@ -5,7 +5,10 @@ strongest-user stack, and ``form_clusters`` masks one whole-pool gated
 matrix and grows a cluster with one argmax. The reference functions below
 are the per-cluster loop, the subset rebuild and the gate-relaxing growth
 loop they replaced, kept verbatim but for the clustering's last resorts,
-which take the lowest-indexed available users. The clustering must give
+which take the lowest-indexed available users. The subset rebuild keeps
+its own gated difference matrix and row-major argmax, so a change to the
+gate or the tie rule in ``irsnoma.clustering`` cannot move the reference
+with it; only ``correlation_matrix`` is shared. The clustering must give
 the same bits; the beams agree to 1e-13, since the pseudo-inverse rounds
 differently from the per-cluster projections, and raise the same error.
 """
@@ -20,8 +23,7 @@ from hypothesis import strategies as st
 from irsnoma.beamforming import NullSpaceError, build_zf_beamformers
 from irsnoma.channel import (draw_user_geometry, effective_channel,
                              synthesize_channels)
-from irsnoma.clustering import (_argmax_pair, build_difference_matrix,
-                                correlation_matrix, form_clusters, random_plan)
+from irsnoma.clustering import correlation_matrix, form_clusters, random_plan
 from irsnoma.config import SystemConfig
 
 from conftest import build_scenario
@@ -52,6 +54,22 @@ def _zf_reference(strong_channels):
     return vectors
 
 
+def _difference_reference(effective, threshold):
+    """Upper-triangular gain differences, zero where the correlation does
+    not clear ``threshold``."""
+    power = np.sum(np.abs(effective) ** 2, axis=1)
+    diff = power[:, None] - power[None, :]
+    gated = np.where(correlation_matrix(effective) > threshold, diff, 0.0)
+    return np.triu(gated, k=1)
+
+
+def _argmax_pair_reference(matrix):
+    # first max in row-major order, i.e. lowest (x, y) on ties
+    flat = int(np.argmax(np.abs(matrix)))
+    x, y = divmod(flat, matrix.shape[1])
+    return x, y, float(abs(matrix[x, y]))
+
+
 def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
                         counts):
     """Greedy clustering that rebuilds the gated matrix on the pool per cluster
@@ -74,8 +92,8 @@ def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
         gate = threshold
         pair = None
         while pair is None:
-            diff = build_difference_matrix(effective[pool], gate)
-            x, y, mag = _argmax_pair(diff)
+            diff = _difference_reference(effective[pool], gate)
+            x, y, mag = _argmax_pair_reference(diff)
             if mag > 0.0:
                 pair = (pool[x], pool[y])
             elif gate > 0.0:
