@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from irsnoma import clustering
-from irsnoma.clustering import (build_difference_matrix, correlation_matrix,
-                                form_clusters, random_plan)
+from irsnoma.clustering import correlation_matrix, form_clusters, random_plan
 
 from conftest import build_scenario
 
@@ -41,49 +42,56 @@ class TestCorrelation:
 
 
 class TestDifferenceMatrix:
+    """The correlation gate on the gain differences, read through the plan."""
+
     def test_threshold_one_gives_zero_matrix(self):
+        # no correlation clears 1, so the walk starts at the first relaxed
+        # gate, 0.95
         rng = np.random.default_rng(1)
         u = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        assert not build_difference_matrix(u, 1.0).any()
+        assert np.array_equal(form_clusters(u, 3, 2, 1.0), form_clusters(u, 3, 2, 0.95))
 
     def test_threshold_zero_populates_all_pairs(self):
+        # every pair of nonzero correlation clears a zero gate, so the plan
+        # pairs users by their gain difference alone
         rng = np.random.default_rng(2)
         u = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        diff = build_difference_matrix(u, 0.0)
         power = np.sum(np.abs(u) ** 2, axis=1)
-        for x in range(5):
-            for y in range(x + 1, 5):
-                assert diff[x, y] == pytest.approx(power[x] - power[y], rel=1e-12)
-        assert not np.tril(diff).any()
+        free, want = set(range(5)), []
+        for _ in range(2):
+            pair = max(itertools.combinations(sorted(free), 2),
+                       key=lambda p: abs(power[p[0]] - power[p[1]]))
+            want.append(sorted(pair, key=power.__getitem__))
+            free -= set(pair)
+        assert form_clusters(u, 2, 2, 0.0).tolist() == want
 
     def test_orthogonal_pairs_gated_out(self):
-        # two parallel pairs, cross pairs orthogonal: only (0,1) and (2,3) pass
+        # two parallel pairs, cross pairs orthogonal: only (0,1) and (2,3)
+        # pass, though (0,3) ties (2,3) for the largest difference
         u = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, 3.0]],
                      dtype=complex)
-        diff = build_difference_matrix(u, 0.5)
-        assert diff[0, 1] == pytest.approx(1.0 - 4.0)
-        assert diff[2, 3] == pytest.approx(1.0 - 9.0)
-        for x, y in [(0, 2), (0, 3), (1, 2), (1, 3)]:
-            assert diff[x, y] == 0.0
+        assert form_clusters(u, 1, 2, 0.5).tolist() == [[2, 3]]
+        assert form_clusters(u, 2, 2, 0.5).tolist() == [[2, 3], [0, 1]]
 
     def test_gate_property(self):
-        cfg, _, channels, _, _, _ = build_scenario(4)
+        cfg, _, channels, plan, _, _ = build_scenario(4)
         from irsnoma.channel import effective_channel
         u = effective_channel(channels.cascaded,
                               np.ones(cfg.num_irs_elements, complex))
-        diff = build_difference_matrix(u, 0.7)
         corr = correlation_matrix(u)
-        xs, ys = np.nonzero(diff)
-        assert np.all(corr[xs, ys] > 0.7)
+        assert np.all(corr[plan[:, 0], plan[:, 1]] > cfg.correlation_threshold)
 
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
-            build_difference_matrix(np.ones((1, 3), dtype=complex), 0.5)
+            form_clusters(np.ones((1, 3), dtype=complex), 1, 2, 0.5)
 
     def test_pool_mask_is_the_read_only_strict_upper_triangle(self):
         # one mask per pool size is shared by every plan of that size
         u = np.ones((7, 2), dtype=complex) * np.arange(1, 8)[:, None]
-        build_difference_matrix(u, 0.5)
+        clustering._upper.cache_clear()
+        form_clusters(u, 2, 2, 0.5)
+        form_clusters(u[::-1], 3, 2, 0.5)
+        assert clustering._upper.cache_info().misses == 1
         mask = clustering._upper(7)
         assert np.array_equal(mask, np.triu(np.ones((7, 7), dtype=bool), k=1))
         with pytest.raises(ValueError, match="read-only"):
@@ -110,6 +118,45 @@ class TestFormClusters:
         u = np.eye(5, dtype=complex)
         plan = form_clusters(u, 2, 2, 0.9)
         assert plan.tolist() == [[0, 1], [2, 3]]
+
+    @staticmethod
+    def _two_band_stack():
+        # two orthogonal blocks; no pair clears 0.9, the small-difference pair
+        # (0, 1) clears the first relaxed gate 0.85 and the large-difference
+        # pair (2, 3) only the second, 0.8
+        u = np.zeros((4, 4), dtype=complex)
+        u[0, 0] = u[2, 2] = 1.0
+        u[1, :2] = np.sqrt(1.5) * np.array([0.87, np.sqrt(1.0 - 0.87 ** 2)])
+        u[3, 2:] = np.sqrt(10.0) * np.array([0.82, np.sqrt(1.0 - 0.82 ** 2)])
+        return u
+
+    def test_gate_comes_before_magnitude(self):
+        # the stricter gate seeds first
+        u = self._two_band_stack()
+        assert form_clusters(u, 1, 2, 0.9).tolist() == [[0, 1]]
+        assert form_clusters(u, 2, 2, 0.9).tolist() == [[0, 1], [2, 3]]
+        # at a gate both clear, the larger difference seeds first
+        assert form_clusters(u, 1, 2, 0.8).tolist() == [[2, 3]]
+
+    def test_lower_gate_ranked_only_when_reached(self):
+        u = self._two_band_stack()
+        power = np.sum(np.abs(u) ** 2, axis=1)
+        walk = clustering._ranked_pairs(power, correlation_matrix(u), 0.9)
+        # the ladder's own float steps: 0.9 - 0.05 - 0.05 is 0.7999999999999999
+        assert next(walk) == (0, 1)
+        assert walk.gi_frame.f_locals["gate"] == 0.9 - 0.05
+        assert next(walk) == (2, 3)
+        assert walk.gi_frame.f_locals["gate"] == 0.9 - 0.05 - 0.05
+
+    def test_equal_differences_break_row_major(self):
+        # (0, 3) and (1, 2) are parallel pairs with the same difference 3,
+        # cross pairs orthogonal: the lower row seeds first, at the threshold
+        # and at a relaxed gate (parallel rows correlate at 1, not above it)
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0], [2.0, 0.0]],
+                     dtype=complex)
+        for threshold in (0.5, 1.0):
+            assert form_clusters(u, 1, 2, threshold).tolist() == [[0, 3]]
+            assert form_clusters(u, 2, 2, threshold).tolist() == [[0, 3], [1, 2]]
 
     def test_triple_cluster_growth(self):
         rng = np.random.default_rng(5)

@@ -1,16 +1,17 @@
 """The front end against the per-cluster code it replaced.
 
 ``build_zf_beamformers`` reads every beam from one pseudo-inverse of the
-strongest-user stack, and ``form_clusters`` masks one whole-pool gated
-matrix and grows a cluster with one argmax. The reference functions below
-are the per-cluster loop, the subset rebuild and the gate-relaxing growth
-loop they replaced, kept verbatim but for the clustering's last resorts,
-which take the lowest-indexed available users. The subset rebuild keeps
-its own gated difference matrix and row-major argmax, so a change to the
-gate or the tie rule in ``irsnoma.clustering`` cannot move the reference
-with it; only ``correlation_matrix`` is shared. The clustering must give
-the same bits; the beams agree to 1e-13, since the pseudo-inverse rounds
-differently from the per-cluster projections, and raise the same error.
+strongest-user stack, and ``form_clusters`` takes each cluster's pair from
+one walk down a single order of the whole pool's pairs and grows a cluster
+with one argmax. The reference functions below are the per-cluster loop,
+the subset rebuild and the gate-relaxing growth loop they replaced, kept
+verbatim but for the clustering's last resorts, which take the
+lowest-indexed available users. The subset rebuild keeps its own
+correlations, gated difference matrix and row-major argmax, so a change to
+the correlation, the gate ladder or the tie rule in ``irsnoma.clustering``
+cannot move the reference with it. The clustering must give the same bits;
+the beams agree to 1e-13, since the pseudo-inverse rounds differently from
+the per-cluster projections, and raise the same error.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from irsnoma.beamforming import NullSpaceError, build_zf_beamformers
 from irsnoma.channel import (draw_user_geometry, effective_channel,
                              synthesize_channels)
-from irsnoma.clustering import correlation_matrix, form_clusters, random_plan
+from irsnoma.clustering import form_clusters, random_plan
 from irsnoma.config import SystemConfig
 
 from conftest import build_scenario
@@ -54,12 +55,21 @@ def _zf_reference(strong_channels):
     return vectors
 
 
+def _correlation_reference(effective):
+    """All pairwise correlations of the (V, M) stack."""
+    conj = effective.conj()
+    norms = np.sqrt(np.add.reduce((conj * effective).real, axis=1))
+    if (norms == 0.0).any():
+        raise ValueError("correlation undefined for a zero channel vector")
+    return np.abs(conj @ effective.T) / (norms[:, None] * norms)
+
+
 def _difference_reference(effective, threshold):
     """Upper-triangular gain differences, zero where the correlation does
     not clear ``threshold``."""
     power = np.sum(np.abs(effective) ** 2, axis=1)
     diff = power[:, None] - power[None, :]
-    gated = np.where(correlation_matrix(effective) > threshold, diff, 0.0)
+    gated = np.where(_correlation_reference(effective) > threshold, diff, 0.0)
     return np.triu(gated, k=1)
 
 
@@ -80,7 +90,7 @@ def _clusters_reference(effective, num_clusters, users_per_cluster, threshold,
     """
     v = effective.shape[0]
     power = np.sum(np.abs(effective) ** 2, axis=1)
-    corr = correlation_matrix(effective)
+    corr = _correlation_reference(effective)
     available = np.ones(v, dtype=bool)
     members = np.zeros((num_clusters, users_per_cluster), dtype=int)
     if users_per_cluster == 1:
