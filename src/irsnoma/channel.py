@@ -27,14 +27,6 @@ class UserGeometry:
     bs_aod_rad: float                 # departure angle at the BS
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """Per-user channel draws; read-only and safe to share across workers."""
-
-    irs_user: np.ndarray   # (V, N)
-    cascaded: np.ndarray   # (V, N, M), row n = conj(h_n) * H[n, :]
-
-
 def array_response(angle_rad: float | np.ndarray, num_elements: int,
                    spacing_ratio: float = 0.5) -> np.ndarray:
     """ULA response: element e carries phase exp(-j 2 pi e (d/lambda) sin(angle)).
@@ -95,15 +87,15 @@ def _rician(rng: np.random.Generator, los: np.ndarray, factor: float,
 
 
 def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
-                        rng: np.random.Generator) -> ChannelSet:
+                        rng: np.random.Generator) -> np.ndarray:
     """Draw Rician BS-surface and surface-user channels and cascade them.
 
     Each link mixes a deterministic ULA outer-product line-of-sight term
     (weight delta/(1+delta)) with unit-variance complex Gaussian scatter
     (weight 1/(1+delta)), scaled by the distance path gain; the normal
-    draws are most of the cost. The BS-surface draw is scaled by conj(h)
-    in place, so a trial holds one (V, N, M) array; both arrays returned
-    are read-only.
+    draws are most of the cost. The BS-surface draw H is scaled by conj(h)
+    in place into the one array returned, the read-only (V, N, M) cascaded
+    channel with row n conj(h_n) H[n, :] per user.
     """
     n, m, v = config.num_irs_elements, config.num_bs_antennas, config.total_users
     sr = config.element_spacing_ratio
@@ -126,9 +118,8 @@ def synthesize_channels(config: SystemConfig, geometry: UserGeometry,
     # conj(h) stays the first operand: NumPy rounds the complex product's
     # imaginary part asymmetrically, so swapping the operands moves bits
     np.multiply(irs_user.conj()[:, :, None], cascaded, out=cascaded)
-    irs_user.flags.writeable = False
     cascaded.flags.writeable = False
-    return ChannelSet(irs_user=irs_user, cascaded=cascaded)
+    return cascaded
 
 
 def effective_channel(cascaded: np.ndarray, reflection: np.ndarray) -> np.ndarray:
@@ -142,22 +133,10 @@ def effective_channel(cascaded: np.ndarray, reflection: np.ndarray) -> np.ndarra
     return np.einsum("n,...nm->...m", reflection.conj(), cascaded)
 
 
-@dataclass(frozen=True)
-class LinkGains:
-    """Squared effective gains for a clustered, beamformed scenario.
-
-    ``own_beam[i, k]`` is |u_{i,k} f_i|^2 and ``cross_beam[i, k, j]`` is
-    |u_{i,k} f_j|^2. Users are indexed weakest-first inside each cluster.
-    A stack of plans puts its plan axes first.
-    """
-
-    own_beam: np.ndarray       # (..., I, K)
-    cross_beam: np.ndarray     # (..., I, K, I)
-
-
 def link_gains(effective: np.ndarray, members: np.ndarray,
-               beamformers: np.ndarray, check_order: bool = True) -> LinkGains:
-    """Collect |u f|^2 gains for cluster members against every beam.
+               beamformers: np.ndarray, check_order: bool = True) -> np.ndarray:
+    """The (I, K, I) squared gains |u_{i,k} f_j|^2 of cluster members against
+    every beam; ``own_beam`` views the own-beam gains j = i.
 
     ``effective`` is the (V, M) stack of effective channels, ``members``
     the (I, K) user indices sorted ascending by channel power, and
@@ -168,14 +147,19 @@ def link_gains(effective: np.ndarray, members: np.ndarray,
     against its own strongest member.
     """
     u = effective[members]                       # (..., I, K, M)
-    cross = np.abs(np.einsum("...ikm,...jm->...ikj", u, beamformers)) ** 2
-    own = np.einsum("...iki->...ik", cross).copy()
+    gains = np.abs(np.einsum("...ikm,...jm->...ikj", u, beamformers)) ** 2
     if __debug__ and check_order:
         power = np.add.reduce(np.abs(u) ** 2, axis=-1)
         scale = np.maximum.reduce(power, axis=(-2, -1), keepdims=True)
         if ((power[..., 1:] - power[..., :-1]) < -1e-12 * scale).any():
             raise AssertionError("cluster members must be sorted weakest-first")
-    return LinkGains(own_beam=own, cross_beam=cross)
+    return gains
+
+
+def own_beam(gains: np.ndarray) -> np.ndarray:
+    """The own-beam gains |u_{i,k} f_i|^2 of a (..., I, K, I) gain array,
+    (..., I, K): a view of its diagonal."""
+    return np.einsum("...iki->...ik", gains)
 
 
 def stronger_tail(beta: np.ndarray) -> np.ndarray:
@@ -183,18 +167,18 @@ def stronger_tail(beta: np.ndarray) -> np.ndarray:
     return np.add.accumulate(beta[:, ::-1], axis=1)[:, ::-1] - beta
 
 
-def sinr(gains: LinkGains, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+def sinr(gains: np.ndarray, beta: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Post-SIC SINR of every user and the interference term it saw, (I, K).
 
     User k in a cluster decodes after the weaker ones are cancelled, so the
     remaining in-beam interference stems from the stronger users l > k.
     """
     p = config.cluster_power_w
+    own = own_beam(gains)
     radiated = p * beta.sum(axis=1)
-    psi = (np.einsum("ikj,j->ik", gains.cross_beam, radiated)
-           - gains.own_beam * radiated[:, None])
-    den = p * stronger_tail(beta) * gains.own_beam + psi + config.noise_power_w
-    return p * beta * gains.own_beam / den, psi
+    psi = np.einsum("ikj,j->ik", gains, radiated) - own * radiated[:, None]
+    den = p * stronger_tail(beta) * own + psi + config.noise_power_w
+    return p * beta * own / den, psi
 
 
 def cluster_rates_and_power(gamma: np.ndarray, beta: np.ndarray,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .beamforming import build_zf_beamformers
-from .channel import (LinkGains, draw_user_geometry, effective_channel,
-                      energy_efficiency, link_gains, sinr, synthesize_channels)
+from .channel import (draw_user_geometry, effective_channel, energy_efficiency,
+                      link_gains, own_beam, sinr, synthesize_channels)
 from .clustering import form_clusters, random_plan
 from .config import SystemConfig
 from .power_allocation import allocate_power
@@ -90,18 +90,20 @@ def _far_user_ici(psi: np.ndarray) -> float:
     return float(np.add.reduce(psi[:, 0]) / psi.shape[0])
 
 
-def conventional_bf_ee(gains: LinkGains, config: SystemConfig,
+def conventional_bf_ee(gains: np.ndarray, config: SystemConfig,
                        mode: str = "time-share") -> tuple[float, float]:
     """Orthogonal benchmark: each beam serves its users without superposition.
 
     "time-share" gives each of the K users a 1/K duty cycle at full beam
     power; "single-user" dedicates the beam to its strongest user. Power
     accounting matches the proposed scheme (radiated plus circuit power).
-    Returns (efficiency, far-user interference).
+    ``gains`` is one plan's (I, K, I) array from ``link_gains``. Returns
+    (efficiency, far-user interference).
     """
     p = config.cluster_power_w
-    psi_full = np.einsum("ikj->ik", gains.cross_beam) * p - gains.own_beam * p
-    snr = p * gains.own_beam / (psi_full + config.noise_power_w)
+    own = own_beam(gains)
+    psi_full = np.einsum("ikj->ik", gains) * p - own * p
+    snr = p * own / (psi_full + config.noise_power_w)
     if mode == "time-share":
         rates = config.bandwidth_hz * np.add.reduce(np.log2(1.0 + snr), axis=1) / snr.shape[1]
     elif mode == "single-user":
@@ -140,8 +142,8 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
 
     Every plan the trial evaluates is drawn first: the clustered plan, and
     random clustering's when requested. Their (P, I, K) stack, P = 1 or 2,
-    gets every plan's beams in one call and its gains in one more, bit for
-    bit the per-plan results, and each plan's gains are viewed apart once.
+    gets every plan's beams in one call and its (P, I, K, I) gains in one
+    more, bit for bit the per-plan results; each stage reads a plan's row.
     Stage 1 runs on every plan whatever the methods: the clustered plan's
     certificate is the trial's feasibility verdict, which the CLI's feasible
     count and ``convergence_stage1.csv`` report for every run. Each method
@@ -154,9 +156,9 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     rng_channel = _stream(key, 0)
 
     geometry = draw_user_geometry(cfg, rng_channel)
-    channels = synthesize_channels(cfg, geometry, rng_channel)
+    cascaded = synthesize_channels(cfg, geometry, rng_channel)
     b0 = np.ones(cfg.num_irs_elements, dtype=complex)
-    effective = effective_channel(channels.cascaded, b0)
+    effective = effective_channel(cascaded, b0)
 
     plans = [form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
                            cfg.correlation_threshold)]
@@ -165,9 +167,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
                                  _stream(key, 2)))
     members = np.array(plans)
     beams = build_zf_beamformers(effective[members[..., -1]])
-    stacked = link_gains(effective, members, beams)
-    gains = [LinkGains(own_beam=stacked.own_beam[p], cross_beam=stacked.cross_beam[p])
-             for p in range(len(plans))]
+    gains = link_gains(effective, members, beams)
     stage1 = [allocate_power(plan_gains, cfg) for plan_gains in gains]
 
     record = TrialRecord(n=n, m=m, trial=trial)
@@ -181,7 +181,7 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
 
     for method in [name for name in _STAGE2 if name in methods]:
         plan = _PLAN[method]
-        stage2 = optimize_reflection(channels, members[plan], beams[plan],
+        stage2 = optimize_reflection(cascaded, members[plan], beams[plan],
                                      stage1[plan], cfg)
         record.ee[method] = stage2.ee
         record.ici[method] = _far_user_ici(stage2.psi)
@@ -277,7 +277,8 @@ def _convergence_rows(records: list[TrialRecord], spec: ExperimentSpec,
 
 def emit_results(records: list[TrialRecord], spec: ExperimentSpec,
                  config: SystemConfig) -> dict[str, str]:
-    """Write summary, convergence, interference CSVs plus manifest and plot script."""
+    """Write the summary, interference and convergence CSVs and the manifest;
+    returns each file's path by name."""
     if not records:
         raise ValueError("no records to emit")
     os.makedirs(spec.out_dir, exist_ok=True)
@@ -310,83 +311,4 @@ def emit_results(records: list[TrialRecord], spec: ExperimentSpec,
     digest = hashlib.sha256("\n".join(manifest).encode()).hexdigest()
     manifest += ["", f"content_sha256 = {digest}"]
     write("manifest.txt", manifest)
-
-    write("plot_results.py", _PLOT_SCRIPT.splitlines())
     return paths
-
-
-_PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Plot the simulator CSVs found next to this script."""
-import csv
-import os
-import sys
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def load(name):
-    with open(os.path.join(HERE, name)) as fh:
-        return list(csv.DictReader(fh))
-
-
-def grouped(rows, value_key):
-    by_method = {}
-    for row in rows:
-        if row[value_key] == "NA":
-            continue
-        by_method.setdefault(row["method"], []).append(
-            (int(row["N"]), float(row[value_key])))
-    return by_method
-
-
-def line_plot(by_method, ylabel, out):
-    fig, ax = plt.subplots()
-    for method, pts in sorted(by_method.items()):
-        pts.sort()
-        ax.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=method)
-    ax.set_xlabel("reflecting elements N")
-    ax.set_ylabel(ylabel)
-    ax.grid(True, alpha=0.4)
-    ax.legend()
-    fig.savefig(os.path.join(HERE, out), dpi=150, bbox_inches="tight")
-    plt.close(fig)
-
-
-def convergence_plot(name, out):
-    rows = load(name)
-    fig, ax = plt.subplots()
-    by_n = {}
-    for row in rows:
-        by_n.setdefault(int(row["N"]), []).append(
-            (int(row["iteration"]), float(row["mean_ee"])))
-    for n, pts in sorted(by_n.items()):
-        pts.sort()
-        ax.plot([p[0] for p in pts], [p[1] for p in pts], marker=".",
-                label=f"N={n}")
-    ax.set_xlabel("iteration")
-    ax.set_ylabel("mean energy efficiency (bits/J)")
-    ax.grid(True, alpha=0.4)
-    ax.legend()
-    fig.savefig(os.path.join(HERE, out), dpi=150, bbox_inches="tight")
-    plt.close(fig)
-
-
-def main():
-    line_plot(grouped(load("summary.csv"), "mean_ee"),
-              "mean energy efficiency (bits/J)", "ee_vs_n.png")
-    line_plot(grouped(load("ici.csv"), "mean_ici"),
-              "far-user interference (W)", "ici_vs_n.png")
-    for name, out in (("convergence_stage1.csv", "convergence_stage1.png"),
-                      ("convergence_stage2.csv", "convergence_stage2.png")):
-        if os.path.exists(os.path.join(HERE, name)):
-            convergence_plot(name, out)
-    print("plots written to", HERE)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''

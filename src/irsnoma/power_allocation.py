@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import LinkGains, energy_efficiency, sinr
+from .channel import energy_efficiency, own_beam, sinr
 from .config import SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -103,13 +103,13 @@ class _Problem:
     """One Stage-1 instance: each user's interference as a linear map of
     the per-cluster totals, and the floor's bounds on the levels."""
 
-    def __init__(self, gains: LinkGains, config: SystemConfig) -> None:
+    def __init__(self, gains: np.ndarray, config: SystemConfig) -> None:
         self.config = config
-        self.shape = clusters, users = gains.own_beam.shape          # (I, K)
+        self.shape = clusters, users = gains.shape[:-1]               # (I, K)
         self.layout = _layout(clusters, users, config.min_sinr)
-        self.pg = config.cluster_power_w * gains.own_beam
+        self.pg = config.cluster_power_w * own_beam(gains)
         self.inflow = np.zeros((*self.shape, self.pg.size))  # c - sigma^2 over the levels
-        np.multiply(config.cluster_power_w, gains.cross_beam, out=self.inflow[..., ::users],
+        np.multiply(config.cluster_power_w, gains, out=self.inflow[..., ::users],
                     where=self.layout.others)
         self.high = config.max_power_w / config.cluster_power_w
 
@@ -293,9 +293,10 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
     return x, steps, converged, residual, trace
 
 
-def allocate_power(gains: LinkGains, config: SystemConfig, *,
+def allocate_power(gains: np.ndarray, config: SystemConfig, *,
                    max_iterations: int = 100) -> Stage1Result:
-    """Certify the floor, then maximize the efficiency by ``_ascend``.
+    """Certify the floor, then maximize the efficiency by ``_ascend``, on
+    one plan's (I, K, I) ``gains`` from ``link_gains``.
 
     An attainable floor is searched over its polyhedron from its least
     levels, lifted to a tenth of the budget where that keeps the floor; an

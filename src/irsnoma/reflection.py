@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .channel import (ChannelSet, effective_channel, energy_efficiency,
-                      link_gains, sinr, stronger_tail)
+from .channel import (effective_channel, energy_efficiency, link_gains, sinr,
+                      stronger_tail)
 from .config import SystemConfig
 from .power_allocation import LN2, Stage1Result
 
@@ -54,11 +54,12 @@ def _unit_frobenius(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mats / scale[:, None, None], scale
 
 
-def sinr_lifts(channels: ChannelSet, members: np.ndarray, beams: np.ndarray,
+def sinr_lifts(cascaded: np.ndarray, members: np.ndarray, beams: np.ndarray,
                beta: np.ndarray,
                config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The lifted SINR of every user of the (I, K) ``members`` under the
-    (I, M) ``beams`` and the split ``beta``, as (I, K, N, N) stacks.
+    (I, M) ``beams`` and the split ``beta``, as (I, K, N, N) stacks, from
+    the (V, N, M) ``cascaded`` channel.
 
     With w = W_{i,k} f_j, the cascaded channel of cluster i's user k
     through beam j, |b^H w|^2 = tr(B w w^H). Returns (own, num, den):
@@ -67,8 +68,7 @@ def sinr_lifts(channels: ChannelSet, members: np.ndarray, beams: np.ndarray,
     leakage, so that gamma = tr(B num) / (tr(B den) + sigma^2).
     """
     p = config.cluster_power_w
-    cascaded = channels.cascaded[members]                 # (I, K, N, M)
-    omega = np.einsum("iknm,jm->ikjn", cascaded, beams)
+    omega = np.einsum("iknm,jm->ikjn", cascaded[members], beams)
     lifts = omega[..., :, None] * omega[..., None, :].conj()   # (I, K, I, N, N)
     clusters = np.arange(beta.shape[0])
     own = lifts[clusters, :, clusters]
@@ -169,12 +169,12 @@ class ReflectionResult:
     trace: list[Stage2TracePoint] = field(default_factory=list)
 
 
-def evaluate_reflection(channels: ChannelSet, members: np.ndarray,
+def evaluate_reflection(cascaded: np.ndarray, members: np.ndarray,
                         beams: np.ndarray, beta: np.ndarray,
                         reflection: np.ndarray,
                         config: SystemConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """True vector-domain efficiency, SINRs and interference at a reflection."""
-    effective = effective_channel(channels.cascaded, reflection)
+    effective = effective_channel(cascaded, reflection)
     gains = link_gains(effective, members, beams, check_order=False)
     gamma, psi = sinr(gains, beta, config)
     return energy_efficiency(gamma, beta, config), gamma, psi
@@ -202,7 +202,7 @@ def _relaxed_ee(own: np.ndarray, den: np.ndarray, b_mat: np.ndarray,
     return energy_efficiency(num / dval, beta, config)
 
 
-def optimize_reflection(channels: ChannelSet, members: np.ndarray,
+def optimize_reflection(cascaded: np.ndarray, members: np.ndarray,
                         beams: np.ndarray, stage1: Stage1Result,
                         config: SystemConfig) -> ReflectionResult:
     """Run the Stage-2 loop and extract a unit-modulus reflection vector.
@@ -238,7 +238,7 @@ def optimize_reflection(channels: ChannelSet, members: np.ndarray,
                                 fallback=True, converged=False, iterations=0,
                                 exact_penalty=0.0, trace=[])
 
-    own, num, den = sinr_lifts(channels, members, beams, stage1.beta, config)
+    own, num, den = sinr_lifts(cascaded, members, beams, stage1.beta, config)
     constraints = floor_constraints(num, den, config)
 
     eta = 0.0
@@ -296,7 +296,7 @@ def optimize_reflection(channels: ChannelSet, members: np.ndarray,
     # it must meet the floor, and efficiency may never drop below ee0
     eigvals, eigvecs = np.linalg.eigh(anchor)
     reflection = np.exp(1j * np.angle(eigvecs[:, -1]))
-    ee, gamma, psi = evaluate_reflection(channels, members, beams, stage1.beta,
+    ee, gamma, psi = evaluate_reflection(cascaded, members, beams, stage1.beta,
                                          reflection, config)
     violation = float(np.max(1.0 - gamma / config.min_sinr, initial=0.0))
     fallback = not (violation <= 1e-9 and ee >= ee0)

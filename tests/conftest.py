@@ -26,9 +26,9 @@ def build_scenario(seed, config=None, random_beams=False):
     cfg = config or SystemConfig()
     rng = np.random.default_rng(seed)
     geometry = draw_user_geometry(cfg, rng)
-    channels = synthesize_channels(cfg, geometry, rng)
+    cascaded = synthesize_channels(cfg, geometry, rng)
     b0 = np.ones(cfg.num_irs_elements, dtype=complex)
-    effective = effective_channel(channels.cascaded, b0)
+    effective = effective_channel(cascaded, b0)
     plan = form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
                          cfg.correlation_threshold)
     if random_beams:
@@ -38,14 +38,14 @@ def build_scenario(seed, config=None, random_beams=False):
     else:
         beams = build_zf_beamformers(effective[plan[:, -1]])
     gains = link_gains(effective, plan, beams)
-    return cfg, rng, channels, plan, beams, gains
+    return cfg, rng, cascaded, plan, beams, gains
 
 
 def solver_free_floor(gains, cfg):
     """Half the smallest SINR of the decode-order split at the full per-beam
     budget: a floor that split meets, set without running Stage 1."""
-    full = np.full(gains.own_beam.shape, cfg.max_power_w / cfg.cluster_power_w
-                   / gains.own_beam.shape[1])
+    full = np.full(gains.shape[:-1], cfg.max_power_w / cfg.cluster_power_w
+                   / gains.shape[1])
     gamma, _ = sinr(gains, decode_order_split(full, cfg.min_sinr), cfg)
     return 0.5 * float(gamma.min())
 
@@ -58,7 +58,7 @@ def attainable_floor_scenario(seed, num_irs_elements=16, random_beams=True):
     limited below the 3 dB floor there). The floor is ``solver_free_floor``.
     """
     base = dataclasses.replace(SystemConfig(), num_irs_elements=num_irs_elements)
-    cfg, rng, channels, plan, beams, gains = build_scenario(
+    cfg, rng, cascaded, plan, beams, gains = build_scenario(
         seed, config=base, random_beams=random_beams)
     cfg = dataclasses.replace(cfg, min_sinr=solver_free_floor(gains, cfg))
-    return cfg, rng, channels, plan, beams, gains
+    return cfg, rng, cascaded, plan, beams, gains

@@ -89,7 +89,7 @@ def _ee_grid_oracle(gains, cfg, resolution=400):
     p, bw = cfg.cluster_power_w, cfg.bandwidth_hz
     axis = np.linspace(0.0, 1.0, resolution + 1)[1:]
     b1, b2 = np.meshgrid(axis, axis, indexing="ij")
-    g = gains.own_beam[0]
+    g = gains[0, :, 0]
     noise = cfg.noise_power_w
     gamma1 = p * b1 * g[0] / (p * b2 * g[0] + noise)
     gamma2 = p * b2 * g[1] / noise
@@ -167,11 +167,11 @@ def test_criterion_5_dc_gradient_and_majorization():
     checks = 0
     seed = 0
     while checks < 100:
-        cfg, _, channels, plan, beams, gains = build_scenario(
+        cfg, _, cascaded, plan, beams, gains = build_scenario(
             seed % 20, random_beams=bool(seed % 2))
         seed += 1
         stage1 = allocate_power(gains, cfg)
-        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
         n = cfg.num_irs_elements
         for _ in range(5):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -193,9 +193,9 @@ def test_criterion_5_dc_gradient_and_majorization():
 
     # the surrogate the solver maximizes rises no more than the summed rate
     # from its anchor, over 1e3 random feasible points
-    cfg, _, channels, plan, beams, gains = build_scenario(0)
+    cfg, _, cascaded, plan, beams, gains = build_scenario(0)
     stage1 = allocate_power(gains, cfg)
-    _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+    _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
     n = cfg.num_irs_elements
     anchor = np.outer(np.ones(n), np.ones(n)).astype(complex)
     problem, _ = surrogate_problem(anchor, num, den, None, cfg, eta=0.0)
@@ -245,13 +245,13 @@ def floor_attainable_runs():
     runs = []
     seed = 0
     while len(runs) < 100 and seed < 400:
-        cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+        cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
             seed, num_irs_elements=16, random_beams=True)
         seed += 1
         stage1 = allocate_power(gains, cfg)
         if not stage1.feasible:
             continue
-        result = optimize_reflection(channels, plan, beams, stage1, cfg)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         runs.append((stage1, result))
     return runs
 
@@ -341,13 +341,13 @@ def test_criterion_10_convergence_counts(trend_records):
         counts = []
         seed = 500
         while len(counts) < 15 and seed < 800:
-            cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+            cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, num_irs_elements=n, random_beams=True)
             seed += 1
             stage1 = allocate_power(gains, cfg)
             if not stage1.feasible:
                 continue
-            result = optimize_reflection(channels, plan, beams, stage1, cfg)
+            result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
             if result.trace:
                 counts.append(_iterations_to_settle(
                     [tp.ee for tp in result.trace]))

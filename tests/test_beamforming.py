@@ -61,14 +61,14 @@ def test_degenerate_stack_names_cluster():
 
 def test_strong_users_see_no_interference_weak_users_do():
     cfg, _, _, _, _, gains = build_scenario(0)
-    beta = np.full(gains.own_beam.shape, 0.3)
+    beta = np.full(gains.shape[:-1], 0.3)
     _, psi = sinr(gains, beta, cfg)
     # leakage per term at the shaping user is numerically zero
-    num_clusters = gains.own_beam.shape[0]
+    num_clusters = gains.shape[0]
     for i in range(num_clusters):
         for j in range(num_clusters):
             if j != i:
-                assert gains.cross_beam[i, -1, j] < 1e-16
+                assert gains[i, -1, j] < 1e-16
     assert np.all(psi[:, -1] < 1e-15)
     assert np.any(psi[:, 0] > 0.0)
 
@@ -93,8 +93,8 @@ def _plan_stacks():
     configs.append(dataclasses.replace(SystemConfig(), num_clusters=9, num_bs_antennas=12))
     for cfg in configs:
         for seed in range(3):
-            _, rng, channels, plan, _, _ = build_scenario(seed, config=cfg)
-            effective = effective_channel(channels.cascaded,
+            _, rng, cascaded, plan, _, _ = build_scenario(seed, config=cfg)
+            effective = effective_channel(cascaded,
                                           np.ones(cfg.num_irs_elements, dtype=complex))
             members = [plan] + [
                 random_plan(effective, cfg.num_clusters, cfg.users_per_cluster, rng)
@@ -122,8 +122,7 @@ class TestPlanAxis:
                     gains = link_gains(effective, members[:plans], beams)
                     for p in range(plans):
                         alone = link_gains(effective, members[p], beams[p])
-                        _same_bytes(gains.own_beam[p], alone.own_beam)
-                        _same_bytes(gains.cross_beam[p], alone.cross_beam)
+                        _same_bytes(gains[p], alone)
                 for p in range(plans):
                     _same_bytes(zf[p], build_zf_beamformers(strong[p]))
 

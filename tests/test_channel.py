@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import irsnoma
-from irsnoma.channel import (LinkGains, _rician, array_response,
+from irsnoma.channel import (_rician, array_response,
                              cluster_rates_and_power, draw_user_geometry,
                              effective_channel, energy_efficiency, link_gains,
-                             path_gain, sinr, synthesize_channels)
+                             own_beam, path_gain, sinr, synthesize_channels)
 from irsnoma.config import SystemConfig
 
 from conftest import build_scenario
@@ -93,7 +93,7 @@ class TestSynthesis:
         geo = draw_user_geometry(cfg, rng)
         replay = np.random.default_rng()
         replay.bit_generator.state = rng.bit_generator.state
-        ch = synthesize_channels(cfg, geo, rng)
+        cascaded = synthesize_channels(cfg, geo, rng)
         los = np.outer(array_response(geo.irs_aoa_rad, n).conj(),
                        array_response(geo.bs_aod_rad, m))
         h_bs = _rician(replay, los, cfg.rician_bs_irs,
@@ -104,32 +104,30 @@ class TestSynthesis:
                               cfg.ref_distance_m, cfg.pathloss_exp_irs_user)
         h_user = _rician(replay, array_response(geo.irs_user_aod_rad, n),
                          cfg.rician_irs_user, gain_user[:, None], (v, n))
-        assert np.array_equal(ch.irs_user, h_user)
-        assert np.array_equal(ch.cascaded, h_user.conj()[:, :, None] * h_bs)
+        assert np.array_equal(cascaded, h_user.conj()[:, :, None] * h_bs)
 
-    def test_arrays_are_read_only(self):
+    def test_cascaded_is_read_only(self):
         cfg = dataclasses.replace(SystemConfig(), total_users=10)
         rng = np.random.default_rng(9)
-        ch = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
-        for array in (ch.irs_user, ch.cascaded):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
+        cascaded = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
+        with pytest.raises(ValueError, match="read-only"):
+            cascaded[0, 0] = 0.0
 
     def test_synthesis_bytes_pinned(self):
-        # every byte of the two channel arrays over 90 draws; the digest
-        # was computed on the code from before the BS-surface draw was
-        # cascaded in place, so that change moved no byte. A change that
-        # moves these bytes on purpose updates it
+        # every byte of the cascaded channel over 90 draws. The digest was
+        # re-recorded when synthesis stopped returning the surface-user draw
+        # h; with h replayed from the generator beside it, the earlier
+        # digest over both arrays still held. A change that moves these
+        # bytes on purpose updates it
         digest = hashlib.sha256()
         for n in (16, 32, 64):
             cfg = dataclasses.replace(SystemConfig(), num_irs_elements=n)
             for seed in range(30):
                 rng = np.random.default_rng(seed)
-                ch = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
-                for array in (ch.irs_user, ch.cascaded):
-                    digest.update(array.tobytes())
+                cascaded = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
+                digest.update(cascaded.tobytes())
         assert digest.hexdigest() == (
-            "6208313278b72059e3388ce12af2028310b1ee574563906a494468887e06a663")
+            "e101c5f42ee50d87956960358968e1376a74b709f430e06f10a16f0e017dd620")
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap trimming measured is glibc's")
@@ -204,8 +202,7 @@ def _scalar_sinr_oracle(k, i, beta, own, cross, p, noise):
 
 class TestSinr:
     def test_single_user_single_cluster(self):
-        gains = LinkGains(own_beam=np.array([[2.0]]),
-                          cross_beam=np.array([[[2.0]]]))
+        gains = np.array([[[2.0]]])
         cfg = dataclasses.replace(SystemConfig(), num_clusters=1,
                                   users_per_cluster=1, total_users=1,
                                   num_bs_antennas=2)
@@ -216,9 +213,9 @@ class TestSinr:
 
     def test_strongest_user_has_no_intra_term(self):
         cfg, _, _, _, _, gains = build_scenario(0)
-        beta = np.full(gains.own_beam.shape, 0.3)
+        beta = np.full(gains.shape[:-1], 0.3)
         gamma, psi = sinr(gains, beta, cfg)
-        expected = (cfg.cluster_power_w * 0.3 * gains.own_beam[:, -1]
+        expected = (cfg.cluster_power_w * 0.3 * own_beam(gains)[:, -1]
                     / (psi[:, -1] + cfg.noise_power_w))
         np.testing.assert_allclose(gamma[:, -1], expected, rtol=1e-12)
 
@@ -229,11 +226,10 @@ class TestSinr:
         cross[0, :, 0] = own[0]
         cross[1, :, 1] = own[1]
         beta = np.array([[0.6, 0.2], [0.5, 0.3]])
-        gains = LinkGains(own_beam=own, cross_beam=cross)
         cfg = dataclasses.replace(SystemConfig(), num_clusters=2,
                                   users_per_cluster=2, total_users=4,
                                   num_bs_antennas=4)
-        gamma, _ = sinr(gains, beta, cfg)
+        gamma, _ = sinr(cross, beta, cfg)
         for i in range(2):
             for k in range(2):
                 oracle = _scalar_sinr_oracle(k, i, beta, own, cross,
@@ -243,15 +239,15 @@ class TestSinr:
 
     def test_denominator_stays_above_noise(self):
         cfg, _, _, _, _, gains = build_scenario(1)
-        beta = np.full(gains.own_beam.shape, 0.4)
+        beta = np.full(gains.shape[:-1], 0.4)
         gamma, psi = sinr(gains, beta, cfg)
-        num = cfg.cluster_power_w * beta * gains.own_beam
+        num = cfg.cluster_power_w * beta * own_beam(gains)
         assert np.all(num / gamma >= cfg.noise_power_w * (1 - 1e-12))
 
     def test_sorting_contract_enforced(self):
-        cfg, _, channels, plan, beams, _ = build_scenario(2)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(2)
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
-        effective = effective_channel(channels.cascaded, b0)
+        effective = effective_channel(cascaded, b0)
         flipped = plan[:, ::-1]
         with pytest.raises(AssertionError):
             link_gains(effective, flipped, beams)
@@ -304,12 +300,12 @@ class TestRatesAndPower:
         assert powers[0] == pytest.approx(cfg.circuit_power_w)
 
     def test_objective_invariant_under_common_reflection_phase(self):
-        cfg, _, channels, plan, beams, _ = build_scenario(3)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(3)
         beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
         values = []
         for theta in (0.0, 1.1):
             b = np.exp(1j * theta) * np.ones(cfg.num_irs_elements)
-            eff = effective_channel(channels.cascaded, b)
+            eff = effective_channel(cascaded, b)
             gains = link_gains(eff, plan, beams)
             gamma, _ = sinr(gains, beta, cfg)
             values.append(energy_efficiency(gamma, beta, cfg))

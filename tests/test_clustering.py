@@ -74,10 +74,9 @@ class TestDifferenceMatrix:
         assert form_clusters(u, 2, 2, 0.5).tolist() == [[2, 3], [0, 1]]
 
     def test_gate_property(self):
-        cfg, _, channels, plan, _, _ = build_scenario(4)
+        cfg, _, cascaded, plan, _, _ = build_scenario(4)
         from irsnoma.channel import effective_channel
-        u = effective_channel(channels.cascaded,
-                              np.ones(cfg.num_irs_elements, complex))
+        u = effective_channel(cascaded, np.ones(cfg.num_irs_elements, complex))
         corr = correlation_matrix(u)
         assert np.all(corr[plan[:, 0], plan[:, 1]] > cfg.correlation_threshold)
 
@@ -168,7 +167,7 @@ class TestFormClusters:
         assert np.all(np.diff(ordered) >= 0)
 
     def test_plan_invariants(self):
-        cfg, _, channels, plan, _, _ = build_scenario(6)
+        cfg, _, cascaded, plan, _, _ = build_scenario(6)
         members = plan.ravel()
         assert len(set(members.tolist())) == members.size
         assert members.size == cfg.num_clusters * cfg.users_per_cluster
@@ -188,9 +187,8 @@ class TestFormClusters:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             geo = draw_user_geometry(cfg, rng)
-            ch = synthesize_channels(cfg, geo, rng)
-            u = effective_channel(ch.cascaded,
-                                  np.ones(cfg.num_irs_elements, complex))
+            cascaded = synthesize_channels(cfg, geo, rng)
+            u = effective_channel(cascaded, np.ones(cfg.num_irs_elements, complex))
             corr = correlation_matrix(u)
             greedy = form_clusters(u, cfg.num_clusters, cfg.users_per_cluster,
                                    cfg.correlation_threshold)

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from irsnoma.channel import sinr
+from irsnoma.channel import own_beam, sinr
 from irsnoma import experiments, sdp
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
@@ -92,9 +92,10 @@ class TestConventionalBaseline:
         cfg, _, _, _, _, gains = build_scenario(1)
         ee, _ = conventional_bf_ee(gains, cfg, "time-share")
         p = cfg.cluster_power_w
-        psi = np.einsum("ikj->ik", gains.cross_beam) * p - gains.own_beam * p
+        own = own_beam(gains)
+        psi = np.einsum("ikj->ik", gains) * p - own * p
         rates = (cfg.bandwidth_hz / 2.0) * np.log2(
-            1 + p * gains.own_beam / (psi + cfg.noise_power_w)).sum(axis=1)
+            1 + p * own / (psi + cfg.noise_power_w)).sum(axis=1)
         expected = float(np.sum(rates / (p + cfg.circuit_power_w)))
         assert ee == pytest.approx(expected, rel=1e-12)
 
@@ -102,9 +103,10 @@ class TestConventionalBaseline:
         cfg, _, _, _, _, gains = build_scenario(2)
         ee, _ = conventional_bf_ee(gains, cfg, "single-user")
         p = cfg.cluster_power_w
-        psi = np.einsum("ikj->ik", gains.cross_beam) * p - gains.own_beam * p
+        own = own_beam(gains)
+        psi = np.einsum("ikj->ik", gains) * p - own * p
         rates = cfg.bandwidth_hz * np.log2(
-            1 + p * gains.own_beam[:, -1] / (psi[:, -1] + cfg.noise_power_w))
+            1 + p * own[:, -1] / (psi[:, -1] + cfg.noise_power_w))
         expected = float(np.sum(rates / (p + cfg.circuit_power_w)))
         assert ee == pytest.approx(expected, rel=1e-12)
 
@@ -336,15 +338,18 @@ class TestEmitResults:
             assert rows[1] == f"random-clustering,8,6,{clustered:.12g},0,1,1", name
             assert rows[2] == f"stage1-only,8,6,{stage1:.12g},0,1,1", name
 
-    def test_manifest_and_plot_script_written(self, tmp_path):
+    def test_writes_exactly_the_csvs_and_manifest(self, tmp_path):
         cfg = small_config()
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
         records = run_experiment(cfg, spec)
         paths = emit_results(records, spec, cfg)
+        names = ["convergence_stage1.csv", "convergence_stage2.csv", "ici.csv",
+                 "manifest.txt", "summary.csv"]
+        assert sorted(os.listdir(tmp_path)) == names
+        assert paths == {name: os.path.join(str(tmp_path), name) for name in names}
         manifest = pathlib.Path(paths["manifest.txt"]).read_text()
         assert "content_sha256" in manifest
         assert "num_irs_elements" in manifest
-        assert os.path.exists(paths["plot_results.py"])
 
     def test_empty_records_rejected(self, tmp_path):
         spec = small_spec(tmp_path, methods=["conventional"])
@@ -409,13 +414,33 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
+def _bench_module(monkeypatch, name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)    # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_tracing(monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)   # for its dataclasses
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _bench_module(monkeypatch, "tracing")
+
+
+@pytest.mark.parametrize("workload", ["reference", "no-reflection"])
+def test_bench_pass_runs(monkeypatch, tmp_path, workload):
+    # one trial per N of the bench's own pass, built as bench/run_bench.py
+    # builds it: the CLI flags its set-up reads, the record fields its
+    # checks read and the paths emit_results returns. Its import pins BLAS
+    # through the environment; monkeypatch restores the variables after
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    bench = _bench_module(monkeypatch, "run_bench")
+    lib = bench.set_up(bench.WORKLOADS[workload], 4243, str(tmp_path))
+    lib.spec = dataclasses.replace(lib.spec, num_trials=1)
+    result = bench.run_pass(lib, lambda: 1e-3)
+    assert len(result.records) == len(bench.GRID_N)
+    assert not result.failed and not result.error
 
 
 def test_bench_tracer_finds_every_layer(monkeypatch):

@@ -140,8 +140,8 @@ def _effective_draws(seeds, sizes=(16, 64)):
         for n in sizes:
             cfg = dataclasses.replace(SystemConfig(), num_irs_elements=n)
             rng = np.random.default_rng(seed)
-            channels = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
-            yield effective_channel(channels.cascaded, np.ones(n, dtype=complex))
+            cascaded = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
+            yield effective_channel(cascaded, np.ones(n, dtype=complex))
 
 
 def _assert_same_plan(effective, num_clusters, users_per_cluster, threshold,
@@ -166,9 +166,8 @@ class TestZeroForcingOracle:
         for seed in range(20):
             for n in (16, 64):
                 base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
-                _, _, channels, plan, beams, _ = build_scenario(seed, config=base)
-                effective = effective_channel(channels.cascaded,
-                                              np.ones(n, dtype=complex))
+                _, _, cascaded, plan, beams, _ = build_scenario(seed, config=base)
+                effective = effective_channel(cascaded, np.ones(n, dtype=complex))
                 strong = effective[plan[:, -1]]
                 np.testing.assert_allclose(beams, _zf_reference(strong),
                                            rtol=0.0, atol=1e-13)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsnoma import power_allocation
-from irsnoma.channel import LinkGains, energy_efficiency, sinr, stronger_tail
+from irsnoma.channel import energy_efficiency, own_beam, sinr, stronger_tail
 from irsnoma.config import SystemConfig, db_to_linear
 from irsnoma.experiments import METHODS, ExperimentSpec, run_experiment
 from irsnoma.power_allocation import allocate_power
@@ -40,7 +40,7 @@ def single_cluster(seed):
         SystemConfig(), num_clusters=1, users_per_cluster=2, total_users=2,
         num_bs_antennas=2, num_irs_elements=4,
         min_sinr=db_to_linear(rng.uniform(-20.0, 5.0)))
-    gains = LinkGains(own_beam=g[None, :], cross_beam=g[None, :, None])
+    gains = g[None, :, None]
     return cfg, gains, rng.uniform(0.2, 1.0)
 
 
@@ -48,7 +48,7 @@ def weak_user_grid_optimum(gains, cfg, total, points=100_000):
     """The weak user's coefficient that maximizes the cluster's rate at a
     fixed total under the floor and the decode gap: a 1-D grid, refined."""
     p, noise = cfg.cluster_power_w, cfg.noise_power_w
-    g = gains.own_beam[0]
+    g = gains[0, :, 0]
 
     def best(weak):
         strong = total - weak
@@ -71,7 +71,7 @@ class TestClosedForm:
         for seed in range(20):
             cfg, gains, total = single_cluster(seed)
             p, gamma = cfg.cluster_power_w, cfg.min_sinr
-            g, noise = gains.own_beam[0], cfg.noise_power_w
+            g, noise = gains[0, :, 0], cfg.noise_power_w
             expected = max(gamma * (total + noise / (p * g[0])) / (1 + gamma),
                            0.5 * (total + cfg.sic_power_gap_w / (p * g[1])))
             beta = bound_split(gains, cfg, np.array([total]))[0]
@@ -101,7 +101,7 @@ CAPS = (5e-7, 5e-4, 5e-7)
 def meets_caps(gains, beta, cfg):
     """True when ``beta`` breaks no constraint family by more than ``CAPS``."""
     gamma, _ = sinr(gains, beta, cfg)
-    sic = (cfg.cluster_power_w * gains.own_beam[:, 1:]
+    sic = (cfg.cluster_power_w * own_beam(gains)[:, 1:]
            * (beta[:, :-1] - stronger_tail(beta)[:, :-1]) - cfg.sic_power_gap_w)
     radiated = cfg.cluster_power_w * beta.sum(axis=1)
     violations = (float(np.max(radiated / cfg.max_power_w - 1.0)),

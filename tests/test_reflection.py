@@ -66,9 +66,9 @@ class TestLifting:
             assert abs(direct - lifted) < 1e-10 * max(direct, 1.0)
 
     def test_lift_shapes_and_rank(self):
-        cfg, _, channels, plan, beams, _ = build_scenario(1)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(1)
         beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
-        lifted = sinr_lifts(channels, plan, beams, beta, cfg)
+        lifted = sinr_lifts(cascaded, plan, beams, beta, cfg)
         n = cfg.num_irs_elements
         for stack in lifted:
             assert stack.shape == (cfg.num_clusters, cfg.users_per_cluster, n, n)
@@ -78,19 +78,18 @@ class TestLifting:
     def test_null_user_gives_zero_matrix(self):
         # a user whose cascaded channel is zero sees nothing through any
         # beam: its own, numerator and denominator lifts are all zero
-        cfg, _, channels, plan, beams, _ = build_scenario(2)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(2)
         beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
-        cascaded = channels.cascaded.copy()
-        cascaded[plan[1, 0]] = 0.0
-        nulled = dataclasses.replace(channels, cascaded=cascaded)
+        nulled = cascaded.copy()
+        nulled[plan[1, 0]] = 0.0
         for stack in sinr_lifts(nulled, plan, beams, beta, cfg):
             assert not stack[1, 0].any()
             assert stack[0, 0].any()
 
     def test_trace_sinr_matches_vector_sinr(self):
-        cfg, _, channels, plan, beams, gains = build_scenario(3)
+        cfg, _, cascaded, plan, beams, gains = build_scenario(3)
         beta = np.full((cfg.num_clusters, cfg.users_per_cluster), 0.3)
-        own, _, den = sinr_lifts(channels, plan, beams, beta, cfg)
+        own, _, den = sinr_lifts(cascaded, plan, beams, beta, cfg)
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
         b_mat = np.outer(b0, b0.conj())
         num = (cfg.cluster_power_w * beta
@@ -105,16 +104,16 @@ class TestLifting:
     def test_trace_sinr_matches_vector_sinr_at_any_reflection(self, seed, n,
                                                               draw_seed):
         base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
-        cfg, _, channels, plan, beams, _ = build_scenario(seed, config=base)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(seed, config=base)
         rng = np.random.default_rng(draw_seed)
         b = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         beta = rng.uniform(0.01, 1.0, (cfg.num_clusters, cfg.users_per_cluster))
-        own, _, den = sinr_lifts(channels, plan, beams, beta, cfg)
+        own, _, den = sinr_lifts(cascaded, plan, beams, beta, cfg)
         b_mat = np.outer(b, b.conj())
         num = (cfg.cluster_power_w * beta
                * np.einsum("ikab,ba->ik", own, b_mat).real)
         dval = np.einsum("ikab,ba->ik", den, b_mat).real + cfg.noise_power_w
-        _, gamma_vec, _ = evaluate_reflection(channels, plan, beams, beta, b, cfg)
+        _, gamma_vec, _ = evaluate_reflection(cascaded, plan, beams, beta, b, cfg)
         np.testing.assert_allclose(num / dval, gamma_vec, rtol=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -126,14 +125,14 @@ class TestLifting:
         # exactly when user s's vector-domain SINR at b meets the floor; the
         # floor sits among the users' SINRs so that both verdicts occur
         base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
-        cfg, _, channels, plan, beams, _ = build_scenario(seed, config=base)
+        cfg, _, cascaded, plan, beams, _ = build_scenario(seed, config=base)
         rng = np.random.default_rng(draw_seed)
         b = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         beta = rng.uniform(0.01, 1.0, (cfg.num_clusters, cfg.users_per_cluster))
-        _, gamma, _ = evaluate_reflection(channels, plan, beams, beta, b, cfg)
+        _, gamma, _ = evaluate_reflection(cascaded, plan, beams, beta, b, cfg)
         gamma = gamma.reshape(-1)
         cfg = dataclasses.replace(cfg, min_sinr=float(np.quantile(gamma, quantile)))
-        _, num, den = sinr_lifts(channels, plan, beams, beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, beta, cfg)
         mats, bounds = floor_constraints(num, den, cfg)
         np.testing.assert_allclose(np.linalg.norm(mats, axis=(1, 2)), 1.0, rtol=1e-12)
         met = np.einsum("sab,ba->s", mats, np.outer(b, b.conj())).real >= bounds
@@ -156,9 +155,9 @@ def _unit_hermitian(rng, n):
 
 class TestDcLinearization:
     def _surrogate(self, seed, eta=0.0):
-        cfg, rng, channels, plan, beams, gains = build_scenario(seed)
+        cfg, rng, cascaded, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
         n = cfg.num_irs_elements
         anchor = _random_psd(np.random.default_rng(seed + 1), n) + 0.05 * np.eye(n)
         anchor *= 1.0 / max(np.real(np.diag(anchor)).max(), 1.0)
@@ -226,10 +225,10 @@ class TestDcLinearization:
         # the anchor (the rate gradient less eta times the penalty's
         # subgradient I - kappa kappa^H) matches finite differences
         base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
-        cfg, _, channels, plan, beams, gains = build_scenario(
+        cfg, _, cascaded, plan, beams, gains = build_scenario(
             seed, config=base, random_beams=random_beams)
         stage1 = allocate_power(gains, cfg)
-        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
 
         def objective(b_mat):
             return (summed_rate(num, den, b_mat, cfg)
@@ -278,9 +277,9 @@ class TestRankOnePenalty:
         The weight enters the problem only through -eta Re tr(M B), so M is
         the objective at weight 0 less the objective at weight 1.
         """
-        cfg, _, channels, plan, beams, gains = build_scenario(seed)
+        cfg, _, cascaded, plan, beams, gains = build_scenario(seed)
         stage1 = allocate_power(gains, cfg)
-        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
 
         def penalty(anchor):
             free, _ = surrogate_problem(anchor, num, den, None, cfg, 0.0)
@@ -309,18 +308,18 @@ class TestOptimizeReflection:
         cfg = dataclasses.replace(
             SystemConfig(), num_irs_elements=1, num_clusters=2, total_users=6,
             num_bs_antennas=4, min_sinr=1e-6)
-        cfg2, rng, channels, plan, beams, gains = build_scenario(5, config=cfg)
+        cfg2, rng, cascaded, plan, beams, gains = build_scenario(5, config=cfg)
         stage1 = allocate_power(gains, cfg2)
-        result = optimize_reflection(channels, plan, beams, stage1, cfg2)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg2)
         assert abs(abs(result.reflection[0]) - 1.0) <= ULP
         assert result.ee == pytest.approx(stage1.ee, rel=1e-9)
 
     def test_never_worse_than_start(self):
         for seed in range(6):
-            cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+            cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, random_beams=True)
             stage1 = allocate_power(gains, cfg)
-            result = optimize_reflection(channels, plan, beams, stage1, cfg)
+            result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
             assert result.ee >= stage1.ee * (1 - 1e-12)
             assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
 
@@ -328,12 +327,12 @@ class TestOptimizeReflection:
         hits = 0
         runs = 0
         for seed in range(8):
-            cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+            cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, random_beams=True)
             stage1 = allocate_power(gains, cfg)
             if not stage1.feasible:
                 continue
-            result = optimize_reflection(channels, plan, beams, stage1, cfg)
+            result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
             runs += 1
             trace = float(np.real(np.trace(result.lifted)))
             hits += result.exact_penalty < 1e-3 * trace
@@ -346,10 +345,10 @@ class TestOptimizeReflection:
         # b0, and the stage must return b0 and its efficiency unchanged
         b0 = np.ones(16, dtype=complex)
         for seed in (0, 3, 7, 9, 11, 12, 14, 18, 19):
-            cfg, _, channels, plan, beams, gains = attainable_floor_scenario(
+            cfg, _, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, random_beams=False)
             stage1 = allocate_power(gains, cfg)
-            result = optimize_reflection(channels, plan, beams, stage1, cfg)
+            result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
             assert result.iterations > 0 and not result.fallback, seed
             assert result.ee == stage1.ee, seed
             assert np.array_equal(result.reflection, b0), seed
@@ -360,12 +359,12 @@ class TestOptimizeReflection:
         # still runs its loop and raises the efficiency
         base = dataclasses.replace(SystemConfig(), num_irs_elements=64,
                                    min_sinr=db_to_linear(-15.0))
-        cfg, _, channels, plan, beams, gains = build_scenario(
+        cfg, _, cascaded, plan, beams, gains = build_scenario(
             38, config=base, random_beams=True)
         stage1 = allocate_power(gains, cfg)
         gamma, _ = sinr(gains, stage1.beta, cfg)
         assert stage1.feasible and gamma.min() <= cfg.min_sinr
-        result = optimize_reflection(channels, plan, beams, stage1, cfg)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         assert result.iterations > 0
         assert result.ee >= stage1.ee
 
@@ -377,18 +376,18 @@ class TestOptimizeReflection:
 
         base = dataclasses.replace(SystemConfig(), num_irs_elements=16)
         for seed in range(4):
-            cfg, rng, channels, plan, beams, gains = build_scenario(seed,
+            cfg, rng, cascaded, plan, beams, gains = build_scenario(seed,
                                                                     config=base)
             stage1 = allocate_power(gains, cfg)
             with mock.patch.object(sdp, "solve", no_solver), \
                     mock.patch.object(sdp, "_phase_one", no_solver):
-                result = optimize_reflection(channels, plan, beams, stage1, cfg)
+                result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
             b0 = np.ones(cfg.num_irs_elements, dtype=complex)
             assert result.fallback and result.iterations == 0
             assert np.array_equal(result.reflection, b0)
             assert np.array_equal(result.lifted, np.outer(b0, b0.conj()))
             assert result.ee == stage1.ee
-            gains0 = link_gains(effective_channel(channels.cascaded, b0),
+            gains0 = link_gains(effective_channel(cascaded, b0),
                                 plan, beams, check_order=False)
             _, psi0 = sinr(gains0, stage1.beta, cfg)
             assert np.array_equal(result.psi, psi0)
@@ -396,15 +395,15 @@ class TestOptimizeReflection:
     def test_post_loop_fallback_returns_start(self):
         # this draw iterates, then no extracted candidate beats b0, so the
         # end-of-loop fallback must hand back b0 with its own values
-        cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+        cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
             116, random_beams=True)
         stage1 = allocate_power(gains, cfg)
-        result = optimize_reflection(channels, plan, beams, stage1, cfg)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         assert result.iterations > 0 and result.fallback
         b0 = np.ones(cfg.num_irs_elements, dtype=complex)
         assert np.array_equal(result.reflection, b0)
         assert result.ee == stage1.ee
-        gains0 = link_gains(effective_channel(channels.cascaded, b0),
+        gains0 = link_gains(effective_channel(cascaded, b0),
                             plan, beams, check_order=False)
         _, psi0 = sinr(gains0, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi0)
@@ -418,8 +417,8 @@ class TestOptimizeReflection:
         draws += [attainable_floor_scenario(seed, random_beams=rb)
                   for seed in range(3) for rb in (False, True)]
         b0 = np.ones(16, dtype=complex)
-        for cfg, rng, channels, plan, beams, gains in draws:
-            effective = effective_channel(channels.cascaded, b0)
+        for cfg, rng, cascaded, plan, beams, gains in draws:
+            effective = effective_channel(cascaded, b0)
             # the random-clustering baseline's plan and beams, as run_trial
             plan_r = random_plan(effective, cfg.num_clusters,
                                  cfg.users_per_cluster, rng)
@@ -429,7 +428,7 @@ class TestOptimizeReflection:
                                           (plan_r, beams_r, gains_r)):
                 stage1 = allocate_power(gains_, cfg)
                 ee0, gamma0, psi0 = evaluate_reflection(
-                    channels, plan_, beams_, stage1.beta, b0, cfg)
+                    cascaded, plan_, beams_, stage1.beta, b0, cfg)
                 assert stage1.ee == ee0
                 assert np.array_equal(sinr(gains_, stage1.beta, cfg)[0], gamma0)
                 assert np.array_equal(stage1.psi, psi0)
@@ -442,10 +441,10 @@ class TestOptimizeReflection:
         digest = hashlib.sha256()
         for random_beams in (True, False):
             for seed in range(10):
-                cfg, _, channels, plan, beams, gains = attainable_floor_scenario(
+                cfg, _, cascaded, plan, beams, gains = attainable_floor_scenario(
                     seed, random_beams=random_beams)
                 stage1 = allocate_power(gains, cfg)
-                result = optimize_reflection(channels, plan, beams, stage1, cfg)
+                result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
                 digest.update(result.reflection.tobytes())
                 digest.update(repr((repr(result.ee), result.iterations,
                                     result.fallback, result.converged,
@@ -457,10 +456,10 @@ class TestOptimizeReflection:
             "b13cfecb6e971217634edfebdac66b5b6dcc6371e018389fad4eeb4555726fc9")
 
     def test_surrogate_trace_monotone_for_fixed_eta(self):
-        cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+        cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
             3, random_beams=True)
         stage1 = allocate_power(gains, cfg)
-        result = optimize_reflection(channels, plan, beams, stage1, cfg)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         by_eta = {}
         for point in result.trace:
             by_eta.setdefault(point.eta, []).append(point.ee)
@@ -482,21 +481,21 @@ class TestStage2Properties:
         kind, n = source
         if kind == "reference":
             base = dataclasses.replace(SystemConfig(), num_irs_elements=n)
-            cfg, rng, channels, plan, beams, gains = build_scenario(seed,
+            cfg, rng, cascaded, plan, beams, gains = build_scenario(seed,
                                                                     config=base)
         else:
-            cfg, rng, channels, plan, beams, gains = attainable_floor_scenario(
+            cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, num_irs_elements=n, random_beams=True)
         stage1 = allocate_power(gains, cfg)
-        result = optimize_reflection(channels, plan, beams, stage1, cfg)
-        effective = effective_channel(channels.cascaded, result.reflection)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
+        effective = effective_channel(cascaded, result.reflection)
         gains_at = link_gains(effective, plan, beams, check_order=False)
         _, psi = sinr(gains_at, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi)
         assert np.abs(np.abs(result.reflection) - 1.0).max() <= ULP
         assert result.ee >= stage1.ee * (1 - 1e-12)
         # a second call on the same inputs returns the same bits
-        again = optimize_reflection(channels, plan, beams, stage1, cfg)
+        again = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         for name in ("reflection", "lifted", "psi"):
             assert np.array_equal(getattr(again, name), getattr(result, name)), name
         for name in ("ee", "fallback", "converged", "iterations", "exact_penalty",

@@ -278,9 +278,9 @@ class TestLowRankFactors:
         assert np.any(vals[2] < 0.0)
 
     def test_reflection_floor_constraints_are_low_rank(self):
-        cfg, _, channels, plan, beams, gains = build_scenario(0)
+        cfg, _, cascaded, plan, beams, gains = build_scenario(0)
         stage1 = allocate_power(gains, cfg)
-        _, num, den = sinr_lifts(channels, plan, beams, stage1.beta, cfg)
+        _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
         constraints = floor_constraints(num, den, cfg)
         n = cfg.num_irs_elements
         problem = sdp.SdpProblem(objective=np.zeros((n, n)), constraints=constraints)

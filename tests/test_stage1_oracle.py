@@ -22,7 +22,7 @@ from conftest import attainable_floor_scenario, build_scenario, solver_free_floo
 def interference_columns(gains, cfg):
     """(I, K, I): the interference plus noise each user sees is noise plus
     this map of the per-cluster totals (psi is linear in them)."""
-    clusters, users = gains.own_beam.shape
+    clusters, users = gains.shape[:-1]
     columns = []
     for j in range(clusters):
         beta = np.zeros((clusters, users))
@@ -36,10 +36,10 @@ def least_totals(gains, cfg, totals, columns):
     shape): the strongest user's floor, then per weaker user the larger of
     its floor and gap bounds, from the strongest user down to the weakest."""
     p, gamma = cfg.cluster_power_w, cfg.min_sinr
-    clusters, users = gains.own_beam.shape
+    clusters, users = gains.shape[:-1]
     out = []
     for i in range(clusters):
-        g = gains.own_beam[i]
+        g = gains[i, :, i]
         c = cfg.noise_power_w + totals @ columns[i].T       # (..., K)
         level = gamma * c[..., -1] / (p * g[-1])
         for k in range(users - 2, -1, -1):
@@ -54,10 +54,10 @@ def bound_split(gains, cfg, totals, columns):
     binding floor or gap bound, or None where the strongest user then falls
     below the floor."""
     p, gamma = cfg.cluster_power_w, cfg.min_sinr
-    clusters, users = gains.own_beam.shape
+    clusters, users = gains.shape[:-1]
     beta = np.zeros((clusters, users))
     for i in range(clusters):
-        g = gains.own_beam[i]
+        g = gains[i, :, i]
         c = cfg.noise_power_w + columns[i] @ totals
         level = totals[i]
         for k in range(users - 1):
@@ -78,8 +78,8 @@ def efficiency_at(gains, cfg, totals, columns, attainable):
         if beta is None:
             return -np.inf
     else:
-        beta = decode_order_split(totals[:, None] * np.ones(gains.own_beam.shape)
-                                  / gains.own_beam.shape[1], cfg.min_sinr)
+        beta = decode_order_split(totals[:, None] * np.ones(gains.shape[:-1])
+                                  / gains.shape[1], cfg.min_sinr)
     gamma, _ = sinr(gains, beta, cfg)
     return energy_efficiency(gamma, beta, cfg)
 
