@@ -29,15 +29,13 @@ from .reflection import optimize_reflection
 
 METHODS = ("proposed", "conventional", "random-clustering", "random-pac",
            "stage1-only")
-# the plan whose Stage-1 run each method builds on, by its index in a trial's
-# plan stack; the baselines absent here run no Stage 1, so its infeasibility
-# drops none of their trials
-_PLAN = {"proposed": 0, "stage1-only": 0, "random-clustering": 1}
-# the methods that run Stage 2 on their plan's Stage-1 split
-_STAGE2 = ("proposed", "random-clustering")
-# the record field that holds each plan's Stage-1 verdict, by plan index; a
-# trial without the random plan keeps that field's default, True
-_VERDICT = ("feasible", "random_plan_feasible")
+# each method that builds on Stage 1: its plan's index in a trial's plan
+# stack, and whether Stage 2 runs on that plan's split. Stage 2 runs only on
+# a split Stage 1 certified; otherwise the method records the Stage-1 values.
+# The baselines absent here run no Stage 1, so its infeasibility drops none
+# of their trials
+_STAGES = {"proposed": (0, True), "stage1-only": (0, False),
+           "random-clustering": (1, True)}
 
 
 @dataclass
@@ -95,12 +93,13 @@ def conventional_bf_ee(gains: np.ndarray, config: SystemConfig,
     """Orthogonal benchmark: each beam serves its users without superposition.
 
     "time-share" gives each of the K users a 1/K duty cycle at full beam
-    power; "single-user" dedicates the beam to its strongest user. Power
-    accounting matches the proposed scheme (radiated plus circuit power).
-    ``gains`` is one plan's (I, K, I) array from ``link_gains``. Returns
-    (efficiency, far-user interference).
+    power, capped at P_max; "single-user" dedicates the beam to its
+    strongest user. Power accounting matches the proposed scheme (radiated
+    plus circuit power). ``gains`` is one plan's (I, K, I) array from
+    ``link_gains``. Returns (efficiency, far-user interference).
     """
-    p = config.cluster_power_w
+    # every beam radiates within the per-beam budget, as Stage 1's does
+    p = min(config.cluster_power_w, config.max_power_w)
     own = own_beam(gains)
     psi_full = np.einsum("ikj->ik", gains) * p - own * p
     snr = p * own / (psi_full + config.noise_power_w)
@@ -147,9 +146,10 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     Stage 1 runs on every plan whatever the methods: the clustered plan's
     certificate is the trial's feasibility verdict, which the CLI's feasible
     count and ``convergence_stage1.csv`` report for every run. Each method
-    reads its plan from ``_PLAN``. Stream 0 draws the channels, 2 the random
-    plan and 3 the random coefficients, each built only when drawn from.
-    Index 1 is unused: renumbering would change the random baselines' draws.
+    that builds on Stage 1 reads its plan, and whether Stage 2 follows, from
+    ``_STAGES``. Stream 0 draws the channels, 2 the random plan and 3 the
+    random coefficients, each built only when drawn from. Index 1 is unused:
+    renumbering would change the random baselines' draws.
     """
     cfg = _grid_config(config, n, m)
     key = [seed, n, m, trial]
@@ -170,23 +170,21 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     gains = link_gains(effective, members, beams)
     stage1 = [allocate_power(plan_gains, cfg) for plan_gains in gains]
 
-    record = TrialRecord(n=n, m=m, trial=trial)
-    for name, result in zip(_VERDICT, stage1):
-        setattr(record, name, result.feasible)
+    record = TrialRecord(n=n, m=m, trial=trial, feasible=stage1[0].feasible)
+    if len(stage1) > 1:
+        record.random_plan_feasible = stage1[1].feasible
     record.stage1_ee_trace = [tp.ee for tp in stage1[0].trace]
 
-    if "stage1-only" in methods:
-        record.ee["stage1-only"] = stage1[0].ee
-        record.ici["stage1-only"] = _far_user_ici(stage1[0].psi)
-
-    for method in [name for name in _STAGE2 if name in methods]:
-        plan = _PLAN[method]
-        stage2 = optimize_reflection(cascaded, members[plan], beams[plan],
-                                     stage1[plan], cfg)
-        record.ee[method] = stage2.ee
-        record.ici[method] = _far_user_ici(stage2.psi)
-        if method == "proposed":
-            record.stage2_ee_trace = [tp.ee for tp in stage2.trace]
+    for method in [name for name in _STAGES if name in methods]:
+        plan, runs_stage2 = _STAGES[method]
+        result = stage1[plan]
+        if runs_stage2 and result.feasible:
+            result = optimize_reflection(cascaded, members[plan], beams[plan],
+                                         result, cfg)
+            if method == "proposed":
+                record.stage2_ee_trace = [tp.ee for tp in result.trace]
+        record.ee[method] = result.ee
+        record.ici[method] = _far_user_ici(result.psi)
 
     if "conventional" in methods:
         ee_c, ici_c = conventional_bf_ee(gains[0], cfg, conventional_mode)
@@ -235,7 +233,8 @@ def _fmt(value: float) -> str:
 
 def _stage1_feasible(record: TrialRecord, method: str) -> bool:
     """Whether the Stage-1 run that ``method`` builds on met its constraints."""
-    return method not in _PLAN or getattr(record, _VERDICT[_PLAN[method]])
+    verdicts = (record.feasible, record.random_plan_feasible)
+    return method not in _STAGES or verdicts[_STAGES[method][0]]
 
 
 def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,

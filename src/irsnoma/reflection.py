@@ -9,18 +9,18 @@ requirement is replaced by the penalty tr(B) - ||B||_2, itself minorized
 through the spectral-norm subgradient at the iterate.
 
 The ascent starts from the all-ones reflection b0, at which Stage 1 solved
-the split, and runs exactly when Stage 1 certified the SINR floor
-attainable; otherwise the stage returns b0 at once. Each iteration
-maximizes the minorant exactly over the floor-respecting spectrahedron
-with the dense barrier solver and keeps the solution only if it raises the
-minorant, so the penalized surrogate ascends monotonically for a fixed
-penalty weight. Rank one is reached through the penalty alone: its weight
-grows tenfold, from a cold start, whenever the ascent stalls at an iterate
-that is not yet rank-one, and the loop stops once the iterate is rank-one
-or the ascent stalls at the top weight. The unit-modulus vector is the
-leading eigenvector's phases; if those break the floor or lower the
-efficiency, b0 is returned, so the achieved efficiency never drops below
-its Stage-1 value.
+the split, and needs a split that Stage 1 certified to meet the SINR floor:
+the trial runs the stage only on such a split, and the stage refuses any
+other. Each iteration maximizes the minorant exactly over the
+floor-respecting spectrahedron with the dense barrier solver and keeps the
+solution only if it raises the minorant, so the penalized surrogate ascends
+monotonically for a fixed penalty weight. Rank one is reached through the
+penalty alone: its weight grows tenfold, from a cold start, whenever the
+ascent stalls at an iterate that is not yet rank-one, and the loop stops
+once the iterate is rank-one or the ascent stalls at the top weight. The
+unit-modulus vector is the leading eigenvector's phases; if those break the
+floor or lower the efficiency, b0 is returned, so the achieved efficiency
+never drops below its Stage-1 value.
 """
 
 from __future__ import annotations
@@ -214,48 +214,38 @@ def optimize_reflection(cascaded: np.ndarray, members: np.ndarray,
     rank-one to within 1e-3 of its trace, the weight climbs tenfold, up
     to 1e6, and the next solve starts cold; at 1e6 a stalled surrogate
     ends the loop with ``converged=True``. The loop starts from the lift of
-    the all-ones vector b0; when Stage 1 did not certify the floor
-    attainable, the guaranteed fallback applies at once: b0 is returned
-    with ``fallback=True``, ``iterations=0`` and ``lifted = b0 b0^H``. The
-    vector is the leading eigenvector's phases, kept only if it meets the
-    floor and keeps at least the starting efficiency; otherwise b0 is
-    returned with ``fallback=True``. ``psi`` of the result is the
-    interference every user sees at the returned reflection with the
-    Stage-1 split.
+    the all-ones vector b0. The vector is the leading eigenvector's phases,
+    kept only if it meets the floor and keeps at least the starting
+    efficiency; otherwise b0 is returned with ``fallback=True``, the one
+    meaning of that flag. ``psi`` of the result is the interference every
+    user sees at the returned reflection with the Stage-1 split.
 
     ``stage1`` must be solved at the all-ones reflection b0 with these
     ``beams`` and ``members``: its ``ee`` and ``psi`` are taken as the values at
-    b0 (``evaluate_reflection`` at b0 gives them bitwise), and its
-    ``feasible`` certificate is the only gate of the loop.
+    b0 (``evaluate_reflection`` at b0 gives them bitwise). Raises ValueError
+    when its ``feasible`` certificate is False: the surrogate ascent needs a
+    floor-respecting split.
     """
+    if not stage1.feasible:
+        raise ValueError("Stage 2 needs a split Stage 1 certified feasible")
     n = config.num_irs_elements
     b0 = np.ones(n, dtype=complex)
     ee0, psi0 = stage1.ee, stage1.psi
     anchor = np.outer(b0, b0.conj())
-    if not stage1.feasible:
-        # the surrogate ascent needs a floor-respecting split; keep b0
-        return ReflectionResult(reflection=b0, lifted=anchor, ee=ee0, psi=psi0,
-                                fallback=True, converged=False, iterations=0,
-                                exact_penalty=0.0, trace=[])
-
     own, num, den = sinr_lifts(cascaded, members, beams, stage1.beta, config)
     constraints = floor_constraints(num, den, config)
 
-    eta = 0.0
+    # the penalty starts at a few percent of the rate-gradient scale at the
+    # anchor; the gradient does not depend on the weight
+    _, gradient = surrogate_problem(anchor, num, den, constraints, config, 0.0)
+    eta = float(np.clip(0.02 * np.linalg.norm(gradient), 1e-2, 1e2))
     trace: list[Stage2TracePoint] = []
     warm = None
     prev_ee = None
     converged = False
     iterations = 0
     for iterations in range(1, 21):
-        problem, gradient = surrogate_problem(anchor, num, den, constraints,
-                                              config, eta)
-        if iterations == 1:
-            # start the penalty at a few percent of the rate-gradient scale,
-            # then rebuild the problem at that weight
-            rate_scale = float(np.linalg.norm(gradient))
-            eta = float(np.clip(0.02 * rate_scale, 1e-2, 1e2))
-            problem, _ = surrogate_problem(anchor, num, den, constraints, config, eta)
+        problem, _ = surrogate_problem(anchor, num, den, constraints, config, eta)
         # one exact solve maximizes this iteration's concave surrogate, from
         # the last solution or, cold, the anchor blended 5% toward I/2
         start = warm if warm is not None else 0.95 * anchor + 0.025 * np.eye(n)

@@ -110,6 +110,17 @@ class TestConventionalBaseline:
         expected = float(np.sum(rates / (p + cfg.circuit_power_w)))
         assert ee == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["time-share", "single-user"])
+    def test_beam_power_capped_at_budget(self, mode):
+        # a beam radiates min(P_i, P_max), as Stage 1's budget rows allow
+        def ee_at(cluster_w, max_w):
+            cfg = dataclasses.replace(SystemConfig(), cluster_power_w=cluster_w,
+                                      max_power_w=max_w)
+            cfg, _, _, _, _, gains = build_scenario(0, config=cfg)
+            return conventional_bf_ee(gains, cfg, mode)
+
+        assert ee_at(1.0, 0.5) == ee_at(0.5, 0.5)
+
     def test_unknown_mode_rejected(self):
         cfg, _, _, _, _, gains = build_scenario(3)
         with pytest.raises(ValueError):
@@ -427,12 +438,13 @@ def _bench_tracing(monkeypatch):
     return _bench_module(monkeypatch, "tracing")
 
 
-@pytest.mark.parametrize("workload", ["reference", "no-reflection"])
+@pytest.mark.parametrize("workload", ["reference", "no-reflection", "attainable"])
 def test_bench_pass_runs(monkeypatch, tmp_path, workload):
     # one trial per N of the bench's own pass, built as bench/run_bench.py
     # builds it: the CLI flags its set-up reads, the record fields its
-    # checks read and the paths emit_results returns. Its import pins BLAS
-    # through the environment; monkeypatch restores the variables after
+    # checks read and the paths emit_results returns. Only attainable's
+    # floor lets Stage 2 run. Its import pins BLAS through the environment;
+    # monkeypatch restores the variables after
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     bench = _bench_module(monkeypatch, "run_bench")
@@ -457,14 +469,14 @@ def test_bench_tracer_finds_every_layer(monkeypatch):
     assert (params[3], params[5]) == ("n", "trial")
 
 
-def _traced_trial(monkeypatch, methods):
+def _traced_trial(monkeypatch, methods, config=SystemConfig()):
     """The spans of one trial (seed 4243, N = 16) traced as the bench's
     --trace 1 pass traces it, after checking that the bench reads no error
     and no failed trial in them, and that tracing leaves the record as an
     untraced run gives it."""
     tracing = _bench_tracing(monkeypatch)
     tracer = tracing.Tracer()
-    args = (SystemConfig(), methods, 4243, 16, 8, 0)
+    args = (config, methods, 4243, 16, 8, 0)
     with tracing.installed(tracer, experiments, sdp):
         traced = experiments.run_trial(*args)
     assert traced == run_trial(*args)
@@ -475,13 +487,26 @@ def _traced_trial(monkeypatch, methods):
 
 def test_bench_tracer_reads_a_traced_trial(monkeypatch):
     # an all-methods trial has a rising Stage-1 trace per call and one span
-    # per call it makes (both plans' beams and gains in one call each)
+    # per call it makes (both plans' beams and gains in one call each); at
+    # the 3 dB floor Stage 1 certifies neither plan, so Stage 2 never runs
     spans = _traced_trial(monkeypatch, list(METHODS))
     stage1 = [span for span in spans if span.layer == "power_allocation"]
     assert len(stage1) == 2 and all(span.attrs["trace_ok"] for span in stage1)
     assert collections.Counter(span.layer for span in spans) == {
         "experiments": 1, "channel": 4, "clustering": 2, "beamforming": 1,
-        "power_allocation": 2, "reflection": 2}
+        "power_allocation": 2}
+
+
+def test_bench_tracer_reads_stage2_on_the_certified_plan_only(monkeypatch):
+    # at -10 dB Stage 1 certifies this trial's main plan and not its random
+    # plan, so Stage 2 runs once, on the main plan's split, and iterates
+    cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-10.0))
+    spans = _traced_trial(monkeypatch, list(METHODS), cfg)
+    stage1 = [span.attrs["feasible"] for span in spans
+              if span.layer == "power_allocation"]
+    assert stage1 == [True, False]
+    [stage2] = [span for span in spans if span.layer == "reflection"]
+    assert stage2.attrs["iterations"] >= 1 and stage2.attrs["unit_ok"]
 
 
 def test_bench_tracer_reads_a_traced_one_plan_trial(monkeypatch):
@@ -522,9 +547,9 @@ def test_stage1_methods_without_sdp_output_bytes_pinned(tmp_path):
 
 
 def test_all_methods_at_reference_floor_output_bytes_pinned(tmp_path):
-    # at the 3 dB floor Stage 1 is infeasible on every draw, so Stage 2
-    # returns its start at once for proposed and random-clustering and
-    # draws nothing: no method's bytes depend on the BLAS thread count.
+    # at the 3 dB floor Stage 1 is infeasible on every draw, so proposed and
+    # random-clustering record their plans' Stage-1 values and no Stage 2
+    # runs: no method's bytes depend on the BLAS thread count.
     # The records digest was re-recorded when Stage 1 began searching the
     # totals under the decode-order weights; a change that moves these
     # bytes on purpose updates the digests

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsnoma import sdp
+from irsnoma import experiments, sdp
 from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.clustering import random_plan
@@ -369,28 +370,43 @@ class TestOptimizeReflection:
         assert result.ee >= stage1.ee
 
     def test_floor_breaking_start_returned_without_solving(self):
-        # at the reference floor b0 breaks the SINR floor on every draw;
-        # Stage 2 must return it before any solver work
+        # at the reference floor Stage 1 certifies neither plan of these
+        # trials, so each Stage-2 method records its plan's Stage-1 values
+        # and the trial reaches no Stage-2 code; Stage 2 refuses those splits
         def no_solver(*args, **kwargs):
-            raise AssertionError("solver called on a floor-breaking start")
+            raise AssertionError("Stage 2 reached on a floor-breaking start")
 
-        base = dataclasses.replace(SystemConfig(), num_irs_elements=16)
-        for seed in range(4):
-            cfg, rng, cascaded, plan, beams, gains = build_scenario(seed,
-                                                                    config=base)
-            stage1 = allocate_power(gains, cfg)
-            with mock.patch.object(sdp, "solve", no_solver), \
-                    mock.patch.object(sdp, "_phase_one", no_solver):
-                result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
-            b0 = np.ones(cfg.num_irs_elements, dtype=complex)
-            assert result.fallback and result.iterations == 0
-            assert np.array_equal(result.reflection, b0)
-            assert np.array_equal(result.lifted, np.outer(b0, b0.conj()))
-            assert result.ee == stage1.ee
-            gains0 = link_gains(effective_channel(cascaded, b0),
-                                plan, beams, check_order=False)
-            _, psi0 = sinr(gains0, stage1.beta, cfg)
-            assert np.array_equal(result.psi, psi0)
+        calls = collections.defaultdict(list)
+
+        def spy(name):
+            real = getattr(experiments, name)
+
+            def recorded(*args):
+                calls[name].append((args, real(*args)))
+                return calls[name][-1][1]
+            return recorded
+
+        for trial in range(4):
+            calls.clear()
+            with mock.patch.object(experiments, "optimize_reflection", no_solver), \
+                    mock.patch.object(sdp, "solve", no_solver), \
+                    mock.patch.object(sdp, "_phase_one", no_solver), \
+                    mock.patch.multiple(experiments, **{
+                        name: spy(name) for name in ("synthesize_channels",
+                                                     "link_gains", "allocate_power")}):
+                record = experiments.run_trial(SystemConfig(), list(experiments.METHODS),
+                                               4243, 16, 8, trial)
+            assert not record.feasible and not record.random_plan_feasible
+            assert record.stage2_ee_trace == []
+            [(_, cascaded)] = calls["synthesize_channels"]
+            [((_, members, beams), _)] = calls["link_gains"]
+            for plan, method in enumerate(("proposed", "random-clustering")):
+                (_, cfg), stage1 = calls["allocate_power"][plan]
+                assert record.ee[method] == stage1.ee
+                assert record.ici[method] == experiments._far_user_ici(stage1.psi)
+                with pytest.raises(ValueError, match="certified"):
+                    optimize_reflection(cascaded, members[plan], beams[plan],
+                                        stage1, cfg)
 
     def test_post_loop_fallback_returns_start(self):
         # this draw iterates, then no extracted candidate beats b0, so the
@@ -434,7 +450,7 @@ class TestOptimizeReflection:
                 assert np.array_equal(stage1.psi, psi0)
 
     def test_stage2_attainable_bytes_pinned(self):
-        # the reference-floor pins return before any solve; on these draws
+        # the reference-floor pins make no Stage-2 call; on these draws
         # the floor is attainable, so every result field comes out of the
         # surrogate loop. N = 16 does not move with the BLAS thread count; a
         # change that moves these bytes on purpose updates the digest
@@ -468,8 +484,8 @@ class TestOptimizeReflection:
 
 
 # (kind, N): at the reference floor Stage 1 certifies no draw, so Stage 2
-# returns its start at once without solving; at an attainable floor with
-# random beams the certificate holds and Stage 2 runs its loop
+# refuses the split; at an attainable floor with random beams the
+# certificate holds and Stage 2 runs its loop
 _STAGE2_SOURCES = (("reference", 8), ("reference", 16),
                    ("attainable", 8), ("attainable", 16))
 
@@ -487,6 +503,11 @@ class TestStage2Properties:
             cfg, rng, cascaded, plan, beams, gains = attainable_floor_scenario(
                 seed, num_irs_elements=n, random_beams=True)
         stage1 = allocate_power(gains, cfg)
+        if kind == "reference":
+            assert not stage1.feasible
+            with pytest.raises(ValueError, match="certified"):
+                optimize_reflection(cascaded, plan, beams, stage1, cfg)
+            return
         result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
         effective = effective_channel(cascaded, result.reflection)
         gains_at = link_gains(effective, plan, beams, check_order=False)
