@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{exc.strerror}: {exc.filename}")
     records = run_experiment(config, spec)
     paths = emit_results(records, spec, config)
-    feasible = sum(1 for r in records if r.feasible)
+    feasible = sum(1 for r in records if r.feasible[0])
     print(f"{len(records)} trials ({feasible} feasible) -> {paths['summary.csv']}")
     return 0
 

@@ -75,12 +75,11 @@ class TrialRecord:
     n: int
     m: int
     trial: int
+    feasible: tuple[bool, ...]   # Stage 1's certificate on each stacked plan
     ee: dict[str, float] = field(default_factory=dict)
     ici: dict[str, float] = field(default_factory=dict)
     stage1_ee_trace: list[float] = field(default_factory=list)
     stage2_ee_trace: list[float] = field(default_factory=list)
-    feasible: bool = True               # Stage 1 on the main plan
-    random_plan_feasible: bool = True   # Stage 1 on random-clustering's plan
 
 
 def _far_user_ici(psi: np.ndarray) -> float:
@@ -143,13 +142,14 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     random clustering's when requested. Their (P, I, K) stack, P = 1 or 2,
     gets every plan's beams in one call and its (P, I, K, I) gains in one
     more, bit for bit the per-plan results; each stage reads a plan's row.
-    Stage 1 runs on every plan whatever the methods: the clustered plan's
-    certificate is the trial's feasibility verdict, which the CLI's feasible
-    count and ``convergence_stage1.csv`` report for every run. Each method
-    that builds on Stage 1 reads its plan, and whether Stage 2 follows, from
-    ``_STAGES``. Stream 0 draws the channels, 2 the random plan and 3 the
-    random coefficients, each built only when drawn from. Index 1 is unused:
-    renumbering would change the random baselines' draws.
+    Stage 1 runs on every plan whatever the methods, and ``feasible`` holds
+    each plan's certificate in stack order; the clustered plan's, entry 0,
+    is what the CLI's feasible count and ``convergence_stage1.csv`` report
+    for every run. Each method that builds on Stage 1 reads its plan, and
+    whether Stage 2 follows, from ``_STAGES``. Stream 0 draws the channels,
+    2 the random plan and 3 the random coefficients, each built only when
+    drawn from. Index 1 is unused: renumbering would change the random
+    baselines' draws.
     """
     cfg = _grid_config(config, n, m)
     key = [seed, n, m, trial]
@@ -170,10 +170,9 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
     gains = link_gains(effective, members, beams)
     stage1 = [allocate_power(plan_gains, cfg) for plan_gains in gains]
 
-    record = TrialRecord(n=n, m=m, trial=trial, feasible=stage1[0].feasible)
-    if len(stage1) > 1:
-        record.random_plan_feasible = stage1[1].feasible
-    record.stage1_ee_trace = [tp.ee for tp in stage1[0].trace]
+    record = TrialRecord(n=n, m=m, trial=trial,
+                         feasible=tuple(result.feasible for result in stage1),
+                         stage1_ee_trace=[tp.ee for tp in stage1[0].trace])
 
     for method in [name for name in _STAGES if name in methods]:
         plan, runs_stage2 = _STAGES[method]
@@ -187,9 +186,8 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici[method] = _far_user_ici(result.psi)
 
     if "conventional" in methods:
-        ee_c, ici_c = conventional_bf_ee(gains[0], cfg, conventional_mode)
-        record.ee["conventional"] = ee_c
-        record.ici["conventional"] = ici_c
+        record.ee["conventional"], record.ici["conventional"] = conventional_bf_ee(
+            gains[0], cfg, conventional_mode)
 
     if "random-pac" in methods:
         beta_r = random_power_coefficients(cfg, _stream(key, 3))
@@ -233,8 +231,7 @@ def _fmt(value: float) -> str:
 
 def _stage1_feasible(record: TrialRecord, method: str) -> bool:
     """Whether the Stage-1 run that ``method`` builds on met its constraints."""
-    verdicts = (record.feasible, record.random_plan_feasible)
-    return method not in _STAGES or verdicts[_STAGES[method][0]]
+    return method not in _STAGES or record.feasible[_STAGES[method][0]]
 
 
 def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
@@ -244,10 +241,9 @@ def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
         for n in spec.n_grid:
             for m_ant in spec.m_grid:
                 cell = [r for r in records if r.n == n and r.m == m_ant]
-                vals = [value_of(r, method) for r in cell
-                        if _stage1_feasible(r, method)
-                        and value_of(r, method) is not None]
-                bad = sum(1 for r in cell if not _stage1_feasible(r, method))
+                kept = [r for r in cell if _stage1_feasible(r, method)]
+                vals = [v for r in kept if (v := value_of(r, method)) is not None]
+                bad = len(cell) - len(kept)
                 if vals:
                     arr = np.asarray(vals)
                     rows.append(f"{method},{n},{m_ant},{_fmt(arr.mean())},"
@@ -258,12 +254,12 @@ def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
 
 
 def _convergence_rows(records: list[TrialRecord], spec: ExperimentSpec,
-                      attr: str) -> list[str]:
+                      trace_of) -> list[str]:
     rows = ["N,M,iteration,mean_ee,trials"]
     for n in spec.n_grid:
         for m_ant in spec.m_grid:
-            traces = [getattr(r, attr) for r in records
-                      if r.n == n and r.m == m_ant and r.feasible and getattr(r, attr)]
+            traces = [trace_of(r) for r in records
+                      if r.n == n and r.m == m_ant and r.feasible[0] and trace_of(r)]
             if not traces:
                 continue
             depth = max(len(t) for t in traces)
@@ -296,17 +292,20 @@ def emit_results(records: list[TrialRecord], spec: ExperimentSpec,
         records, spec, lambda r, m: r.ici.get(m),
         "method,N,M,mean_ici,std_ici,trials,infeasible"))
     write("convergence_stage1.csv",
-          _convergence_rows(records, spec, "stage1_ee_trace"))
+          _convergence_rows(records, spec, lambda r: r.stage1_ee_trace))
     write("convergence_stage2.csv",
-          _convergence_rows(records, spec, "stage2_ee_trace"))
+          _convergence_rows(records, spec, lambda r: r.stage2_ee_trace))
 
     manifest = ["[config]"]
     manifest += [f"{f.name} = {getattr(config, f.name)!r}"
                  for f in fields(config)]
     manifest += ["", "[experiment]"]
-    for name in ("n_grid", "m_grid", "num_trials", "methods", "seed",
-                 "conventional_mode"):
-        manifest.append(f"{name} = {getattr(spec, name)!r}")
+    manifest += [f"{name} = {getattr(spec, name)!r}" for name in (
+        "n_grid", "m_grid", "num_trials", "methods", "seed", "conventional_mode")]
+    # the SDP's bytes follow the BLAS thread count (module docstring)
+    manifest += ["", "[environment]", f"numpy = {np.__version__}"]
+    manifest += [f"{var} = {os.environ.get(var, 'unset')}" for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
     digest = hashlib.sha256("\n".join(manifest).encode()).hexdigest()
     manifest += ["", f"content_sha256 = {digest}"]
     write("manifest.txt", manifest)

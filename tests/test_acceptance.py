@@ -284,7 +284,7 @@ def test_criterion_8_alternating_monotonicity(trend_records,
     # Stage 2 keeps b0, so its comparison is equal by construction, where
     # Stage 1 did not certify the floor (the gate) and where the extracted
     # vector breaks the floor or loses efficiency (the fallback)
-    gated = sum(not record.feasible for record in records)
+    gated = sum(not record.feasible[0] for record in records)
     fallbacks = sum(result.fallback for _, result in floor_attainable_runs)
     total = len(records) + len(floor_attainable_runs)
     verdict(8, fails == 0, f"stage-2 never below stage-1 on {total - fails}"

@@ -14,10 +14,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from irsnoma.channel import own_beam, sinr
+from irsnoma.beamforming import build_zf_beamformers
+from irsnoma.channel import (draw_user_geometry, effective_channel, link_gains,
+                             own_beam, sinr, synthesize_channels)
+from irsnoma.clustering import form_clusters, random_plan
 from irsnoma import experiments, sdp
 from irsnoma.cli import main as cli_main
 from irsnoma.config import SystemConfig, db_to_linear
+from irsnoma.power_allocation import allocate_power
 from irsnoma.experiments import (METHODS, ExperimentSpec, TrialRecord, _stream,
                                  check_grid, conventional_bf_ee, emit_results,
                                  random_power_coefficients, run_experiment,
@@ -160,7 +164,7 @@ class TestRunTrial:
         # no solver size cap may end it before the first iteration
         cfg = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
         record = run_trial(cfg, ["proposed"], 0, 136, 8, 0)
-        assert record.feasible
+        assert record.feasible == (True,)
         assert record.stage2_ee_trace
 
     def test_paired_methods_share_channels(self):
@@ -228,8 +232,8 @@ class TestRunTrial:
         records, built = self._built_streams(cfg, ["proposed", "random-clustering"],
                                              seed=1, n=8, trials=4)
         assert built == [[0, 2]] * 4
-        assert all(r.feasible for r in records)
-        assert any(r.random_plan_feasible for r in records)
+        assert all(r.feasible[0] for r in records)
+        assert any(r.feasible[1] for r in records)
         assert any(r.stage2_ee_trace for r in records)
 
     def test_random_clustering_leaves_the_main_plan_bytes(self):
@@ -241,7 +245,7 @@ class TestRunTrial:
         def main_plan(record):
             values = ([record.ee[m] for m in others] + [record.ici[m] for m in others]
                       + record.stage1_ee_trace + record.stage2_ee_trace)
-            return np.array(values).tobytes(), record.feasible
+            return np.array(values).tobytes(), record.feasible[0]
 
         feasible = dataclasses.replace(SystemConfig(), min_sinr=db_to_linear(-15.0))
         verdicts = []
@@ -252,8 +256,32 @@ class TestRunTrial:
                 stacked = run_trial(cfg, others + ["random-clustering"], seed=seed,
                                     n=n, m=8, trial=trial)
                 assert main_plan(alone) == main_plan(stacked)
-                verdicts.append(alone.feasible)
+                verdicts.append(alone.feasible[0])
         assert any(verdicts) and not all(verdicts)
+
+    def test_verdict_has_one_entry_per_stacked_plan(self):
+        # a one-entry verdict such as (False,) is truthy, so every read must
+        # index a plan. Each plan, built alone from the trial's streams, has
+        # its own Stage-1 certificate in its entry; at -10 dB Stage 1
+        # certifies this draw's main plan and not its random plan
+        cfg = dataclasses.replace(SystemConfig(), num_irs_elements=16,
+                                  num_bs_antennas=8, min_sinr=db_to_linear(-10.0))
+        key = [4243, 16, 8, 0]
+        rng = _stream(key, 0)
+        cascaded = synthesize_channels(cfg, draw_user_geometry(cfg, rng), rng)
+        effective = effective_channel(cascaded, np.ones(16, dtype=complex))
+        plans = [form_clusters(effective, cfg.num_clusters, cfg.users_per_cluster,
+                               cfg.correlation_threshold),
+                 random_plan(effective, cfg.num_clusters, cfg.users_per_cluster,
+                             _stream(key, 2))]
+        own = ()
+        for plan in plans:
+            beams = build_zf_beamformers(effective[plan[:, -1]])
+            own += (allocate_power(link_gains(effective, plan, beams), cfg).feasible,)
+        assert own == (True, False)
+        one_plan = [m for m in METHODS if m != "random-clustering"]
+        assert run_trial(cfg, one_plan, 4243, 16, 8, 0).feasible == own[:1]
+        assert run_trial(cfg, list(METHODS), 4243, 16, 8, 0).feasible == own
 
 
 class TestRunExperiment:
@@ -316,7 +344,7 @@ class TestEmitResults:
 
     def test_zero_feasible_rows_use_na(self, tmp_path):
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
-        record = TrialRecord(n=8, m=6, trial=0, feasible=False)
+        record = TrialRecord(n=8, m=6, trial=0, feasible=(False,))
         record.ee["conventional"] = 1.0
         paths = emit_results([record], spec, small_config())
         rows = pathlib.Path(paths["summary.csv"]).read_text().splitlines()
@@ -324,7 +352,7 @@ class TestEmitResults:
 
     def test_stage1_method_on_infeasible_trial_is_na(self, tmp_path):
         spec = small_spec(tmp_path, methods=["stage1-only"], trials=1)
-        record = TrialRecord(n=8, m=6, trial=0, feasible=False)
+        record = TrialRecord(n=8, m=6, trial=0, feasible=(False,))
         record.ee["stage1-only"] = 1.0
         record.ici["stage1-only"] = 1.0
         paths = emit_results([record], spec, small_config())
@@ -339,8 +367,7 @@ class TestEmitResults:
         methods = ["random-clustering", "stage1-only"]
         records = [run_trial(cfg, methods, seed=7, n=8, m=6, trial=t)
                    for t in (18, 8)]
-        assert [(r.feasible, r.random_plan_feasible) for r in records] == [
-            (False, True), (True, False)]
+        assert [r.feasible for r in records] == [(False, True), (True, False)]
         paths = emit_results(records, small_spec(tmp_path, methods=methods), cfg)
         for name, values in (("summary.csv", "ee"), ("ici.csv", "ici")):
             rows = pathlib.Path(paths[name]).read_text().splitlines()
@@ -349,10 +376,12 @@ class TestEmitResults:
             assert rows[1] == f"random-clustering,8,6,{clustered:.12g},0,1,1", name
             assert rows[2] == f"stage1-only,8,6,{stage1:.12g},0,1,1", name
 
-    def test_writes_exactly_the_csvs_and_manifest(self, tmp_path):
+    def test_writes_exactly_the_csvs_and_manifest(self, tmp_path, monkeypatch):
         cfg = small_config()
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
         records = run_experiment(cfg, spec)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         paths = emit_results(records, spec, cfg)
         names = ["convergence_stage1.csv", "convergence_stage2.csv", "ici.csv",
                  "manifest.txt", "summary.csv"]
@@ -361,6 +390,15 @@ class TestEmitResults:
         manifest = pathlib.Path(paths["manifest.txt"]).read_text()
         assert "content_sha256" in manifest
         assert "num_irs_elements" in manifest
+        # the environment the bytes depend on, as the process saw it, inside
+        # the digested content
+        environment = manifest.split("[environment]\n")[1].split("\n\n")[0]
+        assert environment.splitlines() == [
+            f"numpy = {np.__version__}",
+            f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+            "OMP_NUM_THREADS = 3", "MKL_NUM_THREADS = unset"]
+        content, digest = manifest.rsplit("\n\ncontent_sha256 = ", 1)
+        assert hashlib.sha256(content.encode()).hexdigest() == digest.strip()
 
     def test_empty_records_rejected(self, tmp_path):
         spec = small_spec(tmp_path, methods=["conventional"])
@@ -556,7 +594,7 @@ def test_all_methods_at_reference_floor_output_bytes_pinned(tmp_path):
     spec = ExperimentSpec(n_grid=[16, 32], m_grid=[8], num_trials=3,
                           methods=list(METHODS), out_dir=str(tmp_path), seed=4243)
     records = run_experiment(SystemConfig(), spec)
-    assert not any(r.feasible for r in records)
+    assert all(r.feasible == (False, False) for r in records)
     paths = emit_results(records, spec, SystemConfig())
     digests = {name: hashlib.sha256(pathlib.Path(paths[name]).read_bytes()).hexdigest()
                for name in ("summary.csv", "ici.csv", "convergence_stage1.csv",
