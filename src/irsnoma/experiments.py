@@ -36,6 +36,15 @@ METHODS = ("proposed", "conventional", "random-clustering", "random-pac",
 # of their trials
 _STAGES = {"proposed": (0, True), "stage1-only": (0, False),
            "random-clustering": (1, True)}
+# the SDP's bytes follow the BLAS thread count (module docstring). numpy
+# loaded its BLAS, which read these variables, before this module runs; with
+# them unset the BLAS runs one thread per CPU the process may use
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count())
+_ENVIRONMENT = [f"numpy = {np.__version__}"] + [
+    f"{var} = {os.environ.get(var, 'unset')}"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+] + [f"cpus = {_CPUS}"]
 
 
 @dataclass
@@ -186,8 +195,9 @@ def run_trial(config: SystemConfig, methods: list[str], seed: int, n: int, m: in
         record.ici[method] = _far_user_ici(result.psi)
 
     if "conventional" in methods:
-        record.ee["conventional"], record.ici["conventional"] = conventional_bf_ee(
-            gains[0], cfg, conventional_mode)
+        ee_c, ici_c = conventional_bf_ee(gains[0], cfg, conventional_mode)
+        record.ee["conventional"] = ee_c
+        record.ici["conventional"] = ici_c
 
     if "random-pac" in methods:
         beta_r = random_power_coefficients(cfg, _stream(key, 3))
@@ -241,9 +251,10 @@ def _summary_rows(records: list[TrialRecord], spec: ExperimentSpec,
         for n in spec.n_grid:
             for m_ant in spec.m_grid:
                 cell = [r for r in records if r.n == n and r.m == m_ant]
-                kept = [r for r in cell if _stage1_feasible(r, method)]
-                vals = [v for r in kept if (v := value_of(r, method)) is not None]
-                bad = len(cell) - len(kept)
+                vals = [value_of(r, method) for r in cell
+                        if _stage1_feasible(r, method)
+                        and value_of(r, method) is not None]
+                bad = sum(1 for r in cell if not _stage1_feasible(r, method))
                 if vals:
                     arr = np.asarray(vals)
                     rows.append(f"{method},{n},{m_ant},{_fmt(arr.mean())},"
@@ -300,12 +311,10 @@ def emit_results(records: list[TrialRecord], spec: ExperimentSpec,
     manifest += [f"{f.name} = {getattr(config, f.name)!r}"
                  for f in fields(config)]
     manifest += ["", "[experiment]"]
-    manifest += [f"{name} = {getattr(spec, name)!r}" for name in (
-        "n_grid", "m_grid", "num_trials", "methods", "seed", "conventional_mode")]
-    # the SDP's bytes follow the BLAS thread count (module docstring)
-    manifest += ["", "[environment]", f"numpy = {np.__version__}"]
-    manifest += [f"{var} = {os.environ.get(var, 'unset')}" for var in (
-        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
+    for name in ("n_grid", "m_grid", "num_trials", "methods", "seed",
+                 "conventional_mode"):
+        manifest.append(f"{name} = {getattr(spec, name)!r}")
+    manifest += ["", "[environment]"] + _ENVIRONMENT
     digest = hashlib.sha256("\n".join(manifest).encode()).hexdigest()
     manifest += ["", f"content_sha256 = {digest}"]
     write("manifest.txt", manifest)

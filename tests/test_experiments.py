@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -376,27 +377,45 @@ class TestEmitResults:
             assert rows[1] == f"random-clustering,8,6,{clustered:.12g},0,1,1", name
             assert rows[2] == f"stage1-only,8,6,{stage1:.12g},0,1,1", name
 
-    def test_writes_exactly_the_csvs_and_manifest(self, tmp_path, monkeypatch):
+    def test_writes_exactly_the_csvs_and_manifest(self, tmp_path):
         cfg = small_config()
         spec = small_spec(tmp_path, methods=["conventional"], trials=1)
-        records = run_experiment(cfg, spec)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        paths = emit_results(records, spec, cfg)
+        paths = emit_results(run_experiment(cfg, spec), spec, cfg)
         names = ["convergence_stage1.csv", "convergence_stage2.csv", "ici.csv",
                  "manifest.txt", "summary.csv"]
         assert sorted(os.listdir(tmp_path)) == names
         assert paths == {name: os.path.join(str(tmp_path), name) for name in names}
         manifest = pathlib.Path(paths["manifest.txt"]).read_text()
-        assert "content_sha256" in manifest
         assert "num_irs_elements" in manifest
-        # the environment the bytes depend on, as the process saw it, inside
-        # the digested content
+        content, digest = manifest.rsplit("\n\ncontent_sha256 = ", 1)
+        assert hashlib.sha256(content.encode()).hexdigest() == digest.strip()
+
+        # the environment the bytes depend on, inside the digested content,
+        # as the BLAS read it when numpy loaded: a fresh interpreter started
+        # with OMP_NUM_THREADS=3 still reports 3 after changing it to 5
+        child = textwrap.dedent(f"""
+            import dataclasses, os
+            from irsnoma.config import SystemConfig
+            from irsnoma.experiments import ExperimentSpec, emit_results, run_experiment
+            os.environ["OMP_NUM_THREADS"] = "5"
+            cfg = dataclasses.replace(SystemConfig(), **{SMALL!r})
+            spec = dataclasses.replace({spec!r}, out_dir={str(tmp_path / "child")!r})
+            emit_results(run_experiment(cfg, spec), spec, cfg)
+        """)
+        src = pathlib.Path(experiments.__file__).resolve().parents[1]
+        env = dict(os.environ, OMP_NUM_THREADS="3", PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        env.pop("MKL_NUM_THREADS", None)
+        run = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr[-3000:]
+        manifest = (tmp_path / "child" / "manifest.txt").read_text()
         environment = manifest.split("[environment]\n")[1].split("\n\n")[0]
         assert environment.splitlines() == [
             f"numpy = {np.__version__}",
             f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
-            "OMP_NUM_THREADS = 3", "MKL_NUM_THREADS = unset"]
+            "OMP_NUM_THREADS = 3", "MKL_NUM_THREADS = unset",
+            f"cpus = {len(os.sched_getaffinity(0))}"]
         content, digest = manifest.rsplit("\n\ncontent_sha256 = ", 1)
         assert hashlib.sha256(content.encode()).hexdigest() == digest.strip()
 
