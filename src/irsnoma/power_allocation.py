@@ -248,7 +248,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
     ee, terms = efficiency.value(x)
     held = b - a @ x <= 1e-12 * np.maximum.reduce(np.abs(x))
     trace = [TracePoint(ee)]
-    steps, converged, residual = 0, False, np.inf
+    converged, residual = False, np.inf
     basis = _null_space(a, held)
     for _ in range(max_iterations + b.size):
         grad, hess = efficiency.derivatives(terms)
@@ -268,7 +268,7 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
             held[np.flatnonzero(held)[mult.argmin()]] = False
             basis = _null_space(a, held)
             continue
-        if steps == max_iterations:
+        if len(trace) > max_iterations:
             break
         rise = a @ step
         limits = np.empty(b.size)
@@ -288,9 +288,8 @@ def _ascend(efficiency: _Efficiency, a: np.ndarray, b: np.ndarray,
             held[hit] = True
             basis = _null_space(a, held)
         x, ee, terms = trial, ee_new, terms_new
-        steps += 1
         trace.append(TracePoint(ee))
-    return x, steps, converged, residual, trace
+    return x, converged, residual, trace
 
 
 def allocate_power(gains: np.ndarray, config: SystemConfig, *,
@@ -330,10 +329,10 @@ def allocate_power(gains: np.ndarray, config: SystemConfig, *,
         a, b = problem.layout.box, np.empty(2 * clusters)
         b[:clusters] = problem.high
         b[clusters:] = -1e-6 * problem.high
-    x, steps, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)
+    x, converged, residual, trace = _ascend(efficiency, a, b, x, max_iterations)
     beta = (efficiency.level_map @ x).reshape(clusters, users)     # the levels
     beta[:, :-1] -= beta[:, 1:]      # NumPy reads the overlapping operand as it was
     gamma, psi = sinr(gains, beta, config)
-    return Stage1Result(beta=beta, psi=psi, iterations=steps, converged=converged,
+    return Stage1Result(beta=beta, psi=psi, iterations=len(trace) - 1, converged=converged,
                         feasible=feasible, residual=residual,
                         ee=energy_efficiency(gamma, beta, config), trace=trace)

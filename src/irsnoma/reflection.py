@@ -135,7 +135,7 @@ def surrogate_problem(anchor: np.ndarray, num: np.ndarray, den: np.ndarray,
     linear -= eta * (np.eye(anchor.shape[0]) - np.outer(kappa, kappa.conj()))
     logs, _ = _unit_frobenius(num)
     weights = bandwidth * zeta / LN2
-    problem = sdp.SdpProblem(objective=0.5 * (linear + linear.conj().T),
+    problem = sdp.SdpProblem(objective=linear,
                              constraints=constraints,
                              log_terms=(logs, weights.reshape(-1)))
     return problem, 0.5 * (gradient + gradient.conj().T)
@@ -253,12 +253,10 @@ def optimize_reflection(cascaded: np.ndarray, members: np.ndarray,
         if solution.status == "infeasible":
             break
         phi_start = problem.value(anchor)
-        cand = 0.5 * (solution.matrix + solution.matrix.conj().T)
-        stalled = problem.value(cand) <= phi_start + _ASCENT_TOL * (
+        stalled = solution.objective <= phi_start + _ASCENT_TOL * (
             1.0 + abs(phi_start))
         if not stalled:
-            anchor = cand
-            warm = solution.matrix
+            anchor = warm = solution.matrix
         pen = exact_rank_penalty(anchor)
         ee_rel = _relaxed_ee(own, den, anchor, stage1.beta, config)
         trace.append(Stage2TracePoint(ee=ee_rel, eta=eta))

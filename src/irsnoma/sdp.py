@@ -328,7 +328,8 @@ def solve(problem: SdpProblem, tolerance: float = 1e-6, max_iters: int = 600,
 
     ``initial`` may carry a warm start, used only when strictly feasible;
     otherwise I / 2 is tried, then a few feasibility-repair rounds; if no
-    interior point is found the status is "infeasible".
+    interior point is found the status is "infeasible". Otherwise the
+    matrix is exactly Hermitian and ``objective`` is ``problem.value`` at it.
     """
     n = problem.dim
     b = None
@@ -392,8 +393,7 @@ def _phase_one(problem: SdpProblem, start: np.ndarray) -> np.ndarray | None:
     b_aug0[:n, :n] = start
     b_aug0[n, n] = 1e-3 * DIAG_BOUND
     solution = solve(aug, tolerance=1e-4, max_iters=400, initial=b_aug0)
-    block = solution.matrix[:n, :n].copy()
-    block = 0.5 * (block + block.conj().T)
+    block = solution.matrix[:n, :n]
     # pull off the boundary as far as feasibility allows
     interior = 0.5 * DIAG_BOUND * np.eye(n, dtype=complex)
     for tau in (0.3, 0.1, 0.03, 0.01, 0.0):

@@ -63,6 +63,12 @@ class TestSpecValidation:
             ExperimentSpec(n_grid=n_grid, m_grid=m_grid, num_trials=1,
                            methods=["proposed"], out_dir="x", seed=0)
 
+    def test_rejects_unknown_conventional_mode(self):
+        with pytest.raises(ValueError, match="conventional_mode"):
+            ExperimentSpec(n_grid=[8], m_grid=[6], num_trials=1,
+                           methods=["conventional"], out_dir="x", seed=0,
+                           conventional_mode="round-robin")
+
     def test_rejects_negative_seed(self):
         # the trial streams take the seed as entropy, which must be nonnegative
         with pytest.raises(ValueError, match="seed"):
@@ -634,9 +640,11 @@ def test_all_methods_at_reference_floor_output_bytes_pinned(tmp_path):
 def test_pinned_digests_hold_under_two_blas_threads():
     # every *_bytes_pinned digest holds under 1 and 2 BLAS threads. BLAS
     # reads its thread count when numpy loads, so the pins run again in a
-    # fresh interpreter with two threads
+    # fresh interpreter with two threads, on the tree this run imported
+    src = pathlib.Path(experiments.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
-               MKL_NUM_THREADS="2")
+               MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+                   filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-k", "bytes_pinned"],

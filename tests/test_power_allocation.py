@@ -206,6 +206,35 @@ class TestAllocatePower:
             wins += result.ee >= energy_efficiency(gamma_u, uniform, cfg)
         assert wins / total >= 0.95
 
+    def test_ascent_without_a_gain_stops_unconverged(self, monkeypatch):
+        # every trial point scores below the start, so all 50 halvings of
+        # the first step fail: the ascent stops there, at the start, with no
+        # step taken and the stop test not met
+        cfg, *_, gains = attainable_floor_scenario(0)
+        real = power_allocation._Efficiency.value
+        scored = []
+
+        def losing(self, x):
+            ee, terms = real(self, x)
+            scored.append(ee)
+            return (ee if len(scored) == 1 else 0.5 * ee), terms
+
+        monkeypatch.setattr(power_allocation._Efficiency, "value", losing)
+        result = allocate_power(gains, cfg)
+        assert len(scored) == 51
+        assert (result.iterations, result.converged) == (0, False)
+        assert [point.ee for point in result.trace] == scored[:1]
+        assert result.residual > power_allocation._TOLERANCE
+
+    def test_singular_tight_system_has_no_levels(self):
+        # no draw has given a singular system; all-zero rows make one, and
+        # the solve's LinAlgError must read as "no levels", not escape
+        cfg, *_, gains = attainable_floor_scenario(0)
+        problem = power_allocation._Problem(gains, cfg)
+        a, b = problem.constraints()
+        assert problem.tight(a, b, problem.layout.start[1]) is not None
+        assert problem.tight(np.zeros_like(a), b, problem.layout.start[1]) is None
+
     @pytest.mark.parametrize("max_iterations", [-1, -3])
     def test_negative_iteration_cap_rejected(self, max_iterations):
         cfg, *_, gains = build_scenario(0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsnoma import experiments, sdp
+from irsnoma import experiments, reflection, sdp
 from irsnoma.beamforming import build_zf_beamformers
 from irsnoma.channel import effective_channel, link_gains, sinr
 from irsnoma.clustering import random_plan
@@ -423,6 +423,41 @@ class TestOptimizeReflection:
                             plan, beams, check_order=False)
         _, psi0 = sinr(gains0, stage1.beta, cfg)
         assert np.array_equal(result.psi, psi0)
+
+    def test_infeasible_surrogate_ends_the_loop_at_b0(self, monkeypatch):
+        # a surrogate solve that finds no interior point ends the loop in
+        # its first iteration, before any trace point; the anchor is still
+        # the lift of b0, whose extracted vector is b0 itself
+        cfg, _, cascaded, plan, beams, gains = attainable_floor_scenario(
+            0, random_beams=True)
+        stage1 = allocate_power(gains, cfg)
+
+        def infeasible(problem, **kwargs):
+            return sdp.SdpSolution(matrix=0.5 * np.eye(problem.dim, dtype=complex),
+                                   status="infeasible", objective=np.nan,
+                                   newton_steps=0)
+
+        monkeypatch.setattr(sdp, "solve", infeasible)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
+        b0 = np.ones(cfg.num_irs_elements, dtype=complex)
+        assert (result.iterations, result.converged, result.trace) == (1, False, [])
+        assert np.array_equal(result.lifted, np.outer(b0, b0))
+        assert np.array_equal(result.reflection, b0)
+        assert (result.ee, result.fallback) == (stage1.ee, False)
+
+    def test_stall_at_the_top_weight_ends_the_loop(self, monkeypatch):
+        # with the weight ladder capped below its starting weight, an ascent
+        # that stalls short of rank one has no weight left to climb: the
+        # loop ends there, converged, with the anchor still of higher rank
+        monkeypatch.setattr(reflection, "_ETA_CAP", 0.0)
+        cfg, _, cascaded, plan, beams, gains = attainable_floor_scenario(
+            1, random_beams=True)
+        stage1 = allocate_power(gains, cfg)
+        result = optimize_reflection(cascaded, plan, beams, stage1, cfg)
+        trace = float(np.real(np.trace(result.lifted)))
+        assert result.converged and result.iterations < 20
+        assert result.exact_penalty > reflection._PENALTY_TOL * trace
+        assert len({point.eta for point in result.trace}) == 1
 
     def test_stage1_values_are_those_at_start(self):
         # Stage 2 takes ee and psi at b0 from Stage 1 instead of recomputing

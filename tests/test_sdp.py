@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import build_scenario
+from conftest import attainable_floor_scenario, build_scenario
 from irsnoma import sdp
 from irsnoma.power_allocation import allocate_power
-from irsnoma.reflection import floor_constraints, sinr_lifts
+from irsnoma.reflection import floor_constraints, sinr_lifts, surrogate_problem
 
 
 def _random_hermitian(rng, n, scale=1.0):
@@ -170,6 +170,99 @@ class TestSolutionQuality:
         assert np.array_equal(got.matrix, want.matrix)
         assert (got.status, got.objective, got.newton_steps) == (
             want.status, want.objective, want.newton_steps)
+
+
+def _surrogates(seed=0):
+    """Stage 2's first surrogate at the lift of b0 and its cold start, and
+    a second surrogate anchored at the first one's solution, as the loop
+    builds them on an attainable draw with ZF beams (with random beams
+    neither the cold start nor I / 2 meets the floors)."""
+    cfg, _, cascaded, plan, beams, gains = attainable_floor_scenario(
+        seed, random_beams=False)
+    stage1 = allocate_power(gains, cfg)
+    _, num, den = sinr_lifts(cascaded, plan, beams, stage1.beta, cfg)
+    constraints = floor_constraints(num, den, cfg)
+    n = cfg.num_irs_elements
+    anchor = np.ones((n, n), dtype=complex)
+    _, gradient = surrogate_problem(anchor, num, den, constraints, cfg, 0.0)
+    eta = float(np.clip(0.02 * np.linalg.norm(gradient), 1e-2, 1e2))
+    first, _ = surrogate_problem(anchor, num, den, constraints, cfg, eta)
+    cold = 0.95 * anchor + 0.025 * np.eye(n)
+    anchor = sdp.solve(first, tolerance=1e-6, initial=cold).matrix
+    second, _ = surrogate_problem(anchor, num, den, constraints, cfg, eta)
+    return (first, cold), (second, anchor)
+
+
+def _start_paths():
+    """(problem, initial, runs phase one) for each way ``solve`` starts."""
+    paths = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, 6, num_constraints=3)
+        paths.append((problem, None, False))
+        warm = sdp.solve(problem, tolerance=1e-6).matrix
+        paths.append((problem, 0.9 * warm + 0.05 * np.eye(6), False))
+        paths.append((random_problem(rng, 6, num_constraints=3, margin=-0.2),
+                      None, True))
+    paths.append((_phase_one_problem(), None, True))
+    paths += [(problem, start, False) for problem, start in _surrogates()]
+    return paths
+
+
+class TestReturnedSolution:
+    def test_matrix_is_hermitian_and_objective_is_its_value(self, monkeypatch):
+        # Stage 2 takes the returned matrix as its next anchor and the
+        # returned objective as the surrogate value there, re-deriving
+        # neither: both must hold bit for bit on every way a solve starts
+        # (warm, Stage 2's cold blend, I / 2, and phase one)
+        repairs = []
+        phase_one = sdp._phase_one
+
+        def counted(problem, start):
+            repairs.append(problem)
+            return phase_one(problem, start)
+
+        monkeypatch.setattr(sdp, "_phase_one", counted)
+        paths = _start_paths()
+        for problem, initial, repaired in paths:
+            n = problem.dim
+            start = 0.5 * np.eye(n) if initial is None else initial
+            assert sdp.strictly_feasible(problem, start) is not repaired
+            repairs.clear()
+            solution = sdp.solve(problem, tolerance=1e-6, initial=initial)
+            assert solution.status == "optimal"
+            assert len(repairs) == repaired
+            matrix = solution.matrix
+            assert np.array_equal(matrix, matrix.conj().T)
+            assert solution.objective == problem.value(matrix)
+        assert sum(repaired for *_, repaired in paths) == 4
+
+
+class TestDegenerateInputs:
+    def test_nonpositive_log_weight_rejected(self):
+        with pytest.raises(ValueError, match="positive weight"):
+            sdp.SdpProblem(objective=np.eye(2),
+                           log_terms=(np.eye(2)[None], np.zeros(1)))
+
+    def test_nonpositive_log_trace_leaves_the_domain(self):
+        # Re tr(-B) < 0 at every B > 0: the log term has no domain, so the
+        # value is -inf, no barrier point exists, and the solve, with no
+        # constraint to repair, reports the problem infeasible
+        problem = sdp.SdpProblem(objective=np.eye(2),
+                                 log_terms=(-np.eye(2)[None], np.ones(1)))
+        half = 0.5 * np.eye(2, dtype=complex)
+        assert problem.value(half) == -np.inf
+        assert sdp.barrier_point(problem, half, 1.0) is None
+        assert sdp._phase_one(problem, half) is None
+        assert sdp.solve(problem).status == "infeasible"
+
+    def test_strict_feasibility_needs_interior_diagonal_and_definiteness(self):
+        problem = sdp.SdpProblem(objective=np.eye(2))
+        assert sdp.strictly_feasible(problem, 0.5 * np.eye(2))
+        # a diagonal entry on its bound
+        assert not sdp.strictly_feasible(problem, np.diag([sdp.DIAG_BOUND, 0.5]))
+        # diagonal inside its bound, but indefinite: no Cholesky factor
+        assert not sdp.strictly_feasible(problem, np.array([[0.5, 0.9], [0.9, 0.5]]))
 
 
 def _phase_one_problem():
